@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 namespace titan::analysis {
@@ -49,24 +50,35 @@ FollowMatrix follow_matrix(const EventFrame& frame,
   const auto window = static_cast<stats::TimeSec>(std::llround(window_s));
   const auto times = frame.times();
   const auto kinds = frame.kinds();
+  const std::size_t rows = frame.size();
 
-  // `seen` reset is O(1) per outer event: a slot counts as set only when
-  // stamped with the current outer index.
-  std::vector<std::size_t> seen_stamp(n, kNotOfInterest);
-  for (std::size_t i = 0; i < frame.size(); ++i) {
+  // One right-to-left pass.  Row i of kind A is followed by B when the
+  // nearest later row of kind B (`next_at[b]`, `rows` when none) comes
+  // before stop(i): the first j > i with times[j] >= times[i] + window,
+  // where a forward window scan would break.  Every row before stop(i)
+  // counts, whatever its time, so this is exact on an unsorted column too.
+  //
+  // `maxima` holds the strict prefix maxima of the suffix (i, rows), the
+  // nearest row last.  The first row reaching a threshold is always one of
+  // them, and their times fall strictly towards the back, so stop(i) is
+  // the last entry at or above the threshold: one binary search.
+  std::vector<std::size_t> next_at(n, rows);
+  std::vector<std::size_t> maxima;
+  for (std::size_t i = rows; i-- > 0;) {
     const std::size_t a = kind_index[static_cast<std::size_t>(kinds[i])];
-    if (a == kNotOfInterest) continue;
-    ++occurrences[a];
-    for (std::size_t j = i + 1; j < frame.size(); ++j) {
-      if (times[j] - times[i] >= window) break;
-      const std::size_t b = kind_index[static_cast<std::size_t>(kinds[j])];
-      if (b == kNotOfInterest) continue;
-      if (!include_same_type && b == a) continue;
-      if (seen_stamp[b] != i) {
-        seen_stamp[b] = i;
-        followed.add(a, b);
+    if (a != kNotOfInterest) {
+      ++occurrences[a];
+      const stats::TimeSec threshold = times[i] + window;
+      const auto reach = std::partition_point(
+          maxima.begin(), maxima.end(), [&](std::size_t j) { return times[j] >= threshold; });
+      const std::size_t stop = reach == maxima.begin() ? rows : *std::prev(reach);
+      for (std::size_t b = 0; b < n; ++b) {
+        if (next_at[b] < stop && (include_same_type || b != a)) followed.add(a, b);
       }
+      next_at[a] = i;
     }
+    while (!maxima.empty() && times[maxima.back()] <= times[i]) maxima.pop_back();
+    maxima.push_back(i);
   }
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {

@@ -36,8 +36,12 @@ struct FollowMatrix {
 [[nodiscard]] FollowMatrix follow_matrix(std::span<const parse::ParsedEvent> events,
                                          std::span<const xid::ErrorKind> kinds_of_interest,
                                          double window_s, bool include_same_type);
-/// Frame kernel: one pass over the time/kind columns with flat kind-index
-/// tables (no per-event hashing, no per-event `seen` allocation).
+/// Frame kernel: one right-to-left pass over the time/kind columns in
+/// O(N*K + N log N) for N rows and K kinds, independent of how many rows
+/// share a window.  It keeps the nearest later row of each kind and finds
+/// where a forward window scan would break (the first later row at or past
+/// `time + window`) by binary search over the suffix's running maxima, so
+/// it equals that scan exactly, on an unsorted time column too.
 [[nodiscard]] FollowMatrix follow_matrix(const EventFrame& frame,
                                          std::span<const xid::ErrorKind> kinds_of_interest,
                                          double window_s, bool include_same_type);

@@ -47,6 +47,17 @@ void for_each_line(std::string_view text, Fn&& fn) {
   }
 }
 
+/// Number of lines for_each_line visits.  Loaders reserve it up front: a
+/// vector grown by doubling frees each smaller step, and over repeated
+/// loads those freed steps fragment the heap and raise peak RSS.
+std::size_t line_count(std::string_view text) {
+  std::size_t breaks = 0;
+  for (auto pos = text.find('\n'); pos != std::string_view::npos; pos = text.find('\n', pos + 1)) {
+    ++breaks;
+  }
+  return breaks + (!text.empty() && text.back() != '\n' ? 1 : 0);
+}
+
 /// Strip one trailing '\r' (CRLF repair), recording the finding.
 std::string_view strip_crlf(std::string_view line, std::string_view file,
                             std::size_t line_no, IngestReport& report) {
@@ -252,6 +263,7 @@ std::string checksum_hex(std::uint64_t value) {
 ConsoleIngest ingest_console_text(std::string_view text, std::string_view file,
                                   IngestPolicy policy, IngestReport& report) {
   ConsoleIngest out;
+  out.events.reserve(line_count(text));
   std::string_view prev_raw;
   bool prev_was_event = false;
   bool sorted = true;
@@ -338,6 +350,7 @@ JobIngest ingest_job_text(std::string_view text, std::string_view file, IngestPo
                           IngestReport& report) {
   (void)policy;  // no job-log finding is fatal in strict mode
   JobIngest out;
+  out.records.reserve(line_count(text));
   std::size_t last_line = 0;
   for_each_line(text, [&](std::string_view raw, std::size_t line_no) {
     ++out.lines;

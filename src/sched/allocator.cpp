@@ -1,7 +1,7 @@
 #include "sched/allocator.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
 #include <stdexcept>
 
 namespace titan::sched {
@@ -12,9 +12,11 @@ using topology::kGeminiCount;
 using topology::kNodeSlots;
 using topology::NodeId;
 
-// Torus rank of the Gemini serving a node.
-[[nodiscard]] std::size_t rank_of_node(NodeId node) {
-  return static_cast<std::size_t>(topology::torus_rank(topology::torus_coord(node)));
+constexpr std::size_t kWordBits = 64;
+
+// The two nodes behind the Gemini at torus rank `rank`.
+[[nodiscard]] std::array<NodeId, 2> nodes_of_rank(std::size_t rank) {
+  return topology::gemini_nodes(topology::coord_from_rank(static_cast<int>(rank)));
 }
 
 // Cage (0..2) hosting the Gemini at torus rank `rank`.
@@ -26,35 +28,41 @@ using topology::NodeId;
 }  // namespace
 
 TorusAllocator::TorusAllocator(const std::vector<bool>& usable, PlacementPolicy policy)
-    : geminis_(static_cast<std::size_t>(kGeminiCount)),
+    : position_of_node_(static_cast<std::size_t>(kNodeSlots), kNoPosition),
       node_usable_{usable},
       node_held_(static_cast<std::size_t>(kNodeSlots), false) {
   if (usable.size() != static_cast<std::size_t>(kNodeSlots)) {
     throw std::invalid_argument{"TorusAllocator: usable mask must cover all node slots"};
   }
-  for (std::size_t rank = 0; rank < geminis_.size(); ++rank) {
-    const auto nodes = topology::gemini_nodes(topology::coord_from_rank(static_cast<int>(rank)));
+  // Search order: production walks plain torus-rank order over routers
+  // with a usable node; the cool-cage policy visits lower cages first
+  // (Observation 4 ablation).
+  std::vector<std::size_t> search_order;
+  for (std::size_t rank = 0; rank < static_cast<std::size_t>(kGeminiCount); ++rank) {
     bool any = false;
-    for (NodeId n : nodes) {
+    for (NodeId n : nodes_of_rank(rank)) {
       if (node_usable_[static_cast<std::size_t>(n)]) {
         any = true;
         ++free_node_count_;
       }
     }
-    geminis_[rank].usable = any;
-    geminis_[rank].free = any;
+    if (any) search_order.push_back(rank);
   }
   total_node_count_ = free_node_count_;
-
-  // Search order: production walks plain torus-rank order; the cool-cage
-  // policy visits lower cages first (Observation 4 ablation).
-  for (std::size_t rank = 0; rank < geminis_.size(); ++rank) {
-    if (geminis_[rank].usable) search_order_.push_back(rank);
-  }
   if (policy == PlacementPolicy::kCoolCageFirst) {
-    std::stable_sort(search_order_.begin(), search_order_.end(),
+    std::stable_sort(search_order.begin(), search_order.end(),
                      [](std::size_t a, std::size_t b) { return cage_of_rank(a) < cage_of_rank(b); });
   }
+
+  router_nodes_.reserve(search_order.size());
+  for (std::size_t pos = 0; pos < search_order.size(); ++pos) {
+    router_nodes_.push_back(nodes_of_rank(search_order[pos]));
+    for (NodeId n : router_nodes_.back()) position_of_node_[static_cast<std::size_t>(n)] = pos;
+  }
+  // Every router starts free; bits past the last position stay clear so
+  // no run or scan ever reaches them.
+  free_words_.assign((router_count() + kWordBits - 1) / kWordBits, 0);
+  for (std::size_t pos = 0; pos < router_count(); ++pos) set_free(pos, true);
 }
 
 TorusAllocator TorusAllocator::production(PlacementPolicy policy) {
@@ -65,25 +73,55 @@ TorusAllocator TorusAllocator::production(PlacementPolicy policy) {
   return TorusAllocator{usable, policy};
 }
 
+bool TorusAllocator::is_free(std::size_t pos) const noexcept {
+  return ((free_words_[pos / kWordBits] >> (pos % kWordBits)) & 1U) != 0;
+}
+
+void TorusAllocator::set_free(std::size_t pos, bool free) noexcept {
+  const std::uint64_t bit = std::uint64_t{1} << (pos % kWordBits);
+  if (free) {
+    free_words_[pos / kWordBits] |= bit;
+  } else {
+    free_words_[pos / kWordBits] &= ~bit;
+  }
+}
+
 std::optional<std::size_t> TorusAllocator::find_contiguous(std::size_t count) const {
-  // A "contiguous" block is a run of consecutive entries in the search
-  // order, all currently free; busy routers break a run.  Returns the
-  // starting index into search_order_.
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < search_order_.size(); ++i) {
-    if (geminis_[search_order_[i]].free) {
-      ++run;
-      if (run >= count) return i + 1 - count;
-    } else {
+  // A "contiguous" block is a run of consecutive search positions, all
+  // currently free; busy routers break a run.  Walk the bitmap one block
+  // of equal bits at a time, carrying the run across word boundaries; the
+  // first run to reach `count` is the leftmost fit.
+  std::size_t run = 0;  // free positions immediately before `bit`
+  for (std::size_t w = 0; w < free_words_.size(); ++w) {
+    const std::uint64_t word = free_words_[w];
+    std::size_t bit = 0;
+    while (bit < kWordBits) {
+      const auto ones = static_cast<std::size_t>(std::countr_one(word >> bit));
+      if (run + ones >= count) return w * kWordBits + bit - run;
+      run += ones;
+      bit += ones;
+      if (bit == kWordBits) break;
       run = 0;
+      bit += static_cast<std::size_t>(std::countr_zero(word >> bit));
     }
   }
   return std::nullopt;
 }
 
-void TorusAllocator::collect_nodes(std::size_t rank, std::vector<NodeId>& out,
+std::size_t TorusAllocator::next_free(std::size_t pos) const {
+  if (pos >= router_count()) return router_count();
+  std::size_t w = pos / kWordBits;
+  std::uint64_t word = free_words_[w] & (~std::uint64_t{0} << (pos % kWordBits));
+  while (word == 0) {
+    if (++w == free_words_.size()) return router_count();
+    word = free_words_[w];
+  }
+  return w * kWordBits + static_cast<std::size_t>(std::countr_zero(word));
+}
+
+void TorusAllocator::collect_nodes(std::size_t pos, std::vector<NodeId>& out,
                                    std::size_t& remaining) {
-  const auto nodes = topology::gemini_nodes(topology::coord_from_rank(static_cast<int>(rank)));
+  const auto& nodes = router_nodes_[pos];
   // Skip routers whose nodes are all held: reserving them would leak the
   // reservation (a rollback only revisits routers that yielded a node).
   const bool any_effective = std::any_of(nodes.begin(), nodes.end(), [&](NodeId n) {
@@ -91,7 +129,7 @@ void TorusAllocator::collect_nodes(std::size_t rank, std::vector<NodeId>& out,
     return node_usable_[idx] && !node_held_[idx];
   });
   if (!any_effective) return;
-  geminis_[rank].free = false;
+  set_free(pos, false);
   for (NodeId n : nodes) {
     const auto idx = static_cast<std::size_t>(n);
     if (!node_usable_[idx] || node_held_[idx]) continue;
@@ -114,20 +152,18 @@ std::optional<std::vector<NodeId>> TorusAllocator::allocate(std::size_t node_cou
   std::vector<NodeId> out;
   out.reserve(node_count);
   std::size_t remaining = node_count;
-
-  if (const auto start = find_contiguous(gemini_demand)) {
-    for (std::size_t i = *start; remaining > 0 && i < search_order_.size(); ++i) {
-      // The found window is free by construction; continue past it only if
-      // holds made some routers yield fewer nodes than expected.
-      if (!geminis_[search_order_[i]].free) continue;
-      collect_nodes(search_order_[i], out, remaining);
+  // Take free routers in search order from `pos` until the request is met.
+  const auto fill_from = [&](std::size_t pos) {
+    for (pos = next_free(pos); remaining > 0 && pos < router_count(); pos = next_free(pos + 1)) {
+      collect_nodes(pos, out, remaining);
     }
-  }
+  };
+
+  // The found window is free by construction; the fill continues past it
+  // only if holds made some routers yield fewer nodes than expected.
+  if (const auto start = find_contiguous(gemini_demand)) fill_from(*start);
   // Scattered fill (fallback, or tail after an under-yielding window).
-  for (std::size_t i = 0; remaining > 0 && i < search_order_.size(); ++i) {
-    if (!geminis_[search_order_[i]].free) continue;
-    collect_nodes(search_order_[i], out, remaining);
-  }
+  fill_from(0);
   if (remaining > 0) {
     // Could not satisfy after all (holds shrank effective capacity):
     // roll back.
@@ -140,11 +176,10 @@ std::optional<std::vector<NodeId>> TorusAllocator::allocate(std::size_t node_cou
 void TorusAllocator::release(const std::vector<NodeId>& nodes) {
   // A job owns whole routers; freeing any node of a router frees it.
   for (NodeId n : nodes) {
-    const std::size_t rank = rank_of_node(n);
-    if (geminis_[rank].free) continue;  // already freed via its sibling node
-    geminis_[rank].free = true;
-    const auto pair = topology::gemini_nodes(topology::coord_from_rank(static_cast<int>(rank)));
-    for (NodeId sibling : pair) {
+    const std::size_t pos = position_of_node_[static_cast<std::size_t>(n)];
+    if (pos == kNoPosition || is_free(pos)) continue;  // already freed via its sibling node
+    set_free(pos, true);
+    for (NodeId sibling : router_nodes_[pos]) {
       const auto idx = static_cast<std::size_t>(sibling);
       if (node_usable_[idx] && !node_held_[idx]) ++free_node_count_;
     }
@@ -155,14 +190,14 @@ void TorusAllocator::hold_node(topology::NodeId node) {
   const auto idx = static_cast<std::size_t>(node);
   if (node_held_[idx]) return;
   node_held_[idx] = true;
-  if (node_usable_[idx] && geminis_[rank_of_node(node)].free) --free_node_count_;
+  if (node_usable_[idx] && is_free(position_of_node_[idx])) --free_node_count_;
 }
 
 void TorusAllocator::unhold_node(topology::NodeId node) {
   const auto idx = static_cast<std::size_t>(node);
   if (!node_held_[idx]) return;
   node_held_[idx] = false;
-  if (node_usable_[idx] && geminis_[rank_of_node(node)].free) ++free_node_count_;
+  if (node_usable_[idx] && is_free(position_of_node_[idx])) ++free_node_count_;
 }
 
 }  // namespace titan::sched

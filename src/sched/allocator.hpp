@@ -9,12 +9,22 @@
 // fit in torus-rank order, falling back to a scattered lowest-rank fill
 // when fragmentation prevents a contiguous block.
 //
+// Cost: tables from each node to its router's search position and back
+// are built once, and a bitmap over the search order holds which routers
+// are free.  A contiguous first fit hops that bitmap a 64-router word at
+// a time (countr_one / countr_zero), so it costs O(routers / 64 + free
+// runs passed) instead of a visit to every router, and the scattered fill
+// skips busy words the same way.  `release` and the hold paths look their
+// router up in O(1).
+//
 // An optional cage-aware placement policy implements the operational
 // improvement of Observation 4 ("this observation was used for improved
 // job scheduling for large GPU jobs at OLCF"): prefer ranks whose Geminis
 // sit in cooler (lower) cages when placing very large jobs.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -57,20 +67,30 @@ class TorusAllocator {
   void unhold_node(topology::NodeId node);
 
  private:
-  struct GeminiState {
-    bool usable = false;  ///< at least one usable node behind this router
-    bool free = false;    ///< currently available
-  };
+  /// Search position marking a node whose router is not in the search
+  /// order (no usable node behind it).
+  static constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);
 
-  /// Try to find a contiguous run of `count` free Gemini ranks.
+  /// Leftmost start (a search position) of `count` >= 1 consecutive free
+  /// routers: the first fit of a linear scan in search order.
   [[nodiscard]] std::optional<std::size_t> find_contiguous(std::size_t count) const;
-  void collect_nodes(std::size_t rank, std::vector<topology::NodeId>& out,
+  /// First free search position at or after `pos`; router_count() if none.
+  [[nodiscard]] std::size_t next_free(std::size_t pos) const;
+  [[nodiscard]] bool is_free(std::size_t pos) const noexcept;
+  void set_free(std::size_t pos, bool free) noexcept;
+  [[nodiscard]] std::size_t router_count() const noexcept { return router_nodes_.size(); }
+  void collect_nodes(std::size_t pos, std::vector<topology::NodeId>& out,
                      std::size_t& remaining);
 
-  std::vector<GeminiState> geminis_;       ///< indexed by torus rank
-  std::vector<bool> node_usable_;          ///< indexed by NodeId
-  std::vector<bool> node_held_;            ///< operator holds
-  std::vector<std::size_t> search_order_;  ///< rank visit order per policy
+  /// Routers with at least one usable node, in visit order per policy
+  /// (the "search order"): the two nodes behind each one.
+  std::vector<std::array<topology::NodeId, 2>> router_nodes_;
+  std::vector<std::size_t> position_of_node_;  ///< by NodeId; kNoPosition if off the order
+  /// Free-run index: bit p of word p / 64 is set while the router at search
+  /// position p is unallocated.  Held nodes do not clear it.
+  std::vector<std::uint64_t> free_words_;
+  std::vector<bool> node_usable_;  ///< indexed by NodeId
+  std::vector<bool> node_held_;    ///< operator holds
   std::size_t free_node_count_ = 0;
   std::size_t total_node_count_ = 0;
 };

@@ -505,7 +505,7 @@ std::vector<std::string> console_lines_of(const StudyContext& context) {
     event.node = e.node;
     event.kind = e.kind;
     event.structure = e.structure;
-    lines.push_back(logsim::console_line(event));
+    lines.push_back(logsim::console_line(event, *context.profile));
   }
   return lines;
 }

@@ -1,8 +1,15 @@
 // Property tests: the allocator must preserve its invariants under long
-// random sequences of allocate / release / hold / unhold operations.
+// random sequences of allocate / release / hold / unhold operations, and
+// must place every job exactly as the linear-scan reference allocator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <optional>
+#include <ostream>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "sched/allocator.hpp"
@@ -10,6 +17,11 @@
 #include "topology/torus.hpp"
 
 namespace titan::sched {
+
+void PrintTo(PlacementPolicy policy, std::ostream* os) {
+  *os << (policy == PlacementPolicy::kTorusOrder ? "kTorusOrder" : "kCoolCageFirst");
+}
+
 namespace {
 
 class AllocatorFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -71,6 +83,243 @@ TEST_P(AllocatorFuzz, InvariantsHoldUnderRandomOps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorFuzz, ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// The linear-scan allocator TorusAllocator replaced, kept as its oracle:
+// same placement policy, but a find_contiguous that visits every router in
+// search order and a release that recomputes torus coordinates per node.
+class ReferenceAllocator {
+ public:
+  ReferenceAllocator(const std::vector<bool>& usable, PlacementPolicy policy)
+      : geminis_(static_cast<std::size_t>(topology::kGeminiCount)),
+        node_usable_{usable},
+        node_held_(static_cast<std::size_t>(topology::kNodeSlots), false) {
+    for (std::size_t rank = 0; rank < geminis_.size(); ++rank) {
+      bool any = false;
+      for (topology::NodeId n : nodes_of(rank)) {
+        if (node_usable_[static_cast<std::size_t>(n)]) {
+          any = true;
+          ++free_node_count_;
+        }
+      }
+      geminis_[rank].usable = any;
+      geminis_[rank].free = any;
+    }
+    for (std::size_t rank = 0; rank < geminis_.size(); ++rank) {
+      if (geminis_[rank].usable) search_order_.push_back(rank);
+    }
+    if (policy == PlacementPolicy::kCoolCageFirst) {
+      std::stable_sort(search_order_.begin(), search_order_.end(),
+                       [](std::size_t a, std::size_t b) { return cage_of(a) < cage_of(b); });
+    }
+  }
+
+  std::optional<std::vector<topology::NodeId>> allocate(std::size_t node_count) {
+    if (node_count == 0) return std::vector<topology::NodeId>{};
+    if (node_count > free_node_count_) return std::nullopt;
+    const std::size_t gemini_demand = (node_count + 1) / 2;
+    std::vector<topology::NodeId> out;
+    std::size_t remaining = node_count;
+    if (const auto start = find_contiguous(gemini_demand)) {
+      for (std::size_t i = *start; remaining > 0 && i < search_order_.size(); ++i) {
+        if (!geminis_[search_order_[i]].free) continue;
+        collect_nodes(search_order_[i], out, remaining);
+      }
+    }
+    for (std::size_t i = 0; remaining > 0 && i < search_order_.size(); ++i) {
+      if (!geminis_[search_order_[i]].free) continue;
+      collect_nodes(search_order_[i], out, remaining);
+    }
+    if (remaining > 0) {
+      release(out);
+      return std::nullopt;
+    }
+    return out;
+  }
+
+  void release(const std::vector<topology::NodeId>& nodes) {
+    for (topology::NodeId n : nodes) {
+      const std::size_t rank = rank_of(n);
+      if (geminis_[rank].free) continue;
+      geminis_[rank].free = true;
+      for (topology::NodeId sibling : nodes_of(rank)) {
+        const auto idx = static_cast<std::size_t>(sibling);
+        if (node_usable_[idx] && !node_held_[idx]) ++free_node_count_;
+      }
+    }
+  }
+
+  void hold_node(topology::NodeId node) {
+    const auto idx = static_cast<std::size_t>(node);
+    if (node_held_[idx]) return;
+    node_held_[idx] = true;
+    if (node_usable_[idx] && geminis_[rank_of(node)].free) --free_node_count_;
+  }
+
+  void unhold_node(topology::NodeId node) {
+    const auto idx = static_cast<std::size_t>(node);
+    if (!node_held_[idx]) return;
+    node_held_[idx] = false;
+    if (node_usable_[idx] && geminis_[rank_of(node)].free) ++free_node_count_;
+  }
+
+  [[nodiscard]] std::size_t free_nodes() const { return free_node_count_; }
+
+ private:
+  struct GeminiState {
+    bool usable = false;
+    bool free = false;
+  };
+
+  static std::array<topology::NodeId, 2> nodes_of(std::size_t rank) {
+    return topology::gemini_nodes(topology::coord_from_rank(static_cast<int>(rank)));
+  }
+  static std::size_t rank_of(topology::NodeId node) {
+    return static_cast<std::size_t>(topology::torus_rank(topology::torus_coord(node)));
+  }
+  static int cage_of(std::size_t rank) {
+    return topology::coord_from_rank(static_cast<int>(rank)).z / topology::kBladesPerCage;
+  }
+
+  [[nodiscard]] std::optional<std::size_t> find_contiguous(std::size_t count) const {
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < search_order_.size(); ++i) {
+      if (geminis_[search_order_[i]].free) {
+        ++run;
+        if (run >= count) return i + 1 - count;
+      } else {
+        run = 0;
+      }
+    }
+    return std::nullopt;
+  }
+
+  void collect_nodes(std::size_t rank, std::vector<topology::NodeId>& out,
+                     std::size_t& remaining) {
+    const auto nodes = nodes_of(rank);
+    const bool any_effective = std::any_of(nodes.begin(), nodes.end(), [&](topology::NodeId n) {
+      const auto idx = static_cast<std::size_t>(n);
+      return node_usable_[idx] && !node_held_[idx];
+    });
+    if (!any_effective) return;
+    geminis_[rank].free = false;
+    for (topology::NodeId n : nodes) {
+      const auto idx = static_cast<std::size_t>(n);
+      if (!node_usable_[idx] || node_held_[idx]) continue;
+      --free_node_count_;
+      if (remaining > 0) {
+        out.push_back(n);
+        --remaining;
+      }
+    }
+  }
+
+  std::vector<GeminiState> geminis_;
+  std::vector<bool> node_usable_;
+  std::vector<bool> node_held_;
+  std::vector<std::size_t> search_order_;
+  std::size_t free_node_count_ = 0;
+};
+
+// Service nodes are never usable; a masked mask also drops ~4% of compute
+// nodes, leaving routers with one usable node and routers with none.
+std::vector<bool> usable_mask(stats::Rng& rng, bool masked) {
+  std::vector<bool> usable(static_cast<std::size_t>(topology::kNodeSlots));
+  for (topology::NodeId n = 0; n < topology::kNodeSlots; ++n) {
+    usable[static_cast<std::size_t>(n)] =
+        !topology::is_service_node(n) && !(masked && rng.bernoulli(0.04));
+  }
+  return usable;
+}
+
+class AllocatorOracle
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, PlacementPolicy>> {};
+
+TEST_P(AllocatorOracle, MatchesLinearScanStepForStep) {
+  const auto [seed, policy] = GetParam();
+  stats::Rng rng{seed};
+  const auto usable = usable_mask(rng, seed % 2 == 0);
+  TorusAllocator alloc{usable, policy};
+  ReferenceAllocator reference{usable, policy};
+  ASSERT_EQ(alloc.free_nodes(), reference.free_nodes());
+
+  std::vector<std::vector<topology::NodeId>> live;
+  std::vector<topology::NodeId> held;
+  for (int step = 0; step < 1500; ++step) {
+    const double action = rng.uniform();
+    if (action < 0.45) {
+      // Mostly small jobs, some huge: fragments the torus so both the
+      // contiguous fit and the scattered fill run.
+      const std::size_t request = rng.bernoulli(0.1)   ? 1 + rng.below(6000)
+                                  : rng.bernoulli(0.3) ? 1 + rng.below(600)
+                                                       : 1 + rng.below(40);
+      const auto got = alloc.allocate(request);
+      const auto want = reference.allocate(request);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+      if (got) {
+        ASSERT_EQ(*got, *want) << "step " << step << " request " << request;
+        live.push_back(*got);
+      }
+    } else if (action < 0.8 && !live.empty()) {
+      const std::size_t idx = rng.below(live.size());
+      alloc.release(live[idx]);
+      reference.release(live[idx]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+    } else if (action < 0.92) {
+      // Any node: free, allocated (the hold applies on release), service.
+      const auto node = static_cast<topology::NodeId>(rng.below(topology::kNodeSlots));
+      alloc.hold_node(node);
+      reference.hold_node(node);
+      held.push_back(node);
+    } else if (!held.empty()) {
+      const std::size_t idx = rng.below(held.size());
+      alloc.unhold_node(held[idx]);
+      reference.unhold_node(held[idx]);
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(idx));
+    }
+    ASSERT_EQ(alloc.free_nodes(), reference.free_nodes()) << "step " << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndPolicies, AllocatorOracle,
+    ::testing::Combine(::testing::Values(11u, 12u, 13u, 14u),
+                       ::testing::Values(PlacementPolicy::kTorusOrder,
+                                         PlacementPolicy::kCoolCageFirst)),
+    [](const ::testing::TestParamInfo<AllocatorOracle::ParamType>& param_info) {
+      return "seed" + std::to_string(std::get<0>(param_info.param)) +
+             (std::get<1>(param_info.param) == PlacementPolicy::kTorusOrder
+                  ? "_torus_order"
+                  : "_cool_cage_first");
+    });
+
+TEST(AllocatorProperty, FragmentedLargeRequestsMatchReference) {
+  // Fill with 2-node jobs, free a pseudo-random half, then ask for sizes
+  // around the free capacity: the contiguous fit mostly fails and the
+  // scattered fill decides the node order.
+  for (const auto policy : {PlacementPolicy::kTorusOrder, PlacementPolicy::kCoolCageFirst}) {
+    stats::Rng rng{7};
+    const auto usable = usable_mask(rng, false);
+    TorusAllocator alloc{usable, policy};
+    ReferenceAllocator reference{usable, policy};
+    std::vector<std::vector<topology::NodeId>> jobs;
+    while (alloc.free_nodes() >= 2) {
+      auto nodes = alloc.allocate(2);
+      ASSERT_EQ(nodes, reference.allocate(2));
+      jobs.push_back(std::move(*nodes));
+    }
+    for (const auto& job : jobs) {
+      if (rng.bernoulli(0.5)) {
+        alloc.release(job);
+        reference.release(job);
+      }
+    }
+    for (const std::size_t request : {std::size_t{3}, std::size_t{64}, std::size_t{5000},
+                                      alloc.free_nodes(), alloc.free_nodes() + 1}) {
+      ASSERT_EQ(alloc.allocate(request), reference.allocate(request)) << "request " << request;
+      ASSERT_EQ(alloc.free_nodes(), reference.free_nodes());
+    }
+  }
+}
 
 TEST(AllocatorProperty, RepeatedFillDrainIsStable) {
   auto alloc = TorusAllocator::production();

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 namespace titan::sched {
 namespace {
@@ -149,6 +151,89 @@ TEST(JobTrace, RejectsNonDenseIds) {
 TEST(JobTrace, UnknownJobThrows) {
   const JobTrace trace{{}};
   EXPECT_THROW((void)trace.job(0), std::out_of_range);
+}
+
+// Jobs on a few nodes, non-overlapping per node, whose ids are a shuffle
+// of their chronological order: id order is not start order, so some
+// node slices of the occupancy index need the constructor's sort.
+std::vector<JobRecord> shuffled_jobs(std::uint64_t seed, topology::NodeId node_span) {
+  stats::Rng rng{seed};
+  std::vector<stats::TimeSec> free_at(static_cast<std::size_t>(node_span), 1000);
+  std::vector<JobRecord> jobs(200);
+  for (auto& job : jobs) {
+    const std::size_t width = 1 + rng.below(4);
+    std::set<topology::NodeId> nodes;
+    while (nodes.size() < width) {
+      nodes.insert(static_cast<topology::NodeId>(rng.below(static_cast<std::uint64_t>(node_span))));
+    }
+    job.nodes.assign(nodes.begin(), nodes.end());
+    stats::TimeSec start = 0;
+    for (const auto n : job.nodes) start = std::max(start, free_at[static_cast<std::size_t>(n)]);
+    job.start = start + static_cast<stats::TimeSec>(rng.below(50));
+    job.end = job.start + 1 + static_cast<stats::TimeSec>(rng.below(200));
+    for (const auto n : job.nodes) free_at[static_cast<std::size_t>(n)] = job.end;
+  }
+  for (std::size_t i = jobs.size(); i > 1; --i) std::swap(jobs[i - 1], jobs[rng.below(i)]);
+  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i].id = static_cast<xid::JobId>(i);
+  return jobs;
+}
+
+bool runs_on(const JobRecord& job, topology::NodeId node) {
+  return std::find(job.nodes.begin(), job.nodes.end(), node) != job.nodes.end();
+}
+
+TEST(JobTrace, UnsortedIdOrderMatchesBruteForce) {
+  constexpr topology::NodeId kNodes = 12;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto jobs = shuffled_jobs(seed, kNodes);
+
+    // Precondition: some node's jobs, in id order, do not start in order.
+    bool needs_sort = false;
+    for (topology::NodeId n = 0; n < kNodes && !needs_sort; ++n) {
+      stats::TimeSec last = 0;
+      for (const auto& job : jobs) {
+        if (!runs_on(job, n)) continue;
+        needs_sort |= job.start < last;
+        last = job.start;
+      }
+    }
+    ASSERT_TRUE(needs_sort) << "seed " << seed;
+
+    const JobTrace trace{jobs};
+    stats::TimeSec horizon = 0;
+    for (const auto& job : jobs) horizon = std::max(horizon, job.end);
+    for (topology::NodeId n = 0; n < kNodes; ++n) {
+      for (stats::TimeSec t = 990; t <= horizon + 10; ++t) {
+        xid::JobId expected = xid::kNoJob;
+        for (const auto& job : jobs) {
+          if (runs_on(job, n) && t >= job.start && t < job.end) expected = job.id;
+        }
+        ASSERT_EQ(trace.job_at(n, t), expected) << "node " << n << " t " << t;
+      }
+    }
+
+    stats::Rng rng{seed + 100};
+    for (int q = 0; q < 200; ++q) {
+      const auto n = static_cast<topology::NodeId>(rng.below(kNodes));
+      const auto begin = 900 + static_cast<stats::TimeSec>(
+                                   rng.below(static_cast<std::uint64_t>(horizon - 800)));
+      const auto end = begin + static_cast<stats::TimeSec>(rng.below(2000));
+      std::vector<const JobRecord*> overlapping;
+      for (const auto& job : jobs) {
+        if (runs_on(job, n) && job.start < end && job.end > begin) overlapping.push_back(&job);
+      }
+      std::sort(overlapping.begin(), overlapping.end(), [](const auto* a, const auto* b) {
+        return a->start != b->start ? a->start < b->start : a->id < b->id;
+      });
+      const auto got = trace.occupancy(n, begin, end);
+      ASSERT_EQ(got.size(), overlapping.size()) << "node " << n;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].job, overlapping[i]->id);
+        EXPECT_EQ(got[i].begin, std::max(begin, overlapping[i]->start));
+        EXPECT_EQ(got[i].end, std::min(end, overlapping[i]->end));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "core/facility.hpp"
 #include "ingest/triage.hpp"
 #include "par/pool.hpp"
+#include "profile/fleet_profile.hpp"
 #include "study/io.hpp"
 #include "study/registry.hpp"
 #include "study/source.hpp"
@@ -152,6 +153,28 @@ TEST(TdfRoundTrip, TextBinaryTextChainReproducesTextArtifacts) {
   for (const auto name : {"console.log", "jobs.log", "smi_sweep.txt", "manifest.txt"}) {
     EXPECT_EQ(study::read_all(direct / name), study::read_all(chained / name)) << name;
   }
+}
+
+TEST(TdfRoundTrip, NonTitanChainKeepsFleetWording) {
+  // An a100 dataset names its DBE "Contained uncorrectable ECC error";
+  // re-serializing a loaded context must keep that wording, not fall back
+  // to Titan's, through text -> binary -> text.
+  const auto simulated_a100 =
+      study::SimulatedSource{core::quick_config(kSeed, profile::a100())}.load();
+  const auto text = scratch_root() / "a100_text";
+  study::write_dataset(simulated_a100, text, study::DatasetFormat::kText);
+  const auto from_text = study::DatasetSource{text}.load();
+  const auto binary = scratch_root() / "a100_binary";
+  study::write_dataset(from_text, binary, study::DatasetFormat::kBinary);
+  const auto from_binary = study::DatasetSource{binary}.load();
+  const auto chained = scratch_root() / "a100_chain_text";
+  study::write_dataset(from_binary, chained, study::DatasetFormat::kText);
+
+  const auto original = study::read_all(text / "console.log");
+  const auto rewritten = study::read_all(chained / "console.log");
+  ASSERT_NE(original.find("Contained uncorrectable ECC error"), std::string::npos);
+  EXPECT_EQ(rewritten.find("Double Bit Error"), std::string::npos);
+  EXPECT_TRUE(rewritten == original) << "console.log changed through the binary hop";
 }
 
 TEST(TdfRoundTrip, FromColumnsMatchesBuildFromParsedEvents) {
