@@ -5,6 +5,7 @@
 // remapping) and the roster-scaled fleet keep the same property.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "par/pool.hpp"
@@ -12,6 +13,14 @@
 #include "study/source.hpp"
 
 namespace titan {
+namespace profile {
+
+// Print a profile parameter by its name, not its address, so the listed
+// test names (and the CTest names built from them) are stable across runs.
+void PrintTo(const FleetProfile* fleet, std::ostream* os) { *os << fleet->name; }
+
+}  // namespace profile
+
 namespace {
 
 constexpr std::uint64_t kSeed = 29;
@@ -62,14 +71,7 @@ TEST_P(ProfileDeterminism, RerunsAreByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(AllBuiltins, ProfileDeterminism,
                          testing::ValuesIn(profile::builtin_profiles().begin(),
-                                           profile::builtin_profiles().end()),
-                         [](const auto& param_info) {
-                           std::string name{param_info.param->name};
-                           for (auto& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                                           profile::builtin_profiles().end()));
 
 }  // namespace
 }  // namespace titan
