@@ -14,9 +14,10 @@
 #   --ubsan      add a second build under TITANREL_SANITIZE=undefined
 #                (-fno-sanitize-recover=all) and run ctest under it
 #   --tsan       add a build under TITANREL_SANITIZE=thread and run the
-#                concurrency-bearing suites (titan::par pool, the study
-#                pipeline, the sharded out-of-core driver, and the
-#                determinism gates) under it
+#                concurrency-bearing suites (titan::par pool, the JobTrace
+#                index's parallel epoch fill, the study pipeline, the
+#                sharded out-of-core driver, and the determinism gates)
+#                under it
 #   --corrupt    run the ingest robustness gate: generate a dataset, apply
 #                every corruption operator, and run the salvage sweep
 #                (bench_ingest_robustness), plus an explicit titanlint
@@ -127,9 +128,10 @@ if [[ "$TSAN" == 1 ]]; then
   echo "== TSan build + concurrency suites =="
   cmake -B build-tsan -S . -DTITANREL_SANITIZE=thread -DTITANREL_WERROR=ON
   cmake --build build-tsan -j "$JOBS" --target \
-    par_pool_test study_pipeline_test study_sharded_test \
+    par_pool_test sched_workload_test study_pipeline_test study_sharded_test \
     determinism_test profile_determinism_test
   ./build-tsan/tests/par_pool_test
+  ./build-tsan/tests/sched_workload_test
   ./build-tsan/tests/study_pipeline_test
   ./build-tsan/tests/study_sharded_test
   ./build-tsan/tests/determinism_test

@@ -2,6 +2,7 @@
 // provide for the Section 4 analyses.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,12 +35,15 @@ struct JobRecord {
 /// framework both need.
 class JobTrace {
  public:
+  /// Throws std::invalid_argument unless ids are dense and 0-based and
+  /// every allocated node is in [0, kNodeSlots).
   explicit JobTrace(std::vector<JobRecord> jobs);
 
   [[nodiscard]] const std::vector<JobRecord>& jobs() const noexcept { return jobs_; }
   [[nodiscard]] const JobRecord& job(xid::JobId id) const;
 
-  /// Job running on `node` at `when`; kNoJob when idle.
+  /// Job running on `node` at `when`; kNoJob when idle.  Both lookups
+  /// throw std::out_of_range for a node outside [0, kNodeSlots).
   [[nodiscard]] xid::JobId job_at(topology::NodeId node, stats::TimeSec when) const;
 
   /// All (job, overlap-seconds) pairs for `node` within [begin, end).
@@ -51,27 +55,32 @@ class JobTrace {
   [[nodiscard]] std::vector<Occupancy> occupancy(topology::NodeId node, stats::TimeSec begin,
                                                  stats::TimeSec end) const;
 
+  /// Target index entries per epoch (4 MiB of 4-byte entries).  A fixed
+  /// constant, so the index layout depends only on the jobs.
+  static constexpr std::size_t kEpochEntries = std::size_t{1} << 20;
+
  private:
   std::vector<JobRecord> jobs_;  ///< indexed by JobId (ids are dense, 0-based)
 
-  /// Occupancy index in CSR form: node n owns the slice
-  /// [offsets_[n], offsets_[n+1]) of entries_, sorted by (start, job);
-  /// intervals within one node never overlap.  One flat 8-byte entry per
-  /// (job x allocated node) -- at Titan scale that is tens of millions of
-  /// entries, and the flat exact-sized layout (vs a vector-of-vectors of
-  /// 16-byte pairs) halves the resident footprint of every campaign
-  /// driver holding a trace.  Starts are stored as seconds since base_
-  /// (the earliest job start), which a trace would need to span >136
-  /// years to overflow.  Jobs are stored as 32-bit dense indices (ids
-  /// are dense and 0-based by construction), keeping the entry at 8
-  /// bytes -- a 64-bit xid::JobId would pad it to 16.
-  struct IndexEntry {
-    std::uint32_t start = 0;  ///< seconds since base_
-    std::uint32_t job = 0;    ///< dense job index (== xid::JobId value)
+  /// The occupancy index holds one 4-byte entry, the dense job index, per
+  /// (job x allocated node) -- tens of millions at Titan scale.  Entries
+  /// are filled in (start, id) order, so each node's entries come out
+  /// sorted by start without a per-node sort; lookups compare against
+  /// jobs_[job].start.  The fill order is cut, at job boundaries, into
+  /// epochs of about kEpochEntries entries, and each epoch is its own
+  /// CSR: node n owns [offsets[n], offsets[n+1]) of its jobs.  An epoch's
+  /// arrays fit in cache, so its scatter stays cache- and TLB-local where
+  /// one trace-wide CSR sends every write to a different page; epochs are
+  /// also independent, so they are counted and filled in parallel.  Epoch
+  /// boundaries depend only on the jobs, never on the thread count.
+  /// Every entry of epoch e starts no earlier than epochs_[e].first_start
+  /// and no later than epochs_[e+1].first_start.
+  struct Epoch {
+    stats::TimeSec first_start = 0;      ///< start of the epoch's first job
+    std::vector<std::uint32_t> offsets;  ///< kNodeSlots + 1 fences into jobs
+    std::vector<std::uint32_t> jobs;     ///< dense job indices
   };
-  std::vector<IndexEntry> entries_;
-  std::vector<std::uint64_t> offsets_;  ///< kNodeSlots + 1 fences
-  stats::TimeSec base_ = 0;             ///< earliest job start
+  std::vector<Epoch> epochs_;
 };
 
 }  // namespace titan::sched

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <set>
 #include <vector>
+
+#include "par/pool.hpp"
 
 namespace titan::sched {
 namespace {
@@ -231,6 +235,208 @@ TEST(JobTrace, UnsortedIdOrderMatchesBruteForce) {
         EXPECT_EQ(got[i].job, overlapping[i]->id);
         EXPECT_EQ(got[i].begin, std::max(begin, overlapping[i]->start));
         EXPECT_EQ(got[i].end, std::min(end, overlapping[i]->end));
+      }
+    }
+  }
+}
+
+TEST(JobTrace, NegativeOrOutOfRangeNodeThrows) {
+  std::vector<JobRecord> jobs(1);
+  jobs[0].id = 0;
+  jobs[0].start = 100;
+  jobs[0].end = 200;
+  jobs[0].nodes = {0, topology::kNodeSlots - 1};
+  const JobTrace trace{jobs};
+  for (const topology::NodeId node :
+       {topology::kInvalidNode, topology::NodeId{-2}, topology::kNodeSlots,
+        std::numeric_limits<topology::NodeId>::max()}) {
+    EXPECT_THROW((void)trace.job_at(node, 150), std::out_of_range) << node;
+    EXPECT_THROW((void)trace.occupancy(node, 0, 1000), std::out_of_range) << node;
+  }
+  EXPECT_EQ(trace.job_at(topology::kNodeSlots - 1, 150), 0);
+  EXPECT_EQ(trace.occupancy(topology::kNodeSlots - 1, 0, 1000).size(), 1U);
+
+  jobs[0].nodes = {topology::kInvalidNode};
+  EXPECT_THROW(JobTrace{jobs}, std::invalid_argument);
+}
+
+// A trace spanning several index epochs.  Every job but the zero-node ones
+// allocates exactly kWidth nodes, so an epoch holds exactly kPerEpoch of
+// them and its fences fall between known jobs of the (start, id) order.
+constexpr std::size_t kWidth = 512;
+constexpr std::size_t kPerEpoch = JobTrace::kEpochEntries / kWidth;
+
+// Jobs in chronological order, in runs that share one start on disjoint
+// random nodes; no run ends on an epoch fence, so each fence splits a run
+// of equal starts.  About one job in eight is followed by a zero-node job
+// at the same start.  The first job holds nodes [0, kWidth) from the first
+// start to past the last end, so queries on those nodes in later epochs
+// walk back over empty slices.
+std::vector<JobRecord> multi_epoch_jobs(std::uint64_t seed, std::size_t sized_jobs) {
+  stats::Rng rng{seed};
+  constexpr stats::TimeSec kFirst = 10'000;
+  std::vector<topology::NodeId> pool(static_cast<std::size_t>(topology::kNodeSlots) - kWidth);
+  std::iota(pool.begin(), pool.end(), static_cast<topology::NodeId>(kWidth));
+  std::vector<stats::TimeSec> free_at(static_cast<std::size_t>(topology::kNodeSlots), kFirst);
+
+  std::vector<JobRecord> jobs(1);
+  jobs[0].start = kFirst;
+  jobs[0].nodes.resize(kWidth);
+  std::iota(jobs[0].nodes.begin(), jobs[0].nodes.end(), topology::NodeId{0});
+  std::size_t placed = 1;
+  stats::TimeSec clock = kFirst;
+  while (placed < sized_jobs) {
+    std::size_t run = 1 + rng.below(6);
+    if ((placed + run) % kPerEpoch == 0) run += 3;
+    const std::size_t picks = run * kWidth;
+    for (std::size_t i = 0; i < picks; ++i) {
+      std::swap(pool[i], pool[i + rng.below(pool.size() - i)]);
+    }
+    stats::TimeSec start = clock;
+    for (std::size_t i = 0; i < picks; ++i) {
+      start = std::max(start, free_at[static_cast<std::size_t>(pool[i])]);
+    }
+    start += static_cast<stats::TimeSec>(rng.below(3));
+    clock = start;
+    for (std::size_t r = 0; r < run; ++r) {
+      JobRecord job;
+      job.start = start;
+      job.end = start + 1 + static_cast<stats::TimeSec>(rng.below(5000));
+      job.nodes.assign(pool.begin() + static_cast<std::ptrdiff_t>(r * kWidth),
+                       pool.begin() + static_cast<std::ptrdiff_t>((r + 1) * kWidth));
+      std::sort(job.nodes.begin(), job.nodes.end());
+      for (const auto n : job.nodes) free_at[static_cast<std::size_t>(n)] = job.end;
+      jobs.push_back(std::move(job));
+      if (rng.below(8) == 0) {
+        JobRecord idle;
+        idle.start = start;
+        idle.end = start + 1 + static_cast<stats::TimeSec>(rng.below(100));
+        jobs.push_back(std::move(idle));
+      }
+    }
+    placed += run;
+  }
+  for (const auto& job : jobs) jobs[0].end = std::max(jobs[0].end, job.end + 1);
+  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i].id = static_cast<xid::JobId>(i);
+  return jobs;
+}
+
+struct TraceQuery {
+  topology::NodeId node = 0;
+  stats::TimeSec begin = 0;
+  stats::TimeSec end = 0;  ///< occupancy window end; unused by job_at queries
+};
+
+std::vector<TraceQuery> epoch_queries(const std::vector<JobRecord>& jobs, stats::Rng& rng) {
+  stats::TimeSec first = std::numeric_limits<stats::TimeSec>::max();
+  stats::TimeSec horizon = 0;
+  for (const auto& job : jobs) {
+    first = std::min(first, job.start);
+    horizon = std::max(horizon, job.end);
+  }
+  const auto any_node = [&] {
+    return static_cast<topology::NodeId>(rng.below(topology::kNodeSlots));
+  };
+  std::vector<TraceQuery> out;
+  for (const auto& job : jobs) {
+    const topology::NodeId node =
+        job.nodes.empty() ? any_node() : job.nodes[rng.below(job.nodes.size())];
+    for (const stats::TimeSec t : {job.start - 1, job.start, job.end - 1, job.end}) {
+      out.push_back({node, t, t + static_cast<stats::TimeSec>(rng.below(20'000))});
+    }
+  }
+  for (int i = 0; i < 200; ++i) {
+    for (const stats::TimeSec t : {stats::TimeSec{0}, first - 1, horizon, horizon + 1}) {
+      out.push_back({any_node(), t, t + static_cast<stats::TimeSec>(rng.below(20'000))});
+    }
+    const auto node = static_cast<topology::NodeId>(rng.below(kWidth));
+    const auto t = first + static_cast<stats::TimeSec>(
+                               rng.below(static_cast<std::uint64_t>(horizon - first)));
+    out.push_back({node, t, t + 1});
+  }
+  return out;
+}
+
+xid::JobId brute_job_at(const std::vector<JobRecord>& jobs, topology::NodeId node,
+                        stats::TimeSec when) {
+  xid::JobId found = xid::kNoJob;
+  for (const auto& job : jobs) {
+    if (when >= job.start && when < job.end &&
+        std::binary_search(job.nodes.begin(), job.nodes.end(), node)) {
+      found = job.id;
+    }
+  }
+  return found;
+}
+
+std::vector<JobTrace::Occupancy> brute_occupancy(const std::vector<JobRecord>& jobs,
+                                                 const TraceQuery& q) {
+  std::vector<const JobRecord*> overlapping;
+  for (const auto& job : jobs) {
+    if (job.start < q.end && job.end > q.begin &&
+        std::binary_search(job.nodes.begin(), job.nodes.end(), q.node)) {
+      overlapping.push_back(&job);
+    }
+  }
+  std::sort(overlapping.begin(), overlapping.end(), [](const auto* a, const auto* b) {
+    return a->start != b->start ? a->start < b->start : a->id < b->id;
+  });
+  std::vector<JobTrace::Occupancy> out;
+  for (const auto* job : overlapping) {
+    out.push_back({job->id, std::max(q.begin, job->start), std::min(q.end, job->end)});
+  }
+  return out;
+}
+
+bool same_occupancy(const std::vector<JobTrace::Occupancy>& a,
+                    const std::vector<JobTrace::Occupancy>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](const auto& x, const auto& y) {
+    return x.job == y.job && x.begin == y.begin && x.end == y.end;
+  });
+}
+
+TEST(JobTrace, EpochBoundariesMatchBruteForce) {
+  const std::size_t width_before = par::thread_count();
+  for (const bool shuffle_ids : {false, true}) {
+    auto jobs = multi_epoch_jobs(7, 2 * kPerEpoch + kPerEpoch / 2);
+    std::size_t entries = 0;
+    for (const auto& job : jobs) entries += job.nodes.size();
+    ASSERT_GT(entries, 2 * JobTrace::kEpochEntries);
+
+    stats::Rng rng{11};
+    if (shuffle_ids) {
+      // Swap a few hundred jobs so that starts leave id order.
+      for (int i = 0; i < 300; ++i) {
+        std::swap(jobs[rng.below(jobs.size())], jobs[rng.below(jobs.size())]);
+      }
+      for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i].id = static_cast<xid::JobId>(i);
+      ASSERT_FALSE(std::is_sorted(jobs.begin(), jobs.end(), [](const auto& a, const auto& b) {
+        return a.start < b.start;
+      }));
+    }
+    const auto queries = epoch_queries(jobs, rng);
+    std::vector<xid::JobId> want_job;
+    std::vector<std::vector<JobTrace::Occupancy>> want_windows;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      want_job.push_back(brute_job_at(jobs, queries[q].node, queries[q].begin));
+      if (q % 16 == 0) want_windows.push_back(brute_occupancy(jobs, queries[q]));
+    }
+
+    // Only the build runs on the pool; the lookups are serial.
+    for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+      par::set_threads(width);
+      const JobTrace trace{jobs};
+      par::set_threads(width_before);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        const auto& [node, begin, end] = queries[q];
+        ASSERT_EQ(trace.job_at(node, begin), want_job[q])
+            << "width " << width << " shuffle " << shuffle_ids << " node " << node << " t "
+            << begin;
+        if (q % 16 == 0) {
+          ASSERT_TRUE(same_occupancy(trace.occupancy(node, begin, end), want_windows[q / 16]))
+              << "width " << width << " shuffle " << shuffle_ids << " node " << node
+              << " window [" << begin << ", " << end << ")";
+        }
       }
     }
   }
