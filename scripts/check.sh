@@ -18,6 +18,10 @@
 #                index's parallel epoch fill, the study pipeline, the
 #                sharded out-of-core driver, and the determinism gates)
 #                under it
+#   --asan       add a build under TITANREL_SANITIZE=address with
+#                -D_GLIBCXX_ASSERTIONS (checked operator[]) and run the
+#                scheduler suites under it: the torus allocator's unit and
+#                oracle tests and the workload simulator
 #   --corrupt    run the ingest robustness gate: generate a dataset, apply
 #                every corruption operator, and run the salvage sweep
 #                (bench_ingest_robustness), plus an explicit titanlint
@@ -46,6 +50,7 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 UBSAN=0
 TSAN=0
+ASAN=0
 CORRUPT=0
 CRASH=0
 PROFILES=0
@@ -54,12 +59,13 @@ while [[ $# -gt 0 ]]; do
   case "$1" in
     --ubsan) UBSAN=1 ;;
     --tsan) TSAN=1 ;;
+    --asan) ASAN=1 ;;
     --corrupt) CORRUPT=1 ;;
     --crash) CRASH=1 ;;
     --profiles) PROFILES=1 ;;
     --bench-json) BENCH_JSON=1 ;;
     --jobs) JOBS="$2"; shift ;;
-    *) echo "usage: scripts/check.sh [--ubsan] [--tsan] [--corrupt] [--crash] [--profiles] [--bench-json] [--jobs N]" >&2; exit 2 ;;
+    *) echo "usage: scripts/check.sh [--ubsan] [--tsan] [--asan] [--corrupt] [--crash] [--profiles] [--bench-json] [--jobs N]" >&2; exit 2 ;;
   esac
   shift
 done
@@ -136,6 +142,17 @@ if [[ "$TSAN" == 1 ]]; then
   ./build-tsan/tests/study_sharded_test
   ./build-tsan/tests/determinism_test
   ./build-tsan/tests/profile_determinism_test
+fi
+
+if [[ "$ASAN" == 1 ]]; then
+  echo "== ASan build + scheduler suites =="
+  cmake -B build-asan -S . -DTITANREL_SANITIZE=address -DTITANREL_WERROR=ON \
+    -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
+  cmake --build build-asan -j "$JOBS" --target \
+    sched_allocator_test sched_allocator_property_test sched_workload_test
+  ./build-asan/tests/sched_allocator_test
+  ./build-asan/tests/sched_allocator_property_test
+  ./build-asan/tests/sched_workload_test
 fi
 
 if [[ "$UBSAN" == 1 ]]; then

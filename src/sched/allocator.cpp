@@ -1,6 +1,7 @@
 #include "sched/allocator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -23,6 +24,12 @@ constexpr std::size_t kWordBits = 64;
 [[nodiscard]] int cage_of_rank(std::size_t rank) {
   const auto coord = topology::coord_from_rank(static_cast<int>(rank));
   return coord.z / topology::kBladesPerCage;
+}
+
+void check_node(NodeId node) {
+  if (node < 0 || node >= kNodeSlots) {
+    throw std::out_of_range{"TorusAllocator: unknown node"};
+  }
 }
 
 }  // namespace
@@ -54,15 +61,23 @@ TorusAllocator::TorusAllocator(const std::vector<bool>& usable, PlacementPolicy 
                      [](std::size_t a, std::size_t b) { return cage_of_rank(a) < cage_of_rank(b); });
   }
 
-  router_nodes_.reserve(search_order.size());
+  search_nodes_.reserve(2 * search_order.size());
   for (std::size_t pos = 0; pos < search_order.size(); ++pos) {
-    router_nodes_.push_back(nodes_of_rank(search_order[pos]));
-    for (NodeId n : router_nodes_.back()) position_of_node_[static_cast<std::size_t>(n)] = pos;
+    for (NodeId n : nodes_of_rank(search_order[pos])) {
+      search_nodes_.push_back(n);
+      position_of_node_[static_cast<std::size_t>(n)] = static_cast<std::uint32_t>(pos);
+    }
   }
   // Every router starts free; bits past the last position stay clear so
   // no run or scan ever reaches them.
-  free_words_.assign((router_count() + kWordBits - 1) / kWordBits, 0);
-  for (std::size_t pos = 0; pos < router_count(); ++pos) set_free(pos, true);
+  yield_.assign(search_order.size(), 0);
+  const std::size_t words = (router_count() + kWordBits - 1) / kWordBits;
+  free_words_.assign(words, 0);
+  full_words_.assign(words, 0);
+  for (std::size_t pos = 0; pos < router_count(); ++pos) {
+    set_free(pos, true);
+    refresh_yield(pos);
+  }
 }
 
 TorusAllocator TorusAllocator::production(PlacementPolicy policy) {
@@ -119,25 +134,59 @@ std::size_t TorusAllocator::next_free(std::size_t pos) const {
   return w * kWordBits + static_cast<std::size_t>(std::countr_zero(word));
 }
 
-void TorusAllocator::collect_nodes(std::size_t pos, std::vector<NodeId>& out,
-                                   std::size_t& remaining) {
-  const auto& nodes = router_nodes_[pos];
-  // Skip routers whose nodes are all held: reserving them would leak the
-  // reservation (a rollback only revisits routers that yielded a node).
-  const bool any_effective = std::any_of(nodes.begin(), nodes.end(), [&](NodeId n) {
-    const auto idx = static_cast<std::size_t>(n);
-    return node_usable_[idx] && !node_held_[idx];
-  });
-  if (!any_effective) return;
-  set_free(pos, false);
-  for (NodeId n : nodes) {
-    const auto idx = static_cast<std::size_t>(n);
-    if (!node_usable_[idx] || node_held_[idx]) continue;
-    --free_node_count_;  // the whole router is reserved either way
-    if (remaining > 0) {
-      out.push_back(n);
-      --remaining;
+void TorusAllocator::refresh_yield(std::size_t pos) noexcept {
+  std::uint8_t yield = 0;
+  for (std::size_t i = 2 * pos; i < 2 * pos + 2; ++i) {
+    const auto idx = static_cast<std::size_t>(search_nodes_[i]);
+    if (node_usable_[idx] && !node_held_[idx]) ++yield;
+  }
+  yield_[pos] = yield;
+  const std::uint64_t bit = std::uint64_t{1} << (pos % kWordBits);
+  if (yield == 2) {
+    full_words_[pos / kWordBits] |= bit;
+  } else {
+    full_words_[pos / kWordBits] &= ~bit;
+  }
+}
+
+void TorusAllocator::fill_from(std::size_t pos, std::vector<NodeId>& out,
+                               std::size_t& remaining) {
+  for (pos = next_free(pos); remaining > 0 && pos < router_count(); pos = next_free(pos)) {
+    const std::size_t w = pos / kWordBits;
+    const std::size_t bit = pos % kWordBits;
+    // Free routers from `pos` on whose two nodes are both available,
+    // capped at what the request still needs.
+    const std::size_t run = std::min(
+        static_cast<std::size_t>(std::countr_one((free_words_[w] & full_words_[w]) >> bit)),
+        (remaining + 1) / 2);
+    if (run > 0) {
+      // run is 1..64, so the shift stays below the word width.
+      const std::uint64_t ones = ~std::uint64_t{0} >> (kWordBits - run);
+      free_words_[w] &= ~(ones << bit);
+      free_node_count_ -= 2 * run;  // whole routers are reserved either way
+      const std::size_t take = std::min(2 * run, remaining);
+      const auto first = search_nodes_.begin() + static_cast<std::ptrdiff_t>(2 * pos);
+      out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(take));
+      remaining -= take;
+      pos += run;
+      continue;
     }
+    // A free router that yields fewer than two nodes.  One whose nodes
+    // are all held is skipped, not reserved: reserving it would leak the
+    // reservation (a rollback only revisits routers that yielded a node).
+    if (yield_[pos] > 0) {
+      set_free(pos, false);
+      --free_node_count_;
+      for (std::size_t i = 2 * pos; i < 2 * pos + 2; ++i) {
+        const auto idx = static_cast<std::size_t>(search_nodes_[i]);
+        if (node_usable_[idx] && !node_held_[idx]) {
+          out.push_back(search_nodes_[i]);
+          --remaining;
+          break;
+        }
+      }
+    }
+    ++pos;
   }
 }
 
@@ -152,18 +201,11 @@ std::optional<std::vector<NodeId>> TorusAllocator::allocate(std::size_t node_cou
   std::vector<NodeId> out;
   out.reserve(node_count);
   std::size_t remaining = node_count;
-  // Take free routers in search order from `pos` until the request is met.
-  const auto fill_from = [&](std::size_t pos) {
-    for (pos = next_free(pos); remaining > 0 && pos < router_count(); pos = next_free(pos + 1)) {
-      collect_nodes(pos, out, remaining);
-    }
-  };
-
   // The found window is free by construction; the fill continues past it
   // only if holds made some routers yield fewer nodes than expected.
-  if (const auto start = find_contiguous(gemini_demand)) fill_from(*start);
+  if (const auto start = find_contiguous(gemini_demand)) fill_from(*start, out, remaining);
   // Scattered fill (fallback, or tail after an under-yielding window).
-  fill_from(0);
+  fill_from(0, out, remaining);
   if (remaining > 0) {
     // Could not satisfy after all (holds shrank effective capacity):
     // roll back.
@@ -174,30 +216,36 @@ std::optional<std::vector<NodeId>> TorusAllocator::allocate(std::size_t node_cou
 }
 
 void TorusAllocator::release(const std::vector<NodeId>& nodes) {
+  std::for_each(nodes.begin(), nodes.end(), check_node);
   // A job owns whole routers; freeing any node of a router frees it.
   for (NodeId n : nodes) {
-    const std::size_t pos = position_of_node_[static_cast<std::size_t>(n)];
+    const std::uint32_t pos = position_of_node_[static_cast<std::size_t>(n)];
     if (pos == kNoPosition || is_free(pos)) continue;  // already freed via its sibling node
     set_free(pos, true);
-    for (NodeId sibling : router_nodes_[pos]) {
-      const auto idx = static_cast<std::size_t>(sibling);
-      if (node_usable_[idx] && !node_held_[idx]) ++free_node_count_;
-    }
+    free_node_count_ += yield_[pos];
   }
 }
 
-void TorusAllocator::hold_node(topology::NodeId node) {
+void TorusAllocator::hold_node(NodeId node) {
+  check_node(node);
   const auto idx = static_cast<std::size_t>(node);
   if (node_held_[idx]) return;
   node_held_[idx] = true;
-  if (node_usable_[idx] && is_free(position_of_node_[idx])) --free_node_count_;
+  if (!node_usable_[idx]) return;
+  const std::size_t pos = position_of_node_[idx];
+  refresh_yield(pos);
+  if (is_free(pos)) --free_node_count_;
 }
 
-void TorusAllocator::unhold_node(topology::NodeId node) {
+void TorusAllocator::unhold_node(NodeId node) {
+  check_node(node);
   const auto idx = static_cast<std::size_t>(node);
   if (!node_held_[idx]) return;
   node_held_[idx] = false;
-  if (node_usable_[idx] && is_free(position_of_node_[idx])) ++free_node_count_;
+  if (!node_usable_[idx]) return;
+  const std::size_t pos = position_of_node_[idx];
+  refresh_yield(pos);
+  if (is_free(pos)) ++free_node_count_;
 }
 
 }  // namespace titan::sched

@@ -9,13 +9,20 @@
 // fit in torus-rank order, falling back to a scattered lowest-rank fill
 // when fragmentation prevents a contiguous block.
 //
-// Cost: tables from each node to its router's search position and back
-// are built once, and a bitmap over the search order holds which routers
-// are free.  A contiguous first fit hops that bitmap a 64-router word at
-// a time (countr_one / countr_zero), so it costs O(routers / 64 + free
-// runs passed) instead of a visit to every router, and the scattered fill
-// skips busy words the same way.  `release` and the hold paths look their
-// router up in O(1).
+// Cost: the allocator works on runs of routers, not single nodes.  A
+// flat node table lists the two nodes behind each router in search
+// order, so a run of routers is a range of that table; a node-to-position
+// table maps the other way.  Two bitmaps over the search order, 64
+// routers to a word, hold which routers are free and which are *full*
+// (both nodes usable and unheld); `yield_` keeps each router's count of
+// usable, unheld nodes, refreshed on every hold and unhold.  A contiguous
+// first fit hops the free bitmap a word at a time (countr_one /
+// countr_zero), so it costs O(routers / 64 + free runs passed).  The fill
+// then takes each run of free-and-full routers within a word with one
+// mask clear and appends its nodes with one range insert; only a free
+// router that yields fewer than two nodes is visited on its own.
+// `release` looks each node's router up in O(1), sets its free bit and
+// adds back its yield.
 //
 // An optional cage-aware placement policy implements the operational
 // improvement of Observation 4 ("this observation was used for improved
@@ -23,7 +30,6 @@
 // sit in cooler (lower) cages when placing very large jobs.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -55,21 +61,24 @@ class TorusAllocator {
   /// does for exclusive placement).
   [[nodiscard]] std::optional<std::vector<topology::NodeId>> allocate(std::size_t node_count);
 
-  /// Return nodes of a previous allocation to the free pool.
+  /// Return nodes of a previous allocation to the free pool.  Throws
+  /// std::out_of_range, before freeing anything, if a node id is not a
+  /// node slot.
   void release(const std::vector<topology::NodeId>& nodes);
 
   [[nodiscard]] std::size_t free_nodes() const noexcept { return free_node_count_; }
   [[nodiscard]] std::size_t total_nodes() const noexcept { return total_node_count_; }
 
   /// Take a node out of service (e.g. health-monitor hold).  No effect if
-  /// already allocated -- the hold then applies upon release.
+  /// already allocated -- the hold then applies upon release.  Both throw
+  /// std::out_of_range for an id that is not a node slot.
   void hold_node(topology::NodeId node);
   void unhold_node(topology::NodeId node);
 
  private:
   /// Search position marking a node whose router is not in the search
   /// order (no usable node behind it).
-  static constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);
+  static constexpr std::uint32_t kNoPosition = static_cast<std::uint32_t>(-1);
 
   /// Leftmost start (a search position) of `count` >= 1 consecutive free
   /// routers: the first fit of a linear scan in search order.
@@ -78,17 +87,24 @@ class TorusAllocator {
   [[nodiscard]] std::size_t next_free(std::size_t pos) const;
   [[nodiscard]] bool is_free(std::size_t pos) const noexcept;
   void set_free(std::size_t pos, bool free) noexcept;
-  [[nodiscard]] std::size_t router_count() const noexcept { return router_nodes_.size(); }
-  void collect_nodes(std::size_t pos, std::vector<topology::NodeId>& out,
-                     std::size_t& remaining);
+  [[nodiscard]] std::size_t router_count() const noexcept { return yield_.size(); }
+  /// Reserve free routers in search order from `pos` until `remaining`
+  /// nodes have been appended to `out` or the order runs out.
+  void fill_from(std::size_t pos, std::vector<topology::NodeId>& out, std::size_t& remaining);
+  /// Recount the usable, unheld nodes behind the router at `pos`.
+  void refresh_yield(std::size_t pos) noexcept;
 
-  /// Routers with at least one usable node, in visit order per policy
-  /// (the "search order"): the two nodes behind each one.
-  std::vector<std::array<topology::NodeId, 2>> router_nodes_;
-  std::vector<std::size_t> position_of_node_;  ///< by NodeId; kNoPosition if off the order
-  /// Free-run index: bit p of word p / 64 is set while the router at search
-  /// position p is unallocated.  Held nodes do not clear it.
+  /// The two nodes behind each router of the search order (routers with
+  /// at least one usable node, in visit order per policy): router p owns
+  /// entries 2p and 2p + 1.
+  std::vector<topology::NodeId> search_nodes_;
+  std::vector<std::uint32_t> position_of_node_;  ///< by NodeId; kNoPosition if off the order
+  std::vector<std::uint8_t> yield_;  ///< usable, unheld nodes behind each router (0..2)
+  /// Bit p of word p / 64 is set while the router at search position p is
+  /// unallocated.  Held nodes do not clear it.
   std::vector<std::uint64_t> free_words_;
+  /// Bit p of word p / 64 is set while yield_[p] == 2.
+  std::vector<std::uint64_t> full_words_;
   std::vector<bool> node_usable_;  ///< indexed by NodeId
   std::vector<bool> node_held_;    ///< operator holds
   std::size_t free_node_count_ = 0;

@@ -321,6 +321,112 @@ TEST(AllocatorProperty, FragmentedLargeRequestsMatchReference) {
   }
 }
 
+// Drives a TorusAllocator and the reference through the same operations,
+// checking node lists and free_nodes() after every one.
+class Lockstep {
+ public:
+  Lockstep(const std::vector<bool>& usable, PlacementPolicy policy)
+      : alloc_{usable, policy}, reference_{usable, policy} {
+    EXPECT_EQ(alloc_.free_nodes(), reference_.free_nodes());
+  }
+
+  std::vector<topology::NodeId> allocate(std::size_t request) {
+    const auto got = alloc_.allocate(request);
+    EXPECT_EQ(got, reference_.allocate(request)) << "request " << request;
+    EXPECT_EQ(alloc_.free_nodes(), reference_.free_nodes()) << "request " << request;
+    return got.value_or(std::vector<topology::NodeId>{});
+  }
+  void release(const std::vector<topology::NodeId>& nodes) {
+    alloc_.release(nodes);
+    reference_.release(nodes);
+    EXPECT_EQ(alloc_.free_nodes(), reference_.free_nodes());
+  }
+  void hold(topology::NodeId node) {
+    alloc_.hold_node(node);
+    reference_.hold_node(node);
+    EXPECT_EQ(alloc_.free_nodes(), reference_.free_nodes()) << "hold " << node;
+  }
+  void unhold(topology::NodeId node) {
+    alloc_.unhold_node(node);
+    reference_.unhold_node(node);
+    EXPECT_EQ(alloc_.free_nodes(), reference_.free_nodes()) << "unhold " << node;
+  }
+  [[nodiscard]] std::size_t free_nodes() const { return alloc_.free_nodes(); }
+
+ private:
+  TorusAllocator alloc_;
+  ReferenceAllocator reference_;
+};
+
+TEST(AllocatorProperty, WordBoundaryRunsMatchReference) {
+  // The fill reserves runs of free routers whose two nodes are both
+  // available, a 64-router bitmap word at a time.  With every node usable
+  // each router yields two nodes and search position p sits at bit p % 64
+  // of word p / 64, so request sizes below place runs on exact word edges.
+  const std::vector<bool> all_usable(static_cast<std::size_t>(topology::kNodeSlots), true);
+  for (const auto policy : {PlacementPolicy::kTorusOrder, PlacementPolicy::kCoolCageFirst}) {
+    SCOPED_TRACE(policy == PlacementPolicy::kTorusOrder ? "kTorusOrder" : "kCoolCageFirst");
+    Lockstep both{all_usable, policy};
+    // Routers 0..63: a run that starts at bit 0 and fills the whole word.
+    const auto whole_word = both.allocate(128);
+    both.allocate(100);  // routers 64..113
+    both.allocate(28);   // routers 114..127: ends exactly on a word boundary
+    // Routers 128..197, straddling the boundary at 192; odd, so the last
+    // router is reserved whole but hands out one of its two nodes.
+    const auto straddle = both.allocate(139);
+    both.allocate(1);  // a single-router odd request: router 198
+    // Free the first word again: the first fit reuses it from bit 0.
+    both.release(whole_word);
+    both.allocate(128);
+
+    // A hold in the middle of a free run makes that router yield one node
+    // and breaks the run of full routers around it.
+    both.release(straddle);
+    both.hold(straddle[71]);
+    both.allocate(139);
+    both.allocate(3);
+    both.unhold(straddle[71]);  // the router is allocated: counted on release
+
+    // A hold on an allocated node shrinks what its release gives back;
+    // after the unhold the node is handed out again.
+    const auto job = both.allocate(50);
+    both.hold(job[7]);
+    both.release(job);
+    both.allocate(64);
+    both.unhold(job[7]);
+    both.allocate(2);
+    // Hold both nodes of a free router: the fill skips it unreserved.
+    const auto pair = both.allocate(2);
+    both.release(pair);
+    both.hold(pair[0]);
+    both.hold(pair[1]);
+    both.allocate(5);
+    both.allocate(both.free_nodes());
+    both.allocate(1);  // refused: no capacity left
+  }
+
+  // A masked usable vector: some routers yield one node from the start, so
+  // runs end early and the single-router path hands out the survivors.
+  for (const auto policy : {PlacementPolicy::kTorusOrder, PlacementPolicy::kCoolCageFirst}) {
+    SCOPED_TRACE(policy == PlacementPolicy::kTorusOrder ? "kTorusOrder" : "kCoolCageFirst");
+    stats::Rng rng{31};
+    Lockstep both{usable_mask(rng, true), policy};
+    std::vector<std::vector<topology::NodeId>> live;
+    for (const std::size_t request :
+         {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{127},
+          std::size_t{128}, std::size_t{129}, std::size_t{255}, std::size_t{256},
+          std::size_t{257}, std::size_t{1000}}) {
+      live.push_back(both.allocate(request));
+    }
+    for (std::size_t i = 0; i < live.size(); i += 2) both.release(live[i]);
+    for (const std::size_t request :
+         {std::size_t{2}, std::size_t{127}, std::size_t{129}, std::size_t{513}}) {
+      both.allocate(request);
+    }
+    both.allocate(both.free_nodes());
+  }
+}
+
 TEST(AllocatorProperty, RepeatedFillDrainIsStable) {
   auto alloc = TorusAllocator::production();
   const std::size_t total = alloc.total_nodes();

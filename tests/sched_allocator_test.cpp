@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "topology/torus.hpp"
 
@@ -135,6 +137,26 @@ TEST(Allocator, CoolCagePolicyPrefersLowerCages) {
   // 4000 nodes fit entirely in cage 0 (6400-ish compute nodes there).
   EXPECT_EQ(per_cage[1] + per_cage[2], 0);
   EXPECT_EQ(per_cage[0], 4000);
+}
+
+TEST(Allocator, OutOfRangeNodeThrows) {
+  auto alloc = TorusAllocator::production();
+  const auto job = alloc.allocate(10);
+  ASSERT_TRUE(job.has_value());
+  const auto free = alloc.free_nodes();
+  for (const NodeId bad : {topology::kInvalidNode, topology::kNodeSlots,
+                           static_cast<NodeId>(topology::kNodeSlots + 5)}) {
+    EXPECT_THROW(alloc.hold_node(bad), std::out_of_range) << bad;
+    EXPECT_THROW(alloc.unhold_node(bad), std::out_of_range) << bad;
+    EXPECT_THROW(alloc.release({bad}), std::out_of_range) << bad;
+    // A bad id anywhere in the list frees nothing, not even the valid nodes.
+    std::vector<NodeId> mixed = *job;
+    mixed.push_back(bad);
+    EXPECT_THROW(alloc.release(mixed), std::out_of_range) << bad;
+    EXPECT_EQ(alloc.free_nodes(), free) << bad;
+  }
+  alloc.release(*job);
+  EXPECT_EQ(alloc.free_nodes(), alloc.total_nodes());
 }
 
 TEST(Allocator, RejectsBadMask) {
