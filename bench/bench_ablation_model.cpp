@@ -38,9 +38,9 @@ int main() {
     config.campaign.model.dbe_mtbf_hours = 30.0;
     config.campaign.model.dbe_thermal_factor = factor;
     const auto study = core::run_study(config);
-    const auto events = analysis::as_parsed(study.events);
-    const auto cages = analysis::cage_distribution(events, xid::ErrorKind::kDoubleBitError,
-                                                   study.fleet.ledger());
+    const auto frame = analysis::EventFrame::build(std::span<const xid::Event>{study.events},
+                                                   &study.fleet.ledger());
+    const auto cages = analysis::cage_distribution(frame, xid::ErrorKind::kDoubleBitError);
     ratios.push_back(cages.top_to_bottom_ratio());
     std::printf("  factor %.2f : top/bottom cage ratio %.2f  (DBEs: %llu)\n", factor,
                 ratios.back(), static_cast<unsigned long long>(cages.total_events()));
@@ -58,9 +58,9 @@ int main() {
     config.campaign.model.dbe_mtbf_hours = 30.0;
     config.campaign.model.retirement_logged_after_dbe = prob;
     const auto study = core::run_study(config);
-    const auto events = analysis::as_parsed(study.events);
     const auto delays = analysis::retirement_delay_study(
-        events, config.campaign.timeline.new_driver);
+        analysis::EventFrame::build(std::span<const xid::Event>{study.events}),
+        config.campaign.timeline.new_driver);
     missing.push_back(delays.dbe_pairs_without_retirement);
     fast.push_back(delays.within_10min);
     std::printf("  P(logged) %.2f : fast retirements %llu, DBE pairs w/o retirement %llu\n",

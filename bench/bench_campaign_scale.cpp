@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
     PhaseStats stats;
     stats.node_hours = node_hours_of(config);
     stats.cards = static_cast<std::size_t>(topology::kComputeNodes);
-    stats.events = context.events.size();
+    stats.events = context.frame.size();
     stats.dataset_bytes = tree_bytes(dir);
     if (!keep) fs::remove_all(dir);
     return stats;

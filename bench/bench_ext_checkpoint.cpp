@@ -7,6 +7,9 @@
 // a wrong MTBF estimate costs.
 #include "bench/common.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 #include "analysis/reliability_report.hpp"
 #include "ckpt/daly.hpp"
 #include "ckpt/replay.hpp"
@@ -14,17 +17,16 @@
 int main() {
   using namespace titan;
   const auto& study = bench::full_study();
-  const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
   const auto& period = study.config.period;
 
   // App-fatal hardware failures machine-wide (DBE + OTB), the hazard a
-  // full-machine application sees.
+  // full-machine application sees: merge the two time-sorted slices.
+  const auto dbe = frame.times_of(xid::ErrorKind::kDoubleBitError);
+  const auto otb = frame.times_of(xid::ErrorKind::kOffTheBus);
   std::vector<stats::TimeSec> failures;
-  for (const auto& e : events) {
-    if (e.kind == xid::ErrorKind::kDoubleBitError || e.kind == xid::ErrorKind::kOffTheBus) {
-      failures.push_back(e.time);
-    }
-  }
+  failures.reserve(dbe.size() + otb.size());
+  std::merge(dbe.begin(), dbe.end(), otb.begin(), otb.end(), std::back_inserter(failures));
   const auto mtbf = stats::estimate_mtbf(failures, period.begin, period.end);
 
   bench::print_header("Extension -- checkpoint policy from measured MTBF");

@@ -16,7 +16,7 @@ int main() {
 
   bench::print_header("Extension -- application interruption impact");
   const auto result =
-      analysis::interruption_study(study.events, study.trace, period.begin, period.end);
+      analysis::interruption_study(bench::full_frame(), study.trace, period.begin, period.end);
   std::printf("  jobs: %zu   interrupted: %zu (%s)\n", result.total_jobs,
               result.interrupted_jobs, render::fmt_percent(result.interruption_rate()).c_str());
   std::printf("  node-hours: %.3g total, %.3g at risk without checkpointing (%s)\n",

@@ -7,13 +7,15 @@
 // for predicting "GPU stopped processing" (XID 43) and page retirements.
 #include "bench/common.hpp"
 
+#include <algorithm>
+
 #include "analysis/prediction.hpp"
 
 namespace {
 
-void run_target(const std::vector<titan::parse::ParsedEvent>& train,
-                const std::vector<titan::parse::ParsedEvent>& eval,
-                titan::xid::ErrorKind target, double horizon_s) {
+void run_target(const titan::analysis::EventFrame& train,
+                const titan::analysis::EventFrame& eval, titan::xid::ErrorKind target,
+                double horizon_s) {
   using namespace titan;
   const auto predictor = analysis::FailurePredictor::fit(train, target, horizon_s);
   std::printf("  learned rules (target %s, horizon %.0f s):\n",
@@ -37,15 +39,16 @@ void run_target(const std::vector<titan::parse::ParsedEvent>& train,
 int main() {
   using namespace titan;
   const auto& study = bench::full_study();
-  const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
 
-  // 14-month training slice / 7-month evaluation slice.
+  // 14-month training slice / 7-month evaluation slice of the time-sorted
+  // stream, each its own frame.
   const auto split = stats::month_start(study.config.period.begin, 14);
-  std::vector<parse::ParsedEvent> train;
-  std::vector<parse::ParsedEvent> eval;
-  for (const auto& e : events) {
-    (e.time < split ? train : eval).push_back(e);
-  }
+  const auto times = frame.times();
+  const auto cut = static_cast<std::size_t>(
+      std::lower_bound(times.begin(), times.end(), split) - times.begin());
+  const auto train = frame.slice(0, cut);
+  const auto eval = frame.slice(cut, frame.size() - cut);
   std::printf("  training events: %zu   evaluation events: %zu\n", train.size(), eval.size());
 
   bench::print_header("Extension -- predicting XID 43 (GPU stopped processing)");

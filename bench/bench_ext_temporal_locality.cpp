@@ -8,14 +8,13 @@
 // "not bursty in nature" remark for DBEs (Fig. 2 discussion).
 #include "bench/common.hpp"
 
-#include "analysis/events_view.hpp"
 #include "stats/hazard.hpp"
 #include "stats/reliability.hpp"
 
 int main() {
   using namespace titan;
   const auto& study = bench::full_study();
-  const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
   const auto& period = study.config.period;
 
   bench::print_header("Extension -- temporal locality per error family");
@@ -37,14 +36,14 @@ int main() {
            {"XID 43 (driver)", xid::ErrorKind::kGpuStoppedProcessing},
            {"DBE (XID 48)", xid::ErrorKind::kDoubleBitError},
        }) {
-    const auto times = analysis::times_of_kind(events, kind);
+    const auto times = frame.times_of(kind);
     Row row{label, kind, 0.0, 0.0, 0.0};
     row.dispersion = stats::dispersion_of_counts(times, period.begin, period.end,
                                                  stats::kSecondsPerDay);
     // A 60 s window keeps the Poisson baseline well below saturation even
     // for the highest-rate stream (XID 13 at ~0.008 events/s).
     row.ratio = stats::conditional_intensity_ratio(times, period.begin, period.end, 60);
-    row.ks = stats::ks_vs_exponential(stats::inter_arrival_seconds(times));
+    row.ks = stats::ks_vs_exponential(stats::inter_arrival_seconds({times.begin(), times.end()}));
     rows.push_back(row);
     std::printf("  %-28s %10.2f %12.2f %8.3f\n", label, row.dispersion, row.ratio, row.ks);
   }

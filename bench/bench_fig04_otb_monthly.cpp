@@ -7,12 +7,12 @@
 int main() {
   using namespace titan;
   const auto& study = bench::full_study();
-  const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
   const auto& period = study.config.period;
 
   bench::print_header("Fig. 4 -- Monthly frequency of Off the bus errors");
   const auto series =
-      analysis::monthly_frequency(events, xid::ErrorKind::kOffTheBus, period.begin, period.end);
+      analysis::monthly_frequency(frame, xid::ErrorKind::kOffTheBus, period.begin, period.end);
   bench::print_block(render::bar_chart(series.labels(), series.counts));
 
   const auto fix = study.config.campaign.timeline.solder_fix;

@@ -6,18 +6,16 @@
 
 int main() {
   using namespace titan;
-  const auto& study = bench::full_study();
-  const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
 
   bench::print_header("Fig. 5 -- Spatial distribution of Off the bus errors");
-  const auto grid = analysis::cabinet_heatmap(events, xid::ErrorKind::kOffTheBus);
+  const auto grid = analysis::cabinet_heatmap(frame, xid::ErrorKind::kOffTheBus);
   bench::print_block(render::heatmap(grid));
   std::printf("  total: %.0f OTB events, fairly distributed across the machine\n",
               grid.total());
 
   bench::print_header("Fig. 5 (cage view) -- OTB by cage position");
-  const auto cages =
-      analysis::cage_distribution(events, xid::ErrorKind::kOffTheBus, study.fleet.ledger());
+  const auto cages = analysis::cage_distribution(frame, xid::ErrorKind::kOffTheBus);
   const std::vector<std::string> labels{"cage 0 (bottom)", "cage 1", "cage 2 (top)"};
   bench::print_block(render::bar_chart(
       labels, std::vector<std::uint64_t>(cages.event_counts.begin(), cages.event_counts.end())));

@@ -7,11 +7,11 @@
 int main() {
   using namespace titan;
   const auto& study = bench::full_study();
-  const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
   const auto& period = study.config.period;
 
   bench::print_header("Fig. 6 -- Monthly frequency of ECC page retirement errors");
-  const auto series = analysis::monthly_frequency(events, xid::ErrorKind::kPageRetirement,
+  const auto series = analysis::monthly_frequency(frame, xid::ErrorKind::kPageRetirement,
                                                   period.begin, period.end);
   bench::print_block(render::bar_chart(series.labels(), series.counts));
   std::printf("  total retirements logged: %llu\n",

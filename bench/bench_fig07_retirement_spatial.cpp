@@ -5,18 +5,16 @@
 
 int main() {
   using namespace titan;
-  const auto& study = bench::full_study();
-  const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
 
   bench::print_header("Fig. 7 -- Spatial distribution of ECC page retirement errors");
-  const auto grid = analysis::cabinet_heatmap(events, xid::ErrorKind::kPageRetirement);
+  const auto grid = analysis::cabinet_heatmap(frame, xid::ErrorKind::kPageRetirement);
   bench::print_block(render::heatmap(grid));
   std::printf("  total: %.0f retirement events; non-uniform (rare-event statistics)\n",
               grid.total());
 
   bench::print_header("Fig. 7 (cage view) -- retirements by cage position");
-  const auto cages = analysis::cage_distribution(events, xid::ErrorKind::kPageRetirement,
-                                                 study.fleet.ledger());
+  const auto cages = analysis::cage_distribution(frame, xid::ErrorKind::kPageRetirement);
   const std::vector<std::string> labels{"cage 0 (bottom)", "cage 1", "cage 2 (top)"};
   bench::print_block(render::bar_chart(
       labels, std::vector<std::uint64_t>(cages.event_counts.begin(), cages.event_counts.end())));

@@ -11,11 +11,11 @@
 int main() {
   using namespace titan;
   const auto& study = bench::full_study();
-  const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
 
   bench::print_header("Fig. 8 -- ECC page retirement delay since the last DBE");
   const auto result = analysis::retirement_delay_study(
-      events, study.config.campaign.timeline.new_driver);
+      frame, study.config.campaign.timeline.new_driver);
 
   const std::vector<std::string> labels{"<= 10 min", "10 min .. 6 h", "> 6 h"};
   const std::vector<std::uint64_t> counts{result.within_10min, result.min10_to_6h,

@@ -7,16 +7,12 @@
 int main() {
   using namespace titan;
   const auto& study = bench::full_study();
-  const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
   const auto& period = study.config.period;
 
   bench::print_header("Fig. 9 -- Driver-related XID frequency (31, 32, 43, 44)");
   const auto count_kind = [&](xid::ErrorKind kind) {
-    std::uint64_t n = 0;
-    for (const auto& e : events) {
-      if (e.kind == kind) ++n;
-    }
-    return n;
+    return static_cast<std::uint64_t>(frame.count_of(kind));
   };
   struct Row {
     xid::ErrorKind kind;
@@ -46,7 +42,7 @@ int main() {
   bench::print_row("XID 42 total", "0 (never observed)", std::to_string(xid42));
 
   const double d43 = analysis::daily_dispersion_index(
-      events, xid::ErrorKind::kGpuStoppedProcessing, period.begin, period.end);
+      frame, xid::ErrorKind::kGpuStoppedProcessing, period.begin, period.end);
   bench::print_row("XID 43 daily dispersion index", "not bursty (near Poisson)",
                    render::fmt_double(d43, 2));
 

@@ -7,18 +7,18 @@
 int main() {
   using namespace titan;
   const auto& study = bench::full_study();
-  const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
   const auto& period = study.config.period;
 
   bench::print_header("Fig. 10 -- Monthly frequency of XID 13 (graphics engine exception)");
   const auto series = analysis::monthly_frequency(
-      events, xid::ErrorKind::kGraphicsEngineException, period.begin, period.end);
+      frame, xid::ErrorKind::kGraphicsEngineException, period.begin, period.end);
   bench::print_block(render::bar_chart(series.labels(), series.counts));
   std::printf("  total raw XID 13 lines: %llu (reported on every node of a job)\n",
               static_cast<unsigned long long>(series.total()));
 
   const double dispersion = analysis::daily_dispersion_index(
-      events, xid::ErrorKind::kGraphicsEngineException, period.begin, period.end);
+      frame, xid::ErrorKind::kGraphicsEngineException, period.begin, period.end);
   bench::print_row("daily dispersion index", "bursty (>> 1)", render::fmt_double(dispersion, 1));
 
   // Deadline weeks vs normal weeks.
@@ -29,9 +29,8 @@ int main() {
   for (stats::TimeSec day = period.begin; day < period.end; day += stats::kSecondsPerDay) {
     (study.deadlines.is_deadline(day) ? deadline_days : normal_days) += 1;
   }
-  for (const auto& e : events) {
-    if (e.kind != xid::ErrorKind::kGraphicsEngineException) continue;
-    (study.deadlines.is_deadline(e.time) ? deadline_events : normal_events) += 1;
+  for (const auto t : frame.times_of(xid::ErrorKind::kGraphicsEngineException)) {
+    (study.deadlines.is_deadline(t) ? deadline_events : normal_events) += 1;
   }
   const double deadline_rate = static_cast<double>(deadline_events) /
                                static_cast<double>(std::max<std::size_t>(1, deadline_days));
@@ -48,11 +47,8 @@ int main() {
   ok &= bench::check("deadline weeks are hotter (rate ratio > 1.3)",
                      deadline_rate > 1.3 * normal_rate);
   ok &= bench::check("XID 13 is the most frequent XID in the log", [&] {
-    std::uint64_t xid13 = 0;
-    std::uint64_t others = 0;
-    for (const auto& e : events) {
-      (e.kind == xid::ErrorKind::kGraphicsEngineException ? xid13 : others) += 1;
-    }
+    const std::size_t xid13 = frame.count_of(xid::ErrorKind::kGraphicsEngineException);
+    const std::size_t others = frame.size() - xid13;
     return xid13 > others / 4;
   }());
   return ok ? 0 : 1;

@@ -7,13 +7,13 @@
 int main() {
   using namespace titan;
   const auto& study = bench::full_study();
-  const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
   const auto& period = study.config.period;
 
   bench::print_header("Fig. 11 -- Monthly frequency of XID 59 and XID 62 (uC halt)");
-  const auto s59 = analysis::monthly_frequency(events, xid::ErrorKind::kUcHaltOldDriver,
+  const auto s59 = analysis::monthly_frequency(frame, xid::ErrorKind::kUcHaltOldDriver,
                                                period.begin, period.end);
-  const auto s62 = analysis::monthly_frequency(events, xid::ErrorKind::kUcHaltNewDriver,
+  const auto s62 = analysis::monthly_frequency(frame, xid::ErrorKind::kUcHaltNewDriver,
                                                period.begin, period.end);
   std::printf("  XID 59 (old driver):\n");
   bench::print_block(render::bar_chart(s59.labels(), s59.counts));
@@ -22,13 +22,15 @@ int main() {
 
   const auto new_driver = study.config.campaign.timeline.new_driver;
   bool eras_clean = true;
-  for (const auto& e : events) {
-    if (e.kind == xid::ErrorKind::kUcHaltOldDriver && e.time >= new_driver) eras_clean = false;
-    if (e.kind == xid::ErrorKind::kUcHaltNewDriver && e.time < new_driver) eras_clean = false;
+  for (const auto t : frame.times_of(xid::ErrorKind::kUcHaltOldDriver)) {
+    if (t >= new_driver) eras_clean = false;
   }
-  const double d59 = analysis::daily_dispersion_index(events, xid::ErrorKind::kUcHaltOldDriver,
+  for (const auto t : frame.times_of(xid::ErrorKind::kUcHaltNewDriver)) {
+    if (t < new_driver) eras_clean = false;
+  }
+  const double d59 = analysis::daily_dispersion_index(frame, xid::ErrorKind::kUcHaltOldDriver,
                                                       period.begin, new_driver);
-  const double d62 = analysis::daily_dispersion_index(events, xid::ErrorKind::kUcHaltNewDriver,
+  const double d62 = analysis::daily_dispersion_index(frame, xid::ErrorKind::kUcHaltNewDriver,
                                                       new_driver, period.end);
   bench::print_row("XID 59 only before Jan'14 / 62 only after", "clean switchover",
                    eras_clean ? "clean" : "VIOLATED");

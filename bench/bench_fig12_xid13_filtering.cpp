@@ -29,11 +29,20 @@ double parity_contrast(const Grid2D& grid) {
 
 int main() {
   using namespace titan;
-  const auto& events = bench::full_events();
-  const auto xid13 = analysis::of_kind(events, xid::ErrorKind::kGraphicsEngineException);
+  constexpr auto kXid13 = xid::ErrorKind::kGraphicsEngineException;
+  const auto& frame = bench::full_frame();
+  std::vector<parse::ParsedEvent> xid13;
+  for (const auto row : frame.rows_of(kXid13)) {
+    xid13.push_back(parse::ParsedEvent{frame.times()[row], frame.nodes()[row], kXid13,
+                                       frame.structures()[row]});
+  }
+  const auto heatmap_of = [&](const std::vector<parse::ParsedEvent>& events) {
+    return analysis::cabinet_heatmap(
+        analysis::EventFrame::build(std::span<const parse::ParsedEvent>{events}), kXid13);
+  };
 
   bench::print_header("Fig. 12 (top) -- XID 13, no filtering (all node reports)");
-  const auto grid_all = analysis::cabinet_heatmap(xid13, xid::ErrorKind::kGraphicsEngineException);
+  const auto grid_all = analysis::cabinet_heatmap(frame, kXid13);
   bench::print_block(render::heatmap(grid_all));
   std::printf("  events: %.0f   even/odd column contrast: %.2f\n", grid_all.total(),
               parity_contrast(grid_all));
@@ -41,15 +50,13 @@ int main() {
   const auto filtered = parse::filter_events(xid13, parse::FilterParams{5.0});
 
   bench::print_header("Fig. 12 (middle) -- 5 s roots (one event per job)");
-  const auto grid_roots =
-      analysis::cabinet_heatmap(filtered.roots, xid::ErrorKind::kGraphicsEngineException);
+  const auto grid_roots = heatmap_of(filtered.roots);
   bench::print_block(render::heatmap(grid_roots));
   std::printf("  roots: %.0f   contrast: %.2f (uneven: debug jobs cluster)\n",
               grid_roots.total(), parity_contrast(grid_roots));
 
   bench::print_header("Fig. 12 (bottom) -- children inside the 5 s window");
-  const auto grid_children =
-      analysis::cabinet_heatmap(filtered.children, xid::ErrorKind::kGraphicsEngineException);
+  const auto grid_children = heatmap_of(filtered.children);
   bench::print_block(render::heatmap(grid_children));
   std::printf("  children: %.0f   contrast: %.2f\n", grid_children.total(),
               parity_contrast(grid_children));

@@ -10,16 +10,16 @@
 int main() {
   using namespace titan;
   using xid::ErrorKind;
-  const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
   const auto kinds = analysis::fig13_kinds();
 
   bench::print_header("Fig. 13 (top) -- P(following within 300 s), same-type included");
-  const auto with_same = analysis::follow_matrix(events, kinds, 300.0, true);
+  const auto with_same = analysis::follow_matrix(frame, kinds, 300.0, true);
   bench::print_block(render::labeled_heatmap(with_same.fractions, with_same.labels(),
                                              with_same.labels()));
 
   bench::print_header("Fig. 13 (bottom) -- same-type pairs excluded");
-  const auto no_same = analysis::follow_matrix(events, kinds, 300.0, false);
+  const auto no_same = analysis::follow_matrix(frame, kinds, 300.0, false);
   bench::print_block(render::labeled_heatmap(no_same.fractions, no_same.labels(),
                                              no_same.labels()));
 
@@ -47,7 +47,7 @@ int main() {
 
   bench::print_header("Ablation -- DBE->45 following probability vs window");
   for (const double w : {1.0, 5.0, 60.0, 300.0}) {
-    const auto m = analysis::follow_matrix(events, kinds, w, false);
+    const auto m = analysis::follow_matrix(frame, kinds, w, false);
     std::printf("  window %5.0f s: %s\n", w,
                 render::fmt_percent(
                     m.at(ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup))

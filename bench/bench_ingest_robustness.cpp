@@ -51,7 +51,7 @@ int main() {
   const auto clean_context = study::DatasetSource{clean_dir}.load();
   const auto clean_report = registry.run_all(clean_context);
   std::printf("  clean strict load + sweep: %.2f s (%zu events, %zu analyses)\n",
-              seconds_since(start), clean_context.events.size(),
+              seconds_since(start), clean_context.frame.size(),
               clean_report.results.size());
   ok &= bench::check("clean strict load carries no ingest section",
                      !clean_report.ingest.has_value() &&

@@ -8,10 +8,10 @@
 int main() {
   using namespace titan;
   const auto& study = bench::full_study();
-  const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
 
   bench::print_header("Observation 2 -- nvidia-smi vs console log DBE accounting");
-  const auto cmp = analysis::smi_console_comparison(events, study.final_snapshot);
+  const auto cmp = analysis::smi_console_comparison(frame, study.final_snapshot);
   bench::print_row("console log DBE count", "reference (authoritative)",
                    std::to_string(cmp.console_dbe_count));
   bench::print_row("nvidia-smi (InfoROM) DBE count", "fewer than the console logs",

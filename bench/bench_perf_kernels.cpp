@@ -7,10 +7,8 @@
 #include <chrono>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 
 #include "analysis/event_frame.hpp"
-#include "analysis/events_view.hpp"
 #include "analysis/frequency.hpp"
 #include "analysis/reliability_report.hpp"
 #include "analysis/retirement_study.hpp"
@@ -39,15 +37,9 @@ using namespace titan;
   return data;
 }
 
-[[nodiscard]] const std::vector<parse::ParsedEvent>& perf_events() {
-  static const std::vector<parse::ParsedEvent> events =
-      analysis::as_parsed(perf_dataset().events);
-  return events;
-}
-
 [[nodiscard]] const analysis::EventFrame& perf_frame() {
-  static const analysis::EventFrame frame =
-      analysis::EventFrame::build(perf_events(), &perf_dataset().fleet.ledger());
+  static const analysis::EventFrame frame = analysis::EventFrame::build(
+      std::span<const xid::Event>{perf_dataset().events}, &perf_dataset().fleet.ledger());
   return frame;
 }
 
@@ -185,22 +177,20 @@ void BM_CampaignThreads(benchmark::State& state) {
 BENCHMARK(BM_CampaignThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_EventFrameBuild(benchmark::State& state) {
-  // Columnar index construction over the full-campaign console stream:
-  // the one-time cost the frame-path analyses amortize.
-  const auto& events = perf_events();
+  // Columnar index construction over the full-campaign ground truth (SBEs
+  // dropped, card join and job/root columns filled): the one-time cost the
+  // frame kernels amortize.
+  const std::span<const xid::Event> events{perf_dataset().events};
   const auto* ledger = &perf_dataset().fleet.ledger();
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::EventFrame::build(events, ledger));
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(events.size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(perf_frame().size()));
 }
 BENCHMARK(BM_EventFrameBuild)->Unit(benchmark::kMillisecond);
 
-/// The paper's core analysis battery, parameterized over the event source
-/// so the legacy span path and the frame path run identical work.
-template <typename Stream>
-void run_analysis_suite(const Stream& stream, const core::StudyDataset& data,
-                        const gpu::FleetLedger& ledger) {
+/// The paper's core analysis battery over a prebuilt frame.
+void run_analysis_suite(const analysis::EventFrame& stream, const core::StudyDataset& data) {
   const auto begin = data.config.period.begin;
   const auto end = data.config.period.end;
   constexpr std::array kKinds = {
@@ -220,11 +210,7 @@ void run_analysis_suite(const Stream& stream, const core::StudyDataset& data,
     benchmark::DoNotOptimize(analysis::cabinet_heatmap(stream, kind));
   }
   for (const auto kind : {xid::ErrorKind::kDoubleBitError, xid::ErrorKind::kOffTheBus}) {
-    if constexpr (std::is_same_v<Stream, analysis::EventFrame>) {
-      benchmark::DoNotOptimize(analysis::cage_distribution(stream, kind));
-    } else {
-      benchmark::DoNotOptimize(analysis::cage_distribution(stream, kind, ledger));
-    }
+    benchmark::DoNotOptimize(analysis::cage_distribution(stream, kind));
     benchmark::DoNotOptimize(analysis::structure_breakdown(stream, kind));
   }
   const auto kinds = analysis::fig13_kinds();
@@ -237,25 +223,13 @@ void run_analysis_suite(const Stream& stream, const core::StudyDataset& data,
   benchmark::DoNotOptimize(analysis::mtbf_report(stream, begin, end));
 }
 
-void BM_AnalysisSuiteLegacy(benchmark::State& state) {
-  // Every analysis re-scans (and re-copies slices of) the raw parsed
-  // stream -- the pre-frame cost model.
-  const auto& data = perf_dataset();
-  const std::span<const parse::ParsedEvent> events{perf_events()};
-  for (auto _ : state) {
-    run_analysis_suite(events, data, data.fleet.ledger());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(perf_events().size()));
-}
-BENCHMARK(BM_AnalysisSuiteLegacy)->Unit(benchmark::kMillisecond);
-
 void BM_AnalysisSuiteFrame(benchmark::State& state) {
-  // Same battery against the prebuilt columnar index (build cost measured
+  // The battery against the prebuilt columnar index (build cost measured
   // separately by BM_EventFrameBuild).
   const auto& data = perf_dataset();
   const auto& frame = perf_frame();
   for (auto _ : state) {
-    run_analysis_suite(frame, data, data.fleet.ledger());
+    run_analysis_suite(frame, data);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(frame.size()));
 }
@@ -273,9 +247,9 @@ void BM_FullStudyEndToEnd(benchmark::State& state) {
     const auto t0 = std::chrono::steady_clock::now();
     const auto data = core::run_study(core::default_config(42));
     const auto t1 = std::chrono::steady_clock::now();
-    const auto events = analysis::as_parsed(data.events);
-    const auto frame = analysis::EventFrame::build(events, &data.fleet.ledger());
-    run_analysis_suite(frame, data, data.fleet.ledger());
+    const auto frame = analysis::EventFrame::build(std::span<const xid::Event>{data.events},
+                                                   &data.fleet.ledger());
+    run_analysis_suite(frame, data);
     const auto t2 = std::chrono::steady_clock::now();
     simulate_s += std::chrono::duration<double>(t1 - t0).count();
     analysis_s += std::chrono::duration<double>(t2 - t1).count();

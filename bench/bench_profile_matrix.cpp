@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
 
     std::printf("  %-10s  load %8.1f ms   sweep %8.1f ms   %zu events, %zu analyses\n",
                 std::string{fleet->name}.c_str(), load_ms, sweep_ms,
-                context.events.size(), report.results.size());
-    runs.push_back({fleet, load_ms, sweep_ms, context.events.size(),
+                context.frame.size(), report.results.size());
+    runs.push_back({fleet, load_ms, sweep_ms, context.frame.size(),
                     report.results.size(), std::move(report)});
   }
 

@@ -35,12 +35,11 @@ int main() {
   const auto report = registry.run_all(context);
   const double sweep_s = seconds_since(start);
 
-  std::printf("  load (simulate + parse view + frame build): %.2f s\n", load_s);
-  std::printf("  registry sweep (%zu analyses, titan::par):   %.2f s\n",
+  std::printf("  load (simulate + frame build):            %.2f s\n", load_s);
+  std::printf("  registry sweep (%zu analyses, titan::par): %.2f s\n",
               report.results.size(), sweep_s);
-  std::printf("  events: %zu   frame rows: %zu   report: %zu text bytes, %zu json bytes\n",
-              context.events.size(), context.frame.size(), report.text().size(),
-              report.json().size());
+  std::printf("  frame rows: %zu   report: %zu text bytes, %zu json bytes\n",
+              context.frame.size(), report.text().size(), report.json().size());
 
   bench::print_header("Report");
   bench::print_block(report.text());

@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
 
   const auto text_bytes = dir_bytes(text_dir);
   const auto binary_bytes = dir_bytes(binary_dir);
-  std::printf("fixture       : %zu events, %zu jobs, %zu smi blocks\n", context.events.size(),
+  std::printf("fixture       : %zu events, %zu jobs, %zu smi blocks\n", context.frame.size(),
               context.load_stats.job_lines, context.load_stats.smi_blocks);
   std::printf("text dataset  : %llu bytes\n", static_cast<unsigned long long>(text_bytes));
   std::printf("binary dataset: %llu bytes (%.2fx smaller)\n",
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
     doc.set("fixture", study::JsonValue::object()
                            .set("config", quick ? "quick" : "default")
                            .set("seed", config.seed)
-                           .set("events", context.events.size())
+                           .set("events", context.frame.size())
                            .set("jobs", context.load_stats.job_lines)
                            .set("smi_blocks", context.load_stats.smi_blocks)
                            .set("text_bytes", static_cast<std::uint64_t>(text_bytes))

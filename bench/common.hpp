@@ -7,10 +7,10 @@
 #pragma once
 
 #include <cstdio>
+#include <span>
 #include <string>
 
 #include "analysis/event_frame.hpp"
-#include "analysis/events_view.hpp"
 #include "analysis/paper_expectations.hpp"
 #include "core/facility.hpp"
 #include "render/ascii.hpp"
@@ -28,18 +28,11 @@ inline const core::StudyDataset& full_study() {
   return data;
 }
 
-/// Console-recovered event view of the full study.
-inline const std::vector<parse::ParsedEvent>& full_events() {
-  static const std::vector<parse::ParsedEvent> events =
-      analysis::as_parsed(full_study().events);
-  return events;
-}
-
-/// Columnar index over the console-recovered stream (with the card join,
-/// so cage distributions work without re-touching the ledger).
+/// The full study's console-recoverable event stream as a frame (SBEs
+/// dropped), with the card join and the job/root attribution columns.
 inline const analysis::EventFrame& full_frame() {
-  static const analysis::EventFrame frame =
-      analysis::EventFrame::build(full_events(), &full_study().fleet.ledger());
+  static const analysis::EventFrame frame = analysis::EventFrame::build(
+      std::span<const xid::Event>{full_study().events}, &full_study().fleet.ledger());
   return frame;
 }
 

@@ -61,17 +61,17 @@ int main(int argc, char** argv) {
     std::printf("dataset.shard-{0..%zu}.tdf: %zu segments, %zu bytes -> %zu events "
                 "(sharded streaming load)\n",
                 stats.shards - 1, stats.tdf_segments, stats.tdf_bytes,
-                context.events.size());
+                context.frame.size());
     std::printf("jobs: %zu records   smi sweep: %zu GPU blocks\n", stats.job_lines,
                 stats.smi_blocks);
   } else if (stats.binary) {
     std::printf("dataset.tdf: %zu segments, %zu bytes -> %zu events (binary load)\n",
-                stats.tdf_segments, stats.tdf_bytes, context.events.size());
+                stats.tdf_segments, stats.tdf_bytes, context.frame.size());
     std::printf("jobs: %zu records   smi sweep: %zu GPU blocks\n", stats.job_lines,
                 stats.smi_blocks);
   } else {
     std::printf("console.log: %zu lines -> %zu events (%zu malformed, %zu unrelated)\n",
-                stats.console_lines, context.events.size(), stats.malformed_lines,
+                stats.console_lines, context.frame.size(), stats.malformed_lines,
                 stats.unrelated_lines);
     std::printf("jobs.log: %zu records (%zu malformed)   smi_sweep.txt: %zu GPU blocks\n",
                 stats.job_lines, stats.malformed_job_lines, stats.smi_blocks);

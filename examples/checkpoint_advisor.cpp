@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
 
   // Machine-wide app-fatal hardware failures: merge the frame's DBE and
   // OTB time slices (each already time-sorted).
-  const auto dbe = context.truth_frame.times_of(xid::ErrorKind::kDoubleBitError);
-  const auto otb = context.truth_frame.times_of(xid::ErrorKind::kOffTheBus);
+  const auto dbe = context.frame.times_of(xid::ErrorKind::kDoubleBitError);
+  const auto otb = context.frame.times_of(xid::ErrorKind::kOffTheBus);
   std::vector<stats::TimeSec> failures;
   failures.reserve(dbe.size() + otb.size());
   std::merge(dbe.begin(), dbe.end(), otb.begin(), otb.end(), std::back_inserter(failures));

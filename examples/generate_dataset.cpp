@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   std::printf("\nWrote dataset to %s/\n", dir.string().c_str());
   if (format == study::DatasetFormat::kBinary) {
     std::printf("  dataset.tdf    %zu events, %zu jobs, %zu GPU blocks (binary columns)\n",
-                context.events.size(), context.load_stats.job_lines,
+                context.frame.size(), context.load_stats.job_lines,
                 context.load_stats.smi_blocks);
     std::printf("  manifest.txt   study window + content checksums\n");
     std::printf("\nInspect: ./build/tools/titan-convert --info %s\n", dir.string().c_str());

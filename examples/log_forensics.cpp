@@ -12,8 +12,8 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
-#include "analysis/events_view.hpp"
 #include "core/facility.hpp"
 #include "ingest/corrupt.hpp"
 #include "parse/filter.hpp"
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   std::printf("\n=== Salvage-mode ingest of %s ===\n", load_dir.c_str());
   const study::DatasetSource source{load_dir, ingest::IngestPolicy::kSalvage};
   const auto context = source.load();
-  std::printf("  events: %zu   malformed: %zu   unrelated: %zu\n", context.events.size(),
+  std::printf("  events: %zu   malformed: %zu   unrelated: %zu\n", context.frame.size(),
               context.load_stats.malformed_lines, context.load_stats.unrelated_lines);
   if (context.ingest_report) {
     std::fputs(context.ingest_report->summary_text().c_str(), stdout);
@@ -72,8 +72,12 @@ int main(int argc, char** argv) {
   std::fputs(report.text().c_str(), stdout);
 
   std::printf("\n=== Observation 8 hunt: XID 13 repeat offenders per node ===\n");
-  const auto xid13 =
-      analysis::of_kind(context.events, xid::ErrorKind::kGraphicsEngineException);
+  constexpr auto kXid13 = xid::ErrorKind::kGraphicsEngineException;
+  std::vector<parse::ParsedEvent> xid13;
+  for (const auto row : context.frame.rows_of(kXid13)) {
+    xid13.push_back(parse::ParsedEvent{context.frame.times()[row], context.frame.nodes()[row],
+                                       kXid13, context.frame.structures()[row]});
+  }
   const auto deduped = parse::dedup_adjacent_events(xid13);
   if (deduped.duplicates_removed != 0) {
     std::printf("  (%zu double-counted XID 13 reports removed before filtering)\n",

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <map>
 
+#include "logsim/console.hpp"
 #include "ops/health.hpp"
 #include "parse/sec.hpp"
 #include "render/ascii.hpp"
@@ -22,7 +23,7 @@ int main(int argc, char** argv) {
 
   std::printf("=== SEC alert feed (operator pages) ===\n");
   parse::SimpleEventCorrelator sec{parse::default_gpu_rules()};
-  const auto alerts = sec.process(truth.console_log);
+  const auto alerts = sec.process(logsim::emit_console_log(truth.events, *context.profile));
   std::map<std::string, int> by_rule;
   for (const auto& a : alerts) ++by_rule[a.rule];
   for (const auto& [rule, count] : by_rule) {
@@ -53,7 +54,7 @@ int main(int argc, char** argv) {
   std::printf("\n=== Node-health policy replay (frame stream) ===\n");
   {
     ops::NodeHealthMonitor monitor;
-    ops::replay_frame(monitor, context.truth_frame);
+    ops::replay_frame(monitor, context.frame);
     std::size_t takedowns = 0;
     for (const auto& a : monitor.log()) {
       if (a.kind == ops::ActionKind::kTakeDown) ++takedowns;
@@ -70,8 +71,8 @@ int main(int argc, char** argv) {
   std::printf("  threshold | cards pulled | later DBEs on those cards (avoided if pulled at 1)\n");
   // Per-card DBE times straight off the frame's card column.
   std::map<xid::CardId, std::size_t> dbe_counts;
-  const auto cards = context.truth_frame.cards();
-  for (const auto row : context.truth_frame.rows_of(xid::ErrorKind::kDoubleBitError)) {
+  const auto cards = context.frame.cards();
+  for (const auto row : context.frame.rows_of(xid::ErrorKind::kDoubleBitError)) {
     ++dbe_counts[cards[row]];
   }
   for (std::size_t threshold = 1; threshold <= 3; ++threshold) {

@@ -26,10 +26,10 @@ struct InterruptStats {
 InterruptStats measure(const titan::study::StudyContext& context) {
   using namespace titan;
   InterruptStats out;
-  const auto jobs = context.truth_frame.jobs();
+  const auto jobs = context.frame.jobs();
   const auto& trace = context.trace();
   for (const auto kind : {xid::ErrorKind::kDoubleBitError, xid::ErrorKind::kOffTheBus}) {
-    for (const auto row : context.truth_frame.rows_of(kind)) {
+    for (const auto row : context.frame.rows_of(kind)) {
       ++out.total_crashes;
       if (jobs[row] == xid::kNoJob) continue;
       ++out.any_job_hits;

@@ -18,10 +18,9 @@
 #                index's parallel epoch fill, the study pipeline, the
 #                sharded out-of-core driver, and the determinism gates)
 #                under it
-#   --asan       add a build under TITANREL_SANITIZE=address with
-#                -D_GLIBCXX_ASSERTIONS (checked operator[]) and run the
-#                scheduler suites under it: the torus allocator's unit and
-#                oracle tests and the workload simulator
+#   --asan       add a whole-tree build under TITANREL_SANITIZE=address
+#                with -D_GLIBCXX_ASSERTIONS (checked operator[]) and run
+#                the full ctest under it
 #   --corrupt    run the ingest robustness gate: generate a dataset, apply
 #                every corruption operator, and run the salvage sweep
 #                (bench_ingest_robustness), plus an explicit titanlint
@@ -145,14 +144,11 @@ if [[ "$TSAN" == 1 ]]; then
 fi
 
 if [[ "$ASAN" == 1 ]]; then
-  echo "== ASan build + scheduler suites =="
+  echo "== ASan build + ctest =="
   cmake -B build-asan -S . -DTITANREL_SANITIZE=address -DTITANREL_WERROR=ON \
     -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
-  cmake --build build-asan -j "$JOBS" --target \
-    sched_allocator_test sched_allocator_property_test sched_workload_test
-  ./build-asan/tests/sched_allocator_test
-  ./build-asan/tests/sched_allocator_property_test
-  ./build-asan/tests/sched_workload_test
+  cmake --build build-asan -j "$JOBS"
+  ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 fi
 
 if [[ "$UBSAN" == 1 ]]; then

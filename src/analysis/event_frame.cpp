@@ -112,7 +112,7 @@ EventFrame EventFrame::build_impl(std::size_t n, const GetRow& get_row,
 
 EventFrame EventFrame::build(std::span<const xid::Event> events, const gpu::FleetLedger* ledger) {
   // Select the console-visible rows first (SBEs never reach the console
-  // log), so row ids match the `as_parsed` stream exactly.
+  // log), so row ids match the rendered console log line for line.
   std::vector<std::uint32_t> visible;
   visible.reserve(events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {

@@ -1,12 +1,10 @@
-// Columnar (SoA) index over the parsed event stream.
+// Columnar (SoA) index over the console event stream: a study's one event
+// representation.
 //
 // Every figure in the paper is a scan over the same 21-month event stream
-// keyed by kind, location, month, card, or job.  The span-based entry
-// points in the analysis modules re-derive those keys per call: `of_kind`
-// materializes a filtered copy, the spatial analyses re-run
-// `topology::locate` per event, and the card join is a ledger lookup per
-// event.  EventFrame pays those costs exactly once: one parallel build
-// pass (deterministic at any `titan::par` width) produces
+// keyed by kind, location, month, card, or job.  EventFrame derives those
+// keys exactly once: one parallel build pass (deterministic at any
+// `titan::par` width) produces
 //
 //   * plain columns  -- time, node, kind, structure,
 //   * derived columns -- decoded NodeLocation, absolute calendar-month
@@ -16,9 +14,11 @@
 //     events in stream order plus a *contiguous* copy of their
 //     timestamps, so "times of kind" is a zero-copy span.
 //
-// Analyses then run as single-pass kernels over spans.  The frame mirrors
-// the console-recoverable view (`as_parsed`): building from ground-truth
-// xid::Event streams drops SBEs, which never reach the console log.
+// Analyses run as single-pass kernels over these columns, and the dataset
+// writers serialize them (the console log is rendered from the base
+// columns when it is written).  The frame holds the console-recoverable
+// view: building from ground-truth xid::Event streams drops SBEs, which
+// never reach the console log.
 #pragma once
 
 #include <array>
@@ -40,8 +40,8 @@ class EventFrame {
   EventFrame() = default;
 
   /// Build from ground truth, downgrading to the console-recoverable view
-  /// (SBEs dropped, like `as_parsed`) but keeping the job/root columns a
-  /// richer join would need.  With a ledger, the card column holds the
+  /// (SBEs dropped) but keeping the job/root columns a richer join would
+  /// need.  With a ledger, the card column holds the
   /// card installed in the event's node at the event's time.
   [[nodiscard]] static EventFrame build(std::span<const xid::Event> events,
                                         const gpu::FleetLedger* ledger = nullptr);
@@ -51,15 +51,23 @@ class EventFrame {
   [[nodiscard]] static EventFrame build(std::span<const parse::ParsedEvent> events,
                                         const gpu::FleetLedger* ledger = nullptr);
 
-  /// Build directly from decoded columns (the TDF zero-copy load path):
-  /// same frame the ParsedEvent overload would produce from the row view
-  /// of the same stream, without materializing ParsedEvent structs.  All
-  /// four spans must have equal lengths.
+  /// Build directly from base columns (the TDF load paths, and subspans of
+  /// another frame): the same frame the ParsedEvent overload would produce
+  /// from the row view of the same stream.  All four spans must have equal
+  /// lengths.
   [[nodiscard]] static EventFrame from_columns(std::span<const stats::TimeSec> times,
                                                std::span<const topology::NodeId> nodes,
                                                std::span<const xid::ErrorKind> kinds,
                                                std::span<const xid::MemoryStructure> structures,
                                                const gpu::FleetLedger* ledger = nullptr);
+
+  /// Rows [offset, offset + count) as their own frame, rebuilt from the
+  /// base columns alone: no ledger join, kNoJob jobs, every row a root --
+  /// the frame a console log of those rows loads into.
+  [[nodiscard]] EventFrame slice(std::size_t offset, std::size_t count) const {
+    return from_columns(times().subspan(offset, count), nodes().subspan(offset, count),
+                        kinds().subspan(offset, count), structures().subspan(offset, count));
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return time_.size(); }
   [[nodiscard]] bool empty() const noexcept { return time_.empty(); }
@@ -105,13 +113,13 @@ class EventFrame {
     frame_guard::check(kColumnCards);
     return card_;
   }
-  /// Job attribution (kNoJob for parsed-stream builds).
+  /// Job attribution (kNoJob for parsed-stream and column builds).
   [[nodiscard]] std::span<const xid::JobId> jobs() const noexcept {
     frame_guard::check(kColumnJobs);
     return job_;
   }
-  /// 1 for root events, 0 for propagated children (parsed-stream builds
-  /// cannot tell, so every row is a root there).
+  /// 1 for root events, 0 for propagated children (parsed-stream and
+  /// column builds cannot tell, so every row is a root there).
   [[nodiscard]] std::span<const std::uint8_t> roots() const noexcept {
     frame_guard::check(kColumnJobs);
     return root_;
@@ -131,19 +139,12 @@ class EventFrame {
         kind_offsets_[k], kind_offsets_[k + 1] - kind_offsets_[k]);
   }
   /// Timestamps of all events of `kind`, contiguous and in stream order
-  /// (time-sorted when the source stream was) -- the zero-copy
-  /// `times_of_kind`.
+  /// (time-sorted when the source stream was).
   [[nodiscard]] std::span<const stats::TimeSec> times_of(xid::ErrorKind kind) const noexcept {
     frame_guard::check(kColumnBase);
     const auto k = static_cast<std::size_t>(kind);
     return std::span<const stats::TimeSec>{kind_times_}.subspan(
         kind_offsets_[k], kind_offsets_[k + 1] - kind_offsets_[k]);
-  }
-
-  /// Reconstruct the console-view record for one row (convenience for the
-  /// adapter overloads; analyses should read columns instead).
-  [[nodiscard]] parse::ParsedEvent row(std::size_t i) const {
-    return parse::ParsedEvent{time_[i], node_[i], kind_[i], structure_[i]};
   }
 
   friend bool operator==(const EventFrame& a, const EventFrame& b) = default;

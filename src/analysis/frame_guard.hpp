@@ -22,8 +22,7 @@ namespace titan::analysis {
 /// Column groups of an EventFrame, as guard bits.
 enum FrameColumn : unsigned {
   /// time/node/kind/structure, the derived location/month columns and the
-  /// per-kind CSR index -- present in every frame (capability kEvents, or
-  /// kGroundTruth for the truth frame).
+  /// per-kind CSR index -- present in every frame (capability kEvents).
   kColumnBase = 1U << 0,
   /// Ledger-joined card serials (capability kLedger).
   kColumnCards = 1U << 1,

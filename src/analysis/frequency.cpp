@@ -7,13 +7,6 @@
 
 namespace titan::analysis {
 
-stats::MonthlySeries monthly_frequency(std::span<const parse::ParsedEvent> events,
-                                       xid::ErrorKind kind, stats::TimeSec begin,
-                                       stats::TimeSec end) {
-  // Forwarding adapter: the frame kernel below is the one implementation.
-  return monthly_frequency(EventFrame::build(events), kind, begin, end);
-}
-
 stats::MonthlySeries monthly_frequency(const EventFrame& frame, xid::ErrorKind kind,
                                        stats::TimeSec begin, stats::TimeSec end) {
   if (end <= begin) throw std::invalid_argument{"monthly_counts: empty window"};
@@ -35,20 +28,10 @@ stats::MonthlySeries monthly_frequency(const EventFrame& frame, xid::ErrorKind k
   return out;
 }
 
-stats::MtbfEstimate kind_mtbf(std::span<const parse::ParsedEvent> events, xid::ErrorKind kind,
-                              stats::TimeSec begin, stats::TimeSec end) {
-  return kind_mtbf(EventFrame::build(events), kind, begin, end);
-}
-
 stats::MtbfEstimate kind_mtbf(const EventFrame& frame, xid::ErrorKind kind, stats::TimeSec begin,
                               stats::TimeSec end) {
   const auto times = frame.times_of(kind);
   return stats::estimate_mtbf({times.begin(), times.end()}, begin, end);
-}
-
-double daily_dispersion_index(std::span<const parse::ParsedEvent> events, xid::ErrorKind kind,
-                              stats::TimeSec begin, stats::TimeSec end) {
-  return daily_dispersion_index(EventFrame::build(events), kind, begin, end);
 }
 
 double daily_dispersion_index(const EventFrame& frame, xid::ErrorKind kind, stats::TimeSec begin,

@@ -14,8 +14,7 @@ namespace {
   return cls;
 }
 
-/// Fold the per-job first-interruption map into the study totals; the
-/// event scan (which differs between the span and frame paths) is done.
+/// Fold the per-job first-interruption map into the study totals.
 [[nodiscard]] InterruptionStudy accumulate_jobs(
     const std::unordered_map<xid::JobId, stats::TimeSec>& first_hit,
     std::size_t app_fatal_events, const sched::JobTrace& trace, stats::TimeSec begin,
@@ -47,15 +46,6 @@ namespace {
 }
 
 }  // namespace
-
-InterruptionStudy interruption_study(std::span<const xid::Event> events,
-                                     const sched::JobTrace& trace, stats::TimeSec begin,
-                                     stats::TimeSec end) {
-  // Forwarding adapter: the frame build keeps the job/root columns the
-  // kernel's first-interruption-per-job rule needs (SBEs are dropped, but
-  // they never crash an application, so the scan is unaffected).
-  return interruption_study(EventFrame::build(events), trace, begin, end);
-}
 
 InterruptionStudy interruption_study(const EventFrame& frame, const sched::JobTrace& trace,
                                      stats::TimeSec begin, stats::TimeSec end) {

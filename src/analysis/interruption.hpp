@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "analysis/event_frame.hpp"
@@ -52,13 +51,9 @@ struct InterruptionStudy {
 /// An event interrupts a job when it is app-fatal (crashes_app) and lands
 /// on one of the job's nodes during its execution.  Only the job's FIRST
 /// interruption counts (the paper's model: the app dies, the allocation
-/// drains).
-[[nodiscard]] InterruptionStudy interruption_study(std::span<const xid::Event> events,
-                                                   const sched::JobTrace& trace,
-                                                   stats::TimeSec begin, stats::TimeSec end);
-/// Frame kernel: reads the time/kind/job/root columns (the frame must
-/// have been built from ground truth, which carries job attribution) with
-/// a precomputed app-fatal lookup table.
+/// drains).  Reads the time/kind/job/root columns (the frame must have
+/// been built from ground truth, which carries job attribution) with a
+/// precomputed app-fatal lookup table.
 [[nodiscard]] InterruptionStudy interruption_study(const EventFrame& frame,
                                                    const sched::JobTrace& trace,
                                                    stats::TimeSec begin, stats::TimeSec end);

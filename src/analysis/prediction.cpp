@@ -36,13 +36,6 @@ namespace {
 
 }  // namespace
 
-FailurePredictor FailurePredictor::fit(std::span<const parse::ParsedEvent> training,
-                                       xid::ErrorKind target, double horizon_s,
-                                       std::uint64_t min_support, bool allow_self) {
-  // Forwarding adapter: the frame kernel below is the one implementation.
-  return fit(EventFrame::build(training), target, horizon_s, min_support, allow_self);
-}
-
 FailurePredictor FailurePredictor::fit(const EventFrame& training, xid::ErrorKind target,
                                        double horizon_s, std::uint64_t min_support,
                                        bool allow_self) {
@@ -90,11 +83,6 @@ FailurePredictor FailurePredictor::fit(const EventFrame& training, xid::ErrorKin
   return predictor;
 }
 
-std::vector<FailurePredictor::Alarm> FailurePredictor::predict(
-    std::span<const parse::ParsedEvent> stream, double threshold) const {
-  return predict(EventFrame::build(stream), threshold);
-}
-
 std::vector<FailurePredictor::Alarm> FailurePredictor::predict(const EventFrame& stream,
                                                                double threshold) const {
   std::array<double, xid::kErrorKindCount> active;
@@ -113,11 +101,6 @@ std::vector<FailurePredictor::Alarm> FailurePredictor::predict(const EventFrame&
     alarms.push_back(Alarm{times[i], kinds[i], probability});
   }
   return alarms;
-}
-
-FailurePredictor::Evaluation FailurePredictor::evaluate(
-    std::span<const parse::ParsedEvent> stream, double threshold) const {
-  return evaluate(EventFrame::build(stream), threshold);
 }
 
 FailurePredictor::Evaluation FailurePredictor::evaluate(const EventFrame& stream,

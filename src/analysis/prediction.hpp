@@ -15,11 +15,9 @@
 //                evaluation slice.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "analysis/event_frame.hpp"
-#include "analysis/events_view.hpp"
 #include "analysis/xid_matrix.hpp"
 
 namespace titan::analysis {
@@ -39,13 +37,9 @@ class FailurePredictor {
   /// Rules with support below `min_support` are discarded (they would be
   /// noise); same-kind rules are kept only when `allow_self` (a burst of
   /// the target predicts more of it, which is true but operationally
-  /// uninteresting).
-  static FailurePredictor fit(std::span<const parse::ParsedEvent> training,
-                              xid::ErrorKind target, double horizon_s,
-                              std::uint64_t min_support = 5, bool allow_self = false);
-  /// Frame kernel: flat per-kind counters over the time/kind columns; the
-  /// learned rule *set* matches the span path (rule order is normalized to
-  /// descending probability with enum order breaking ties).
+  /// uninteresting).  Flat per-kind counters over the time/kind columns;
+  /// rules are ordered by descending probability with enum order breaking
+  /// ties.
   static FailurePredictor fit(const EventFrame& training, xid::ErrorKind target,
                               double horizon_s, std::uint64_t min_support = 5,
                               bool allow_self = false);
@@ -63,8 +57,6 @@ class FailurePredictor {
   };
 
   /// Fire alarms over a stream using rules with probability >= threshold.
-  [[nodiscard]] std::vector<Alarm> predict(std::span<const parse::ParsedEvent> stream,
-                                           double threshold) const;
   [[nodiscard]] std::vector<Alarm> predict(const EventFrame& stream, double threshold) const;
 
   /// Evaluation against ground truth.
@@ -90,10 +82,8 @@ class FailurePredictor {
     }
   };
 
-  [[nodiscard]] Evaluation evaluate(std::span<const parse::ParsedEvent> stream,
-                                    double threshold) const;
-  /// Frame kernel: target times come straight from the frame's per-kind
-  /// CSR slice (zero copy).
+  /// Target times come straight from the frame's per-kind CSR slice (zero
+  /// copy).
   [[nodiscard]] Evaluation evaluate(const EventFrame& stream, double threshold) const;
 
  private:

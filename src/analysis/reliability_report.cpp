@@ -28,23 +28,12 @@ void add_snapshot_counters(SmiConsoleComparison& out, const logsim::SmiSnapshot&
 
 }  // namespace
 
-SmiConsoleComparison smi_console_comparison(std::span<const parse::ParsedEvent> events,
-                                            const logsim::SmiSnapshot& snapshot) {
-  // Forwarding adapter: the frame kernel below is the one implementation.
-  return smi_console_comparison(EventFrame::build(events), snapshot);
-}
-
 SmiConsoleComparison smi_console_comparison(const EventFrame& frame,
                                             const logsim::SmiSnapshot& snapshot) {
   SmiConsoleComparison out;
   out.console_dbe_count = frame.count_of(xid::ErrorKind::kDoubleBitError);
   add_snapshot_counters(out, snapshot);
   return out;
-}
-
-MtbfReport mtbf_report(std::span<const parse::ParsedEvent> events, stats::TimeSec begin,
-                       stats::TimeSec end, double datasheet_fleet_dbe_per_hour) {
-  return mtbf_report(EventFrame::build(events), begin, end, datasheet_fleet_dbe_per_hour);
 }
 
 MtbfReport mtbf_report(const EventFrame& frame, stats::TimeSec begin, stats::TimeSec end,

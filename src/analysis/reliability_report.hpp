@@ -2,10 +2,8 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "analysis/event_frame.hpp"
-#include "analysis/events_view.hpp"
 #include "logsim/smi.hpp"
 #include "stats/reliability.hpp"
 
@@ -26,9 +24,7 @@ struct SmiConsoleComparison {
   }
 };
 
-[[nodiscard]] SmiConsoleComparison smi_console_comparison(
-    std::span<const parse::ParsedEvent> events, const logsim::SmiSnapshot& snapshot);
-/// Frame kernel: the console DBE count is an O(1) CSR lookup.
+/// The console DBE count is an O(1) CSR lookup.
 [[nodiscard]] SmiConsoleComparison smi_console_comparison(const EventFrame& frame,
                                                           const logsim::SmiSnapshot& snapshot);
 
@@ -43,9 +39,6 @@ struct MtbfReport {
 /// `datasheet_fleet_dbe_per_hour` is the vendor-budget fleet-wide DBE
 /// rate; the default models a conservative per-card uncorrectable-error
 /// FIT allocation that predicts roughly one fleet DBE per ~2 days.
-[[nodiscard]] MtbfReport mtbf_report(std::span<const parse::ParsedEvent> events,
-                                     stats::TimeSec begin, stats::TimeSec end,
-                                     double datasheet_fleet_dbe_per_hour = 1.0 / 48.0);
 [[nodiscard]] MtbfReport mtbf_report(const EventFrame& frame, stats::TimeSec begin,
                                      stats::TimeSec end,
                                      double datasheet_fleet_dbe_per_hour = 1.0 / 48.0);

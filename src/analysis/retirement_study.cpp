@@ -4,12 +4,6 @@
 
 namespace titan::analysis {
 
-RetirementDelayStudy retirement_delay_study(std::span<const parse::ParsedEvent> events,
-                                            stats::TimeSec accounting_from) {
-  // Forwarding adapter: the frame kernel below is the one implementation.
-  return retirement_delay_study(EventFrame::build(events), accounting_from);
-}
-
 RetirementDelayStudy retirement_delay_study(const EventFrame& frame,
                                             stats::TimeSec accounting_from) {
   return retirement_delay_study(frame, accounting_from, xid::ErrorKind::kDoubleBitError,

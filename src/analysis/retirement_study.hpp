@@ -9,11 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "analysis/event_frame.hpp"
-#include "analysis/events_view.hpp"
 #include "stats/histogram.hpp"
 
 namespace titan::analysis {
@@ -35,17 +33,14 @@ struct RetirementDelayStudy {
 
 /// Only DBEs occurring after `accounting_from` count ("DBE occurrences
 /// happening only after the period Jan'2014 are accounted toward this
-/// analysis"); pass the new-driver date.
-[[nodiscard]] RetirementDelayStudy retirement_delay_study(
-    std::span<const parse::ParsedEvent> events, stats::TimeSec accounting_from);
-/// Frame kernel: merge-walks only the DBE and retirement CSR slices (by
-/// row id, so stream order -- and hence every tie-break -- is preserved)
-/// instead of scanning the whole stream.
+/// analysis"); pass the new-driver date.  Merge-walks only the DBE and
+/// retirement CSR slices (by row id, so stream order -- and hence every
+/// tie-break -- is preserved) instead of scanning the whole stream.
 [[nodiscard]] RetirementDelayStudy retirement_delay_study(const EventFrame& frame,
                                                           stats::TimeSec accounting_from);
 /// Generalized kernel for fleets whose memory-repair record is not XID 63
 /// (e.g. Ampere row-remapping): `trigger_kind` plays the DBE role,
-/// `repair_kind` the retirement role.  The two-argument overloads forward
+/// `repair_kind` the retirement role.  The two-argument overload forwards
 /// here with the paper's (kDoubleBitError, kPageRetirement) pair.
 [[nodiscard]] RetirementDelayStudy retirement_delay_study(const EventFrame& frame,
                                                           stats::TimeSec accounting_from,

@@ -6,11 +6,6 @@
 
 namespace titan::analysis {
 
-stats::Grid2D cabinet_heatmap(std::span<const parse::ParsedEvent> events, xid::ErrorKind kind) {
-  // Forwarding adapter: the frame kernel below is the one implementation.
-  return cabinet_heatmap(EventFrame::build(events), kind);
-}
-
 stats::Grid2D cabinet_heatmap(const EventFrame& frame, xid::ErrorKind kind) {
   stats::Grid2D grid{static_cast<std::size_t>(topology::kCabinetGridY),
                      static_cast<std::size_t>(topology::kCabinetGridX)};
@@ -31,12 +26,6 @@ double CageDistribution::top_to_bottom_ratio() const noexcept {
   const auto top = event_counts.back();
   if (bottom == 0) return top > 0 ? std::numeric_limits<double>::infinity() : 1.0;
   return static_cast<double>(top) / static_cast<double>(bottom);
-}
-
-CageDistribution cage_distribution(std::span<const parse::ParsedEvent> events,
-                                   xid::ErrorKind kind, const gpu::FleetLedger& ledger) {
-  // Forwarding adapter: the card join happens once, at frame build.
-  return cage_distribution(EventFrame::build(events, &ledger), kind);
 }
 
 CageDistribution cage_distribution(const EventFrame& frame, xid::ErrorKind kind) {
@@ -64,11 +53,6 @@ double StructureBreakdown::share(xid::MemoryStructure s) const noexcept {
   const auto t = total();
   if (t == 0) return 0.0;
   return static_cast<double>(counts[static_cast<std::size_t>(s)]) / static_cast<double>(t);
-}
-
-StructureBreakdown structure_breakdown(std::span<const parse::ParsedEvent> events,
-                                       xid::ErrorKind kind) {
-  return structure_breakdown(EventFrame::build(events), kind);
 }
 
 StructureBreakdown structure_breakdown(const EventFrame& frame, xid::ErrorKind kind) {

@@ -4,22 +4,16 @@
 #pragma once
 
 #include <array>
-#include <span>
 
 #include "analysis/event_frame.hpp"
-#include "analysis/events_view.hpp"
-#include "gpu/fleet.hpp"
 #include "stats/histogram.hpp"
 #include "topology/machine.hpp"
 
 namespace titan::analysis {
 
 /// Cabinet-grid (kCabinetGridY rows x kCabinetGridX columns) event-count
-/// heatmap for one kind.  Grid rows are cab_y, columns cab_x.
-[[nodiscard]] stats::Grid2D cabinet_heatmap(std::span<const parse::ParsedEvent> events,
-                                            xid::ErrorKind kind);
-/// Frame kernel: reads the precomputed location column over the kind's
-/// CSR slice instead of re-running topology::locate per event.
+/// heatmap for one kind.  Grid rows are cab_y, columns cab_x.  Reads the
+/// precomputed location column over the kind's CSR slice.
 [[nodiscard]] stats::Grid2D cabinet_heatmap(const EventFrame& frame, xid::ErrorKind kind);
 
 /// Cage-position distribution of one kind.
@@ -33,14 +27,10 @@ struct CageDistribution {
   [[nodiscard]] double top_to_bottom_ratio() const noexcept;
 };
 
-/// Counts events per cage and, via the fleet ledger, the number of
-/// distinct cards that ever raised the kind in each cage ("counting only
-/// one DBE error per card ... shows that the trend only gets stronger").
-[[nodiscard]] CageDistribution cage_distribution(std::span<const parse::ParsedEvent> events,
-                                                 xid::ErrorKind kind,
-                                                 const gpu::FleetLedger& ledger);
-/// Frame kernel: the card join was already paid at frame build (the frame
-/// must have been built with the ledger).
+/// Counts events per cage and, via the ledger-joined card column, the
+/// number of distinct cards that ever raised the kind in each cage
+/// ("counting only one DBE error per card ... shows that the trend only
+/// gets stronger").  The frame must have been built with the ledger.
 [[nodiscard]] CageDistribution cage_distribution(const EventFrame& frame, xid::ErrorKind kind);
 
 /// Per-structure breakdown of ECC events (Fig. 3(c)): counts by decoded
@@ -52,8 +42,6 @@ struct StructureBreakdown {
   [[nodiscard]] double share(xid::MemoryStructure s) const noexcept;
 };
 
-[[nodiscard]] StructureBreakdown structure_breakdown(std::span<const parse::ParsedEvent> events,
-                                                     xid::ErrorKind kind);
 [[nodiscard]] StructureBreakdown structure_breakdown(const EventFrame& frame,
                                                      xid::ErrorKind kind);
 

@@ -24,14 +24,6 @@ std::vector<std::string> FollowMatrix::labels() const {
   return out;
 }
 
-FollowMatrix follow_matrix(std::span<const parse::ParsedEvent> events,
-                           std::span<const xid::ErrorKind> kinds_of_interest, double window_s,
-                           bool include_same_type) {
-  // Forwarding adapter: the frame kernel below is the one implementation.
-  return follow_matrix(EventFrame::build(events), kinds_of_interest, window_s,
-                       include_same_type);
-}
-
 FollowMatrix follow_matrix(const EventFrame& frame,
                            std::span<const xid::ErrorKind> kinds_of_interest, double window_s,
                            bool include_same_type) {

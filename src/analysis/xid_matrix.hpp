@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "analysis/event_frame.hpp"
-#include "analysis/events_view.hpp"
 #include "stats/histogram.hpp"
 
 namespace titan::analysis {
@@ -32,11 +31,7 @@ struct FollowMatrix {
 /// Compute the following-failure matrix over all kinds present in
 /// `kinds_of_interest`.  `include_same_type` false zeroes the diagonal's
 /// contribution by skipping same-kind followers (the paper's bottom
-/// heatmap).
-[[nodiscard]] FollowMatrix follow_matrix(std::span<const parse::ParsedEvent> events,
-                                         std::span<const xid::ErrorKind> kinds_of_interest,
-                                         double window_s, bool include_same_type);
-/// Frame kernel: one right-to-left pass over the time/kind columns in
+/// heatmap).  One right-to-left pass over the time/kind columns in
 /// O(N*K + N log N) for N rows and K kinds, independent of how many rows
 /// share a window.  It keeps the nearest later row of each kind and finds
 /// where a forward window scan would break (the first later row at or past

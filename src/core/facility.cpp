@@ -1,6 +1,5 @@
 #include "core/facility.hpp"
 
-#include "logsim/console.hpp"
 #include "stats/rng.hpp"
 
 namespace titan::core {
@@ -58,7 +57,9 @@ StudyDataset run_study(const FacilityConfig& config) {
   auto campaign = fault::run_fault_campaign(fleet, std::move(traits), workload.trace,
                                             config.campaign, master.fork("faults"));
 
-  // 4. Logging: serialize what the SMW and nvidia-smi actually see.
+  // 4. Logging: the end-of-study nvidia-smi sweep (Figs. 14/15).  The
+  // console log is rendered from the event stream when a dataset is
+  // written (logsim::emit_console_log), never held here.
   StudyDataset dataset{config,
                        std::move(workload.trace),
                        std::move(workload.deadlines),
@@ -69,13 +70,9 @@ StudyDataset run_study(const FacilityConfig& config) {
                        std::move(campaign.sbe_strikes),
                        std::move(campaign.hot_spare_actions),
                        campaign.bad_node,
-                       {},
                        {}};
-  dataset.console_log = logsim::emit_console_log(dataset.events, *config.profile);
-  if (config.take_final_snapshot) {
-    dataset.final_snapshot = logsim::take_snapshot(dataset.fleet, config.period.end - 1,
-                                                   config.campaign.thermal);
-  }
+  dataset.final_snapshot =
+      logsim::take_snapshot(dataset.fleet, config.period.end - 1, config.campaign.thermal);
   return dataset;
 }
 

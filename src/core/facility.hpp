@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "fault/campaign.hpp"
@@ -35,9 +34,6 @@ struct FacilityConfig {
   /// apply_profile to switch: it also copies the profile's fault
   /// calibration into campaign.model.
   const profile::FleetProfile* profile = &profile::k20x_titan();
-
-  /// Take the end-of-study fleet-wide nvidia-smi snapshot (Figs. 14/15).
-  bool take_final_snapshot = true;
 };
 
 /// Point `config` at `profile` and adopt its fault calibration (overwrites
@@ -69,7 +65,6 @@ struct StudyDataset {
   std::vector<fault::HotSpareAction> hot_spare_actions;
   topology::NodeId bad_node = topology::kInvalidNode;
 
-  std::vector<std::string> console_log;      ///< what the SMW recorded
   logsim::SmiSnapshot final_snapshot;        ///< end-of-study smi sweep
 };
 

@@ -99,7 +99,7 @@ ShardEventColumns ShardedStudy::shard_events(std::size_t shard) {
       [&](std::size_t s, std::size_t i) {
         const auto& ev = stream_events(s)[order[s][i]];
         // Console-recoverable view: SBEs never reach the log (the same
-        // downgrade analysis::as_parsed applies on the unsharded path).
+        // downgrade EventFrame::build applies on the unsharded path).
         if (ev.kind == xid::ErrorKind::kSingleBitError) return;
         out.times.push_back(ev.time);
         out.nodes.push_back(ev.node);

@@ -14,21 +14,22 @@
 // at all.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "profile/fleet_profile.hpp"
+#include "stats/calendar.hpp"
+#include "topology/machine.hpp"
 #include "xid/event.hpp"
 
 namespace titan::logsim {
 
-/// Serialize one event to its console line.  The profile overloads use the
-/// fleet's own description wording (for k20x-titan this is byte-identical
-/// to the global taxonomy wording); the profile-free forms keep the
-/// historical Titan behaviour.
+/// Serialize one event to its console line.  The profile overloads below
+/// use the fleet's own description wording (for k20x-titan this is
+/// byte-identical to the global taxonomy wording); the profile-free forms
+/// keep the historical Titan behaviour.
 [[nodiscard]] std::string console_line(const xid::Event& event);
-[[nodiscard]] std::string console_line(const xid::Event& event,
-                                       const profile::FleetProfile& profile);
 
 /// Serialize into `buffer` (cleared first) instead of allocating a fresh
 /// string -- the emitter reuses one buffer per worker chunk.
@@ -41,5 +42,14 @@ void console_line_into(const xid::Event& event, const profile::FleetProfile& pro
 [[nodiscard]] std::vector<std::string> emit_console_log(const std::vector<xid::Event>& events);
 [[nodiscard]] std::vector<std::string> emit_console_log(const std::vector<xid::Event>& events,
                                                         const profile::FleetProfile& profile);
+
+/// Serialize an event stream held as columns (an EventFrame's base
+/// columns), one line per row: every row is already console-visible.  The
+/// spans must have equal lengths.  Same chunked parallel loop and bytes as
+/// the event-vector form.
+[[nodiscard]] std::vector<std::string> emit_console_log(
+    std::span<const stats::TimeSec> times, std::span<const topology::NodeId> nodes,
+    std::span<const xid::ErrorKind> kinds, std::span<const xid::MemoryStructure> structures,
+    const profile::FleetProfile& profile);
 
 }  // namespace titan::logsim

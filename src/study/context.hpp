@@ -1,13 +1,14 @@
 // StudyContext: everything one reliability study runs over, built once by
 // a StudySource and shared (read-only) by every analysis kernel.
 //
-// The context is the repo's single ingestion product: the parsed event
-// stream, the EventFrame columnar index (built exactly once, with the
-// fleet-ledger card join when a fleet is known), the study period, and
-// whatever side artifacts the source could provide (nvidia-smi sweep,
-// job accounting, simulator ground truth).  Capability bits record which
-// side artifacts exist, so the AnalysisRegistry can decide -- per kernel,
-// not per source type -- what is runnable.  Kernels consume only what
+// The context is the repo's single ingestion product: the EventFrame
+// (the study's one event representation, built exactly once -- with the
+// fleet-ledger card join when a fleet is known, and the job/root columns
+// when ground truth is), the study period, and whatever side artifacts
+// the source could provide (nvidia-smi sweep, job accounting, simulator
+// ground truth).  Capability bits record which side artifacts exist, so
+// the AnalysisRegistry can decide -- per kernel, not per source type --
+// what is runnable.  Kernels consume only what
 // their declared capabilities cover, which is what makes a simulated
 // study and a dataset round-trip of the same seed produce byte-identical
 // reports on the shared capability set.
@@ -24,7 +25,6 @@
 #include "profile/fleet_profile.hpp"
 #include "logsim/joblog.hpp"
 #include "logsim/smi.hpp"
-#include "parse/console.hpp"
 #include "stats/calendar.hpp"
 
 namespace titan::study {
@@ -32,11 +32,11 @@ namespace titan::study {
 /// What a StudyContext can feed an analysis kernel.  Sources set the
 /// union of what they loaded; registry entries declare what they need.
 enum Capability : unsigned {
-  kEvents = 1U << 0,       ///< parsed console events + EventFrame
-  kLedger = 1U << 1,       ///< frame built with the fleet-ledger card join
+  kEvents = 1U << 0,       ///< the frame's base columns and per-kind index
+  kLedger = 1U << 1,       ///< the frame's fleet-ledger card column
   kSnapshot = 1U << 2,     ///< end-of-study nvidia-smi sweep
   kTrace = 1U << 3,        ///< full job trace with node placement
-  kGroundTruth = 1U << 4,  ///< truth frame with job/root attribution
+  kGroundTruth = 1U << 4,  ///< the frame's job/root attribution columns
   kStrikes = 1U << 5,      ///< raw SBE strike stream (simulator-only)
 };
 
@@ -52,9 +52,9 @@ struct StudyContext {
   /// manifest otherwise.
   stats::TimeSec accounting_from = 0;
 
-  /// Console-recoverable event stream, time-sorted (SBEs never appear).
-  std::vector<parse::ParsedEvent> events;
-  /// Columnar index over `events`, built once at load.
+  /// The console-recoverable event stream (time-sorted, SBEs never
+  /// appear) as columns, built once at load.  Card column valid iff
+  /// kLedger; job/root columns valid iff kGroundTruth.
   analysis::EventFrame frame;
 
   /// End-of-study nvidia-smi sweep (valid iff kSnapshot).
@@ -65,9 +65,6 @@ struct StudyContext {
 
   /// Simulator ground truth (simulated sources only).
   std::optional<core::StudyDataset> truth;
-  /// Frame over ground-truth events, job/root columns populated (empty
-  /// unless kGroundTruth).
-  analysis::EventFrame truth_frame;
 
   /// Ingestion accounting, for CLI preambles.
   struct LoadStats {

@@ -33,15 +33,12 @@ class JsonValue {
   template <std::floating_point T>
   JsonValue(T v) noexcept : value_{static_cast<double>(v)} {}  // NOLINT(google-explicit-constructor)
 
+  // Initialized in place, never default-constructed then assigned: the
+  // assignment form trips GCC 12's -Wmaybe-uninitialized false positive
+  // on the variant's string/vector storage under -fsanitize=address.
   template <std::integral T>
     requires(!std::same_as<T, bool>)
-  JsonValue(T v) noexcept {  // NOLINT(google-explicit-constructor)
-    if constexpr (std::signed_integral<T>) {
-      value_ = static_cast<std::int64_t>(v);
-    } else {
-      value_ = static_cast<std::uint64_t>(v);
-    }
-  }
+  JsonValue(T v) noexcept : value_{widen(v)} {}  // NOLINT(google-explicit-constructor)
 
   [[nodiscard]] static JsonValue object() {
     JsonValue v;
@@ -87,6 +84,16 @@ class JsonValue {
   friend bool operator==(const JsonValue& a, const JsonValue& b) = default;
 
  private:
+  /// Signed integers widen to int64, unsigned ones to uint64.
+  template <std::integral T>
+  [[nodiscard]] static constexpr auto widen(T v) noexcept {
+    if constexpr (std::signed_integral<T>) {
+      return static_cast<std::int64_t>(v);
+    } else {
+      return static_cast<std::uint64_t>(v);
+    }
+  }
+
   std::variant<std::nullptr_t, bool, std::int64_t, std::uint64_t, double, std::string, Array,
                Object>
       value_;

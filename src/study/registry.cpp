@@ -249,7 +249,7 @@ AnalysisResult kernel_retirement(const StudyContext& context) {
 AnalysisResult kernel_interruption(const StudyContext& context) {
   AnalysisResult out{.name = "interruption", .text = {}, .json = JsonValue::object()};
   const auto interrupts = analysis::interruption_study(
-      context.truth_frame, context.trace(), context.period.begin, context.period.end);
+      context.frame, context.trace(), context.period.begin, context.period.end);
 
   out.text += "jobs: " + std::to_string(interrupts.total_jobs) + ", interrupted: " +
               std::to_string(interrupts.interrupted_jobs) + " (" +
@@ -288,19 +288,15 @@ AnalysisResult kernel_interruption(const StudyContext& context) {
 
 AnalysisResult kernel_prediction(const StudyContext& context) {
   AnalysisResult out{.name = "prediction", .text = {}, .json = JsonValue::object()};
-  const auto& events = context.events;
-  const auto half = events.size() / 2;
+  const auto& frame = context.frame;
+  const auto half = frame.size() / 2;
   constexpr double kHorizonS = 3600.0;
   constexpr double kThreshold = 0.1;
   // One half-stream frame at a time: the predictor keeps only its rules,
   // so the training frame is freed before the evaluation frame is built.
-  const auto predictor = analysis::FailurePredictor::fit(
-      analysis::EventFrame::build(std::span<const parse::ParsedEvent>{events.data(), half}),
-      ErrorKind::kDoubleBitError, kHorizonS);
-  const auto evaluation = predictor.evaluate(
-      analysis::EventFrame::build(
-          std::span<const parse::ParsedEvent>{events.data() + half, events.size() - half}),
-      kThreshold);
+  const auto predictor = analysis::FailurePredictor::fit(frame.slice(0, half),
+                                                         ErrorKind::kDoubleBitError, kHorizonS);
+  const auto evaluation = predictor.evaluate(frame.slice(half, frame.size() - half), kThreshold);
 
   const std::vector<std::string> header = {"precursor", "P(DBE within 1 h)", "support"};
   std::vector<std::vector<std::string>> rows;
@@ -460,17 +456,15 @@ AnalysisResult kernel_workload_char(const StudyContext& context) {
 }
 
 /// Translate a registry capability mask into the EventFrame column groups
-/// it licenses.  kEvents buys the base columns of the console frame;
-/// kGroundTruth additionally buys the truth frame (base + job/root
-/// attribution); kLedger buys the card join.  The guard is per-thread,
-/// not per-frame, so both frames share one mask.
+/// it licenses: kEvents buys the base columns, kLedger the card join and
+/// kGroundTruth the job/root attribution.  The guard is per-thread, not
+/// per-frame, so frames a kernel builds from context columns share the
+/// mask.
 unsigned guard_columns(unsigned needs) {
   unsigned columns = 0;
   if ((needs & kEvents) != 0) columns |= analysis::kColumnBase;
   if ((needs & kLedger) != 0) columns |= analysis::kColumnCards;
-  if ((needs & kGroundTruth) != 0) {
-    columns |= analysis::kColumnBase | analysis::kColumnJobs;
-  }
+  if ((needs & kGroundTruth) != 0) columns |= analysis::kColumnJobs;
   return columns;
 }
 
@@ -489,8 +483,8 @@ const AnalysisRegistry& AnalysisRegistry::standard() {
            kSnapshot, kernel_sbe_study});
     r.add({"retirement", "DBE-to-retirement delay buckets (Fig. 8, Obs. 5)", kEvents,
            kernel_retirement});
-    r.add({"interruption", "application interruption impact by job size", kGroundTruth | kTrace,
-           kernel_interruption});
+    r.add({"interruption", "application interruption impact by job size",
+           kEvents | kGroundTruth | kTrace, kernel_interruption});
     r.add({"prediction", "precursor-rule DBE prediction (train/eval split)", kEvents,
            kernel_prediction});
     r.add({"utilization", "utilization vs SBE correlations (Figs. 16-20)", kTrace | kStrikes,

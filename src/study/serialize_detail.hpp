@@ -14,9 +14,9 @@
 
 namespace titan::study::detail {
 
-/// Console lines of the context: the simulator's exact log when ground
-/// truth is present, else the console-recoverable view re-serialized (the
-/// same event stream either way).
+/// Console lines of the context, rendered from the frame's base columns
+/// under the context's fleet profile (parallel, byte-identical at any
+/// width).
 [[nodiscard]] std::vector<std::string> console_lines_of(const StudyContext& context);
 
 /// Job lines of the context (ground-truth trace, else the loaded job log).

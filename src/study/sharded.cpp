@@ -248,13 +248,14 @@ ShardedWriteStats write_sharded_dataset(const StudyContext& context,
   ckpt::save_study_checkpoint(intent, dir);
 
   const bool have_jobs = context.truth.has_value() || !context.job_log.empty();
-  const bool have_smi = context.truth.has_value() || context.has(kSnapshot);
+  const bool have_smi = context.has(kSnapshot);
   auto manifest = manifest_header(context.period.begin, context.period.end,
                                   context.accounting_from, *context.profile, shard_count);
 
   ShardedWriteStats out;
   out.shards = shard_count;
-  const std::size_t total = context.events.size();
+  const auto& frame = context.frame;
+  const std::size_t total = frame.size();
   for (std::size_t s = 0; s < shard_count; ++s) {
     // Even contiguous split: the stream is time-sorted, so the loader's
     // (time, shard) merge reduces to concatenation and any bounds work.
@@ -267,17 +268,14 @@ ShardedWriteStats write_sharded_dataset(const StudyContext& context,
     data.accounting_from = context.accounting_from;
     data.profile_name = std::string{context.profile->name};
     data.profile_hash = context.profile->content_hash();
-    data.times.reserve(hi - lo);
-    data.nodes.reserve(hi - lo);
-    data.kinds.reserve(hi - lo);
-    data.structures.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const auto& e = context.events[i];
-      data.times.push_back(e.time);
-      data.nodes.push_back(e.node);
-      data.kinds.push_back(e.kind);
-      data.structures.push_back(e.structure);
-    }
+    const auto slice = [&](auto column) {
+      const auto part = column.subspan(lo, hi - lo);
+      return std::vector(part.begin(), part.end());
+    };
+    data.times = slice(frame.times());
+    data.nodes = slice(frame.nodes());
+    data.kinds = slice(frame.kinds());
+    data.structures = slice(frame.structures());
 
     if (s + 1 == shard_count) {
       if (have_jobs) {

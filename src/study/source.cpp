@@ -8,7 +8,6 @@
 #include <string_view>
 #include <utility>
 
-#include "analysis/events_view.hpp"
 #include "ckpt/study_ckpt.hpp"
 #include "faulttest/faulttest.hpp"
 #include "logsim/console.hpp"
@@ -126,8 +125,7 @@ ingest::ManifestIngest load_manifest(const fs::path& dir, IngestPolicy policy,
 }
 
 /// The binary load path: mmap dataset.tdf, decode its columns, and build
-/// the EventFrame straight from them (no text parsing, no ParsedEvent
-/// intermediate for the frame).
+/// the EventFrame straight from them (no text parsing, no row copy).
 StudyContext load_binary(const fs::path& dir, const fs::path& tdf_path, IngestPolicy policy,
                          IngestReport& report, const profile::FleetProfile* expected) {
   const auto manifest = load_manifest(dir, policy, report, /*skip_tdf=*/true);
@@ -141,13 +139,6 @@ StudyContext load_binary(const fs::path& dir, const fs::path& tdf_path, IngestPo
   StudyContext context;
   context.frame = analysis::EventFrame::from_columns(data.times, data.nodes, data.kinds,
                                                      data.structures);
-  // The row view is still materialized (some kernels and the differential
-  // tests consume it), but from decoded columns -- no text in the loop.
-  context.events.resize(data.times.size());
-  for (std::size_t i = 0; i < data.times.size(); ++i) {
-    context.events[i] =
-        parse::ParsedEvent{data.times[i], data.nodes[i], data.kinds[i], data.structures[i]};
-  }
   context.capabilities = kEvents;
 
   // Study window: the container's meta segment is authoritative (it is
@@ -301,10 +292,6 @@ StudyContext load_sharded(const fs::path& dir, IngestPolicy policy, IngestReport
 
   StudyContext context;
   context.frame = analysis::EventFrame::from_columns(times, nodes, kinds, structures);
-  context.events.resize(times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    context.events[i] = parse::ParsedEvent{times[i], nodes[i], kinds[i], structures[i]};
-  }
   context.capabilities = kEvents;
 
   // Study window: the shards' (agreeing) meta segments are authoritative,
@@ -368,24 +355,27 @@ StudyContext load_text(const fs::path& dir, IngestPolicy policy, IngestReport& r
   const auto manifest = load_manifest(dir, policy, report);
 
   StudyContext context;
-  auto console = ingest::ingest_console_text(read_all(console_path), "console.log", policy,
-                                             report);
-  context.load_stats.console_lines = console.lines;
-  context.load_stats.malformed_lines = console.malformed;
-  context.load_stats.unrelated_lines = console.unrelated;
-  context.events = std::move(console.events);
-  if (context.events.empty()) {
-    throw ingest::IngestError{"console.log", 0, TriageCode::kNoEvents,
-                              "dataset at " + dir.string() + " contains no console events"};
+  {
+    // The ingest's row vector lives only until the frame is built from it.
+    const auto console = ingest::ingest_console_text(read_all(console_path), "console.log",
+                                                     policy, report);
+    context.load_stats.console_lines = console.lines;
+    context.load_stats.malformed_lines = console.malformed;
+    context.load_stats.unrelated_lines = console.unrelated;
+    if (console.events.empty()) {
+      throw ingest::IngestError{"console.log", 0, TriageCode::kNoEvents,
+                                "dataset at " + dir.string() + " contains no console events"};
+    }
+    context.frame =
+        analysis::EventFrame::build(std::span<const parse::ParsedEvent>{console.events});
   }
-  context.frame =
-      analysis::EventFrame::build(std::span<const parse::ParsedEvent>{context.events});
   context.capabilities = kEvents;
 
   // Study window: manifest claims, else the event stream's span (foreign
   // datasets without a manifest).
-  context.period.begin = manifest.have_begin ? manifest.begin : context.events.front().time;
-  context.period.end = manifest.have_end ? manifest.end : context.events.back().time + 1;
+  const auto times = context.frame.times();
+  context.period.begin = manifest.have_begin ? manifest.begin : times.front();
+  context.period.end = manifest.have_end ? manifest.end : times.back() + 1;
   context.accounting_from =
       manifest.have_accounting ? manifest.accounting : context.period.begin;
 
@@ -454,19 +444,16 @@ StudyContext SimulatedSource::load() const {
   context.profile = truth.config.profile;
   context.period = truth.config.period;
   context.accounting_from = truth.config.campaign.timeline.new_driver;
-  context.events = analysis::as_parsed(truth.events);
-  context.frame = analysis::EventFrame::build(
-      std::span<const parse::ParsedEvent>{context.events}, &truth.fleet.ledger());
-  context.truth_frame = analysis::EventFrame::build(std::span<const xid::Event>{truth.events},
-                                                    &truth.fleet.ledger());
+  context.frame = analysis::EventFrame::build(std::span<const xid::Event>{truth.events},
+                                              &truth.fleet.ledger());
   context.snapshot = truth.final_snapshot;
 
-  context.load_stats.console_lines = truth.console_log.size();
+  // One console line per frame row, once the log is rendered.
+  context.load_stats.console_lines = context.frame.size();
   context.load_stats.job_lines = truth.trace.jobs().size();
   context.load_stats.smi_blocks = truth.final_snapshot.records.size();
 
-  context.capabilities = kEvents | kLedger | kTrace | kGroundTruth | kStrikes;
-  if (truth.config.take_final_snapshot) context.capabilities |= kSnapshot;
+  context.capabilities = kEvents | kLedger | kSnapshot | kTrace | kGroundTruth | kStrikes;
   return context;
 }
 
@@ -496,18 +483,9 @@ StudyContext DatasetSource::load() const {
 namespace detail {
 
 std::vector<std::string> console_lines_of(const StudyContext& context) {
-  if (context.truth) return context.truth->console_log;
-  std::vector<std::string> lines;
-  lines.reserve(context.events.size());
-  for (const auto& e : context.events) {
-    xid::Event event;
-    event.time = e.time;
-    event.node = e.node;
-    event.kind = e.kind;
-    event.structure = e.structure;
-    lines.push_back(logsim::console_line(event, *context.profile));
-  }
-  return lines;
+  const auto& frame = context.frame;
+  return logsim::emit_console_log(frame.times(), frame.nodes(), frame.kinds(),
+                                  frame.structures(), *context.profile);
 }
 
 std::vector<std::string> job_lines_of(const StudyContext& context) {
@@ -560,7 +538,7 @@ void write_dataset(const StudyContext& context, const std::filesystem::path& dir
   // byte-identical contexts (the text path quantizes at write time; the
   // binary path must not keep more precision than that).
   const bool have_jobs = context.truth.has_value() || !context.job_log.empty();
-  const bool have_smi = context.truth.has_value() || context.has(kSnapshot);
+  const bool have_smi = context.has(kSnapshot);
 
   std::vector<std::string> manifest = {
       std::string{ingest::kDatasetManifestHeader},
@@ -596,16 +574,11 @@ void write_dataset(const StudyContext& context, const std::filesystem::path& dir
     data.accounting_from = context.accounting_from;
     data.profile_name = std::string{context.profile->name};
     data.profile_hash = context.profile->content_hash();
-    data.times.reserve(context.events.size());
-    data.nodes.reserve(context.events.size());
-    data.kinds.reserve(context.events.size());
-    data.structures.reserve(context.events.size());
-    for (const auto& e : context.events) {
-      data.times.push_back(e.time);
-      data.nodes.push_back(e.node);
-      data.kinds.push_back(e.kind);
-      data.structures.push_back(e.structure);
-    }
+    const auto& frame = context.frame;
+    data.times.assign(frame.times().begin(), frame.times().end());
+    data.nodes.assign(frame.nodes().begin(), frame.nodes().end());
+    data.kinds.assign(frame.kinds().begin(), frame.kinds().end());
+    data.structures.assign(frame.structures().begin(), frame.structures().end());
     if (have_jobs) {
       data.has_jobs = true;
       data.jobs = detail::quantized_jobs(context);

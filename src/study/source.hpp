@@ -33,10 +33,10 @@ class StudySource {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Runs core::run_study and downgrades the ground truth to the
-/// console-recoverable view (plus the truth frame for ground-truth-only
-/// kernels).  Capabilities: events, ledger, snapshot, trace, ground
-/// truth, strikes.
+/// Runs core::run_study and builds the context's one frame from the
+/// ground-truth events: the console-recoverable view (SBEs dropped) with
+/// the fleet-ledger card join and the job/root attribution columns.
+/// Capabilities: events, ledger, snapshot, trace, ground truth, strikes.
 class SimulatedSource final : public StudySource {
  public:
   explicit SimulatedSource(core::FacilityConfig config) : config_{config} {}
@@ -105,12 +105,12 @@ enum class DatasetFormat : std::uint8_t {
 /// manifest.txt.  Either way the manifest carries the period, the
 /// retirement accounting cutoff and FNV-1a content checksums (verified by
 /// DatasetSource::load), so a round-trip reproduces the source report
-/// bytes.  Contexts with ground truth serialize the exact simulator
-/// console log; contexts without (e.g. a loaded dataset being converted)
-/// serialize the console-recoverable view, which is the same event
-/// stream.  Doubles (job utilization, smi temperatures) are quantized to
-/// the text serialization's precision in both formats, so text and binary
-/// datasets of one context load byte-identically.
+/// bytes.  The events come from the frame's base columns, whatever the
+/// source: console.log is rendered from them at write time, under the
+/// context's fleet profile.  The smi sweep is written iff the context has
+/// kSnapshot.  Doubles (job utilization, smi temperatures) are quantized
+/// to the text serialization's precision in both formats, so text and
+/// binary datasets of one context load byte-identically.
 ///
 /// Every file is written atomically (tmp + fsync + rename) with the
 /// manifest last, so a crash mid-write can never leave a directory that

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <span>
 #include <vector>
 
-#include "analysis/events_view.hpp"
 #include "par/pool.hpp"
 
 namespace titan::analysis {
@@ -40,10 +40,21 @@ using xid::ErrorKind;
   return events;
 }
 
+/// Naive oracle for the console view of ground truth: SBEs dropped, the
+/// rest copied row by row in stream order.
+[[nodiscard]] std::vector<parse::ParsedEvent> console_rows(const std::vector<xid::Event>& events) {
+  std::vector<parse::ParsedEvent> out;
+  for (const auto& e : events) {
+    if (e.kind == ErrorKind::kSingleBitError) continue;
+    out.push_back(parse::ParsedEvent{e.time, e.node, e.kind, e.structure});
+  }
+  return out;
+}
+
 TEST(EventFrame, ColumnsMatchSource) {
   const auto events = make_stream(500);
   const auto frame = EventFrame::build(events);
-  const auto parsed = as_parsed(events);  // the console view: SBEs dropped
+  const auto parsed = console_rows(events);
 
   ASSERT_EQ(frame.size(), parsed.size());
   for (std::size_t i = 0; i < frame.size(); ++i) {
@@ -54,11 +65,50 @@ TEST(EventFrame, ColumnsMatchSource) {
     EXPECT_EQ(topology::node_id(frame.locations()[i]), parsed[i].node);
     EXPECT_EQ(frame.month_ordinals()[i],
               stats::month_ordinal(stats::to_civil(parsed[i].time).date));
-    const auto row = frame.row(i);
-    EXPECT_EQ(row.time, parsed[i].time);
-    EXPECT_EQ(row.node, parsed[i].node);
-    EXPECT_EQ(row.kind, parsed[i].kind);
-    EXPECT_EQ(row.structure, parsed[i].structure);
+  }
+}
+
+TEST(EventFrame, GroundTruthBuildDropsSbe) {
+  std::vector<xid::Event> events(2);
+  events[0].kind = ErrorKind::kSingleBitError;
+  events[1].kind = ErrorKind::kDoubleBitError;
+  events[1].time = 42;
+  events[1].node = 7;
+  events[1].structure = xid::MemoryStructure::kRegisterFile;
+  const auto frame = EventFrame::build(events);
+  ASSERT_EQ(frame.size(), 1U);
+  EXPECT_EQ(frame.kinds()[0], ErrorKind::kDoubleBitError);
+  EXPECT_EQ(frame.times()[0], 42);
+  EXPECT_EQ(frame.nodes()[0], 7);
+  EXPECT_EQ(frame.structures()[0], xid::MemoryStructure::kRegisterFile);
+}
+
+TEST(EventFrame, KindSliceCountsAndTimes) {
+  std::vector<parse::ParsedEvent> events;
+  for (const auto& [time, kind] : {std::pair{1, ErrorKind::kOffTheBus},
+                                   std::pair{2, ErrorKind::kDoubleBitError},
+                                   std::pair{3, ErrorKind::kOffTheBus}}) {
+    events.push_back(parse::ParsedEvent{time, 5, kind, xid::MemoryStructure::kNone});
+  }
+  const auto frame = EventFrame::build(std::span<const parse::ParsedEvent>{events});
+  EXPECT_EQ(frame.count_of(ErrorKind::kOffTheBus), 2U);
+  const auto times = frame.times_of(ErrorKind::kOffTheBus);
+  EXPECT_EQ(std::vector<stats::TimeSec>(times.begin(), times.end()),
+            (std::vector<stats::TimeSec>{1, 3}));
+}
+
+TEST(EventFrame, SliceEqualsParsedBuild) {
+  // A slice of a frame (how the prediction kernel splits the stream)
+  // equals the frame built from the same rows as ParsedEvents.
+  const auto events = make_stream(5000);
+  const auto whole = EventFrame::build(events);
+  const auto parsed = console_rows(events);
+  const std::size_t half = whole.size() / 2;
+  for (const auto& [offset, count] :
+       {std::pair{std::size_t{0}, half}, std::pair{half, whole.size() - half},
+        std::pair{std::size_t{0}, whole.size()}}) {
+    EXPECT_EQ(whole.slice(offset, count),
+              EventFrame::build(std::span<const parse::ParsedEvent>{parsed}.subspan(offset, count)));
   }
 }
 
@@ -77,7 +127,7 @@ TEST(EventFrame, GroundTruthKeepsJobAndRootColumns) {
 
 TEST(EventFrame, ParsedBuildHasNoJobAttribution) {
   const auto events = make_stream(50);
-  const auto parsed = as_parsed(events);
+  const auto parsed = console_rows(events);
   const auto frame = EventFrame::build(std::span<const parse::ParsedEvent>{parsed});
   for (std::size_t i = 0; i < frame.size(); ++i) {
     EXPECT_EQ(frame.jobs()[i], xid::kNoJob);

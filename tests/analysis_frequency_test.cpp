@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace titan::analysis {
 namespace {
 
 using parse::ParsedEvent;
 using xid::ErrorKind;
+
+EventFrame frame_of(const std::vector<ParsedEvent>& events) {
+  return EventFrame::build(std::span<const ParsedEvent>{events});
+}
 
 ParsedEvent ev(stats::TimeSec t, ErrorKind kind) {
   ParsedEvent e;
@@ -25,7 +32,7 @@ TEST(Frequency, MonthlyCountsOnlyMatchingKind) {
       ev(kBegin + 200, ErrorKind::kOffTheBus),
       ev(kBegin + 40 * stats::kSecondsPerDay, ErrorKind::kDoubleBitError),
   };
-  const auto series = monthly_frequency(events, ErrorKind::kDoubleBitError, kBegin, kEnd);
+  const auto series = monthly_frequency(frame_of(events), ErrorKind::kDoubleBitError, kBegin, kEnd);
   ASSERT_EQ(series.counts.size(), 3U);
   EXPECT_EQ(series.counts[0], 1U);
   EXPECT_EQ(series.counts[1], 1U);
@@ -38,7 +45,7 @@ TEST(Frequency, MtbfMatchesHandComputation) {
   for (int i = 0; i < 23; ++i) {
     events.push_back(ev(kBegin + i * 90000, ErrorKind::kDoubleBitError));
   }
-  const auto est = kind_mtbf(events, ErrorKind::kDoubleBitError, kBegin, kEnd);
+  const auto est = kind_mtbf(frame_of(events), ErrorKind::kDoubleBitError, kBegin, kEnd);
   EXPECT_EQ(est.event_count, 23U);
   const double window_h = static_cast<double>(kEnd - kBegin) / 3600.0;
   EXPECT_NEAR(est.mtbf_hours, window_h / 23.0, 1e-9);
@@ -50,7 +57,8 @@ TEST(Frequency, DispersionPoissonNearOne) {
   for (stats::TimeSec t = kBegin; t < kEnd; t += stats::kSecondsPerDay) {
     events.push_back(ev(t + 3600, ErrorKind::kGpuStoppedProcessing));
   }
-  const double d = daily_dispersion_index(events, ErrorKind::kGpuStoppedProcessing, kBegin, kEnd);
+  const double d =
+      daily_dispersion_index(frame_of(events), ErrorKind::kGpuStoppedProcessing, kBegin, kEnd);
   EXPECT_LT(d, 0.2);
 }
 
@@ -62,37 +70,12 @@ TEST(Frequency, DispersionBurstyIsLarge) {
                         ErrorKind::kGraphicsEngineException));
   }
   const double d =
-      daily_dispersion_index(events, ErrorKind::kGraphicsEngineException, kBegin, kEnd);
+      daily_dispersion_index(frame_of(events), ErrorKind::kGraphicsEngineException, kBegin, kEnd);
   EXPECT_GT(d, 10.0);
 }
 
 TEST(Frequency, DispersionNoEventsIsZero) {
-  EXPECT_EQ(daily_dispersion_index(std::span<const parse::ParsedEvent>{}, ErrorKind::kOffTheBus,
-                                   kBegin, kEnd),
-            0.0);
-}
-
-TEST(EventsView, AsParsedDropsSbe) {
-  std::vector<xid::Event> events(2);
-  events[0].kind = ErrorKind::kSingleBitError;
-  events[1].kind = ErrorKind::kDoubleBitError;
-  events[1].time = 42;
-  events[1].node = 7;
-  events[1].structure = xid::MemoryStructure::kRegisterFile;
-  const auto parsed = as_parsed(events);
-  ASSERT_EQ(parsed.size(), 1U);
-  EXPECT_EQ(parsed[0].kind, ErrorKind::kDoubleBitError);
-  EXPECT_EQ(parsed[0].time, 42);
-  EXPECT_EQ(parsed[0].node, 7);
-  EXPECT_EQ(parsed[0].structure, xid::MemoryStructure::kRegisterFile);
-}
-
-TEST(EventsView, OfKindAndTimes) {
-  const std::vector<ParsedEvent> events{ev(1, ErrorKind::kOffTheBus),
-                                        ev(2, ErrorKind::kDoubleBitError),
-                                        ev(3, ErrorKind::kOffTheBus)};
-  EXPECT_EQ(of_kind(events, ErrorKind::kOffTheBus).size(), 2U);
-  EXPECT_EQ(times_of_kind(events, ErrorKind::kOffTheBus), (std::vector<stats::TimeSec>{1, 3}));
+  EXPECT_EQ(daily_dispersion_index(frame_of({}), ErrorKind::kOffTheBus, kBegin, kEnd), 0.0);
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ TEST(Interruption, CountsFirstHitPerJob) {
       ev(3600, 10, xid::ErrorKind::kDoubleBitError, 0),   // job 0 at 1 h in
       ev(7000, 11, xid::ErrorKind::kDoubleBitError, 0),   // second hit: ignored
   };
-  const auto study = interruption_study(events, trace, 0, 50000);
+  const auto study = interruption_study(EventFrame::build(events), trace, 0, 50000);
   EXPECT_EQ(study.total_jobs, 3U);
   EXPECT_EQ(study.interrupted_jobs, 1U);
   // 2 nodes x 1 h accumulated at the hit.
@@ -59,7 +59,7 @@ TEST(Interruption, ChildEventsDoNotCount) {
       ev(3600, 100, xid::ErrorKind::kGraphicsEngineException, 1),
       ev(3601, 101, xid::ErrorKind::kGraphicsEngineException, 1, /*parent=*/0),
   };
-  const auto study = interruption_study(events, trace, 0, 50000);
+  const auto study = interruption_study(EventFrame::build(events), trace, 0, 50000);
   EXPECT_EQ(study.interrupted_jobs, 1U);
   // 1000 nodes x 1 h.
   EXPECT_NEAR(study.node_hours_lost, 1000.0, 1e-6);
@@ -71,7 +71,7 @@ TEST(Interruption, NonCrashingKindsIgnored) {
       ev(3600, 10, xid::ErrorKind::kPageRetirement, 0),   // does not crash
       ev(3700, 10, xid::ErrorKind::kSingleBitError, 0),   // corrected
   };
-  const auto study = interruption_study(events, trace, 0, 50000);
+  const auto study = interruption_study(EventFrame::build(events), trace, 0, 50000);
   EXPECT_EQ(study.interrupted_jobs, 0U);
   EXPECT_EQ(study.node_hours_lost, 0.0);
 }
@@ -81,7 +81,7 @@ TEST(Interruption, SizeClassBreakdown) {
   std::vector<xid::Event> events{
       ev(3600, 100, xid::ErrorKind::kOffTheBus, 1),  // the 1000-node job
   };
-  const auto study = interruption_study(events, trace, 0, 50000);
+  const auto study = interruption_study(EventFrame::build(events), trace, 0, 50000);
   // 1000 nodes falls in class 2 (512..4095).
   EXPECT_EQ(study.by_size[2].jobs, 1U);
   EXPECT_EQ(study.by_size[2].interrupted, 1U);
@@ -96,7 +96,7 @@ TEST(Interruption, FullMachineMtti) {
   for (int i = 0; i < 10; ++i) {
     events.push_back(ev(i * 36000, 5000 + i, xid::ErrorKind::kDoubleBitError, xid::kNoJob));
   }
-  const auto study = interruption_study(events, trace, 0, 100 * 3600);
+  const auto study = interruption_study(EventFrame::build(events), trace, 0, 100 * 3600);
   EXPECT_NEAR(study.full_machine_mtti_hours, 10.0, 1e-9);
 }
 
@@ -106,7 +106,7 @@ TEST(Interruption, WindowFiltersJobsAndEvents) {
       ev(3600, 10, xid::ErrorKind::kDoubleBitError, 0),
   };
   // Window starting after job 0/1: only job 2 counted, no events.
-  const auto study = interruption_study(events, trace, 39000, 50000);
+  const auto study = interruption_study(EventFrame::build(events), trace, 39000, 50000);
   EXPECT_EQ(study.total_jobs, 1U);
   EXPECT_EQ(study.interrupted_jobs, 0U);
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,10 @@ namespace {
 
 using parse::ParsedEvent;
 using xid::ErrorKind;
+
+EventFrame frame_of(const std::vector<ParsedEvent>& events) {
+  return EventFrame::build(std::span<const ParsedEvent>{events});
+}
 
 ParsedEvent ev(stats::TimeSec t, ErrorKind kind) {
   ParsedEvent e;
@@ -34,7 +39,7 @@ TEST(FollowMatrix, DetectsFollowingPairs) {
     events.push_back(ev(i * 10000 + 60, ErrorKind::kPreemptiveCleanup));
   }
   const std::vector<ErrorKind> kinds{ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup};
-  const auto m = follow_matrix(events, kinds, 300.0, true);
+  const auto m = follow_matrix(frame_of(events), kinds, 300.0, true);
   EXPECT_DOUBLE_EQ(m.at(ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup), 1.0);
   EXPECT_DOUBLE_EQ(m.at(ErrorKind::kPreemptiveCleanup, ErrorKind::kDoubleBitError), 0.0);
   EXPECT_DOUBLE_EQ(m.at(ErrorKind::kDoubleBitError, ErrorKind::kDoubleBitError), 0.0);
@@ -44,7 +49,7 @@ TEST(FollowMatrix, WindowBoundaryExclusive) {
   std::vector<ParsedEvent> events{ev(0, ErrorKind::kDoubleBitError),
                                   ev(300, ErrorKind::kPreemptiveCleanup)};
   const std::vector<ErrorKind> kinds{ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup};
-  const auto m = follow_matrix(events, kinds, 300.0, true);
+  const auto m = follow_matrix(frame_of(events), kinds, 300.0, true);
   EXPECT_DOUBLE_EQ(m.at(ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup), 0.0);
 }
 
@@ -53,11 +58,11 @@ TEST(FollowMatrix, DiagonalCapturesBursts) {
   std::vector<ParsedEvent> events;
   for (int i = 0; i < 5; ++i) events.push_back(ev(i, ErrorKind::kGraphicsEngineException));
   const std::vector<ErrorKind> kinds{ErrorKind::kGraphicsEngineException};
-  const auto with_same = follow_matrix(events, kinds, 300.0, true);
+  const auto with_same = follow_matrix(frame_of(events), kinds, 300.0, true);
   EXPECT_DOUBLE_EQ(
       with_same.at(ErrorKind::kGraphicsEngineException, ErrorKind::kGraphicsEngineException),
       0.8);
-  const auto without_same = follow_matrix(events, kinds, 300.0, false);
+  const auto without_same = follow_matrix(frame_of(events), kinds, 300.0, false);
   EXPECT_DOUBLE_EQ(
       without_same.at(ErrorKind::kGraphicsEngineException, ErrorKind::kGraphicsEngineException),
       0.0);
@@ -70,7 +75,7 @@ TEST(FollowMatrix, MultipleFollowersCountOnce) {
       ev(0, ErrorKind::kDoubleBitError), ev(1, ErrorKind::kPreemptiveCleanup),
       ev(2, ErrorKind::kPreemptiveCleanup), ev(3, ErrorKind::kPreemptiveCleanup)};
   const std::vector<ErrorKind> kinds{ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup};
-  const auto m = follow_matrix(events, kinds, 300.0, true);
+  const auto m = follow_matrix(frame_of(events), kinds, 300.0, true);
   EXPECT_DOUBLE_EQ(m.at(ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup), 1.0);
 }
 
@@ -79,7 +84,7 @@ TEST(FollowMatrix, KindsOutsideInterestIgnored) {
                                   ev(1, ErrorKind::kOffTheBus),
                                   ev(2, ErrorKind::kPreemptiveCleanup)};
   const std::vector<ErrorKind> kinds{ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup};
-  const auto m = follow_matrix(events, kinds, 300.0, true);
+  const auto m = follow_matrix(frame_of(events), kinds, 300.0, true);
   EXPECT_THROW((void)m.at(ErrorKind::kOffTheBus, ErrorKind::kDoubleBitError),
                std::invalid_argument);
   EXPECT_DOUBLE_EQ(m.at(ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup), 1.0);
@@ -99,7 +104,7 @@ TEST(FollowMatrix, IsolatedKindsHaveEmptyDiagonal) {
   events.push_back(ev(100000, ErrorKind::kOffTheBus));
   events.push_back(ev(200000, ErrorKind::kOffTheBus));
   const std::vector<ErrorKind> kinds{ErrorKind::kGraphicsEngineException, ErrorKind::kOffTheBus};
-  const auto m = follow_matrix(events, kinds, 300.0, true);
+  const auto m = follow_matrix(frame_of(events), kinds, 300.0, true);
   const auto isolated = isolated_kinds(m);
   ASSERT_EQ(isolated.size(), 1U);
   EXPECT_EQ(isolated[0], ErrorKind::kOffTheBus);
@@ -107,7 +112,7 @@ TEST(FollowMatrix, IsolatedKindsHaveEmptyDiagonal) {
 
 TEST(FollowMatrix, LabelsMatchTokens) {
   const std::vector<ErrorKind> kinds{ErrorKind::kDoubleBitError, ErrorKind::kOffTheBus};
-  const auto m = follow_matrix(std::span<const parse::ParsedEvent>{}, kinds, 300.0, true);
+  const auto m = follow_matrix(frame_of({}), kinds, 300.0, true);
   EXPECT_EQ(m.labels(), (std::vector<std::string>{"DBE", "OTB"}));
 }
 
@@ -244,15 +249,15 @@ TEST(FollowMatrixOracle, RegistryCrossOnlyIsZeroedDiagonal) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     study::StudyContext context;
     const auto kinds = context.profile->matrix_kinds;
-    context.events = bursty_stream(seed, kinds, 300);
-    context.frame = EventFrame::build(context.events);
+    const auto events = bursty_stream(seed, kinds, 300);
+    context.frame = frame_of(events);
     context.capabilities = study::kEvents;
     const std::vector<std::string> selection{"xid_matrix"};
     const auto report = study::AnalysisRegistry::standard().run(context, selection);
     const auto* result = report.find("xid_matrix");
     ASSERT_NE(result, nullptr);
     for (const bool same : {true, false}) {
-      const auto want = window_scan(context.events, kinds, 300.0, same);
+      const auto want = window_scan(events, kinds, 300.0, same);
       const auto& rows = result->json.at(same ? "fractions" : "fractions_cross_only").elements();
       ASSERT_EQ(rows.size(), want.rows());
       for (std::size_t r = 0; r < want.rows(); ++r) {

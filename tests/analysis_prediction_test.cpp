@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace titan::analysis {
 namespace {
 
 using parse::ParsedEvent;
 using xid::ErrorKind;
+
+EventFrame frame_of(const std::vector<ParsedEvent>& events) {
+  return EventFrame::build(std::span<const ParsedEvent>{events});
+}
 
 ParsedEvent ev(stats::TimeSec t, ErrorKind kind) {
   ParsedEvent e;
@@ -31,7 +38,7 @@ std::vector<ParsedEvent> deterministic_stream(int pairs) {
 TEST(Prediction, LearnsPerfectPrecursor) {
   const auto training = deterministic_stream(20);
   const auto predictor =
-      FailurePredictor::fit(training, ErrorKind::kPreemptiveCleanup, 300.0);
+      FailurePredictor::fit(frame_of(training), ErrorKind::kPreemptiveCleanup, 300.0);
   ASSERT_FALSE(predictor.rules().empty());
   const auto& top = predictor.rules().front();
   EXPECT_EQ(top.precursor, ErrorKind::kDoubleBitError);
@@ -42,7 +49,7 @@ TEST(Prediction, LearnsPerfectPrecursor) {
 TEST(Prediction, UnrelatedKindsGetNoRule) {
   const auto training = deterministic_stream(20);
   const auto predictor =
-      FailurePredictor::fit(training, ErrorKind::kPreemptiveCleanup, 300.0);
+      FailurePredictor::fit(frame_of(training), ErrorKind::kPreemptiveCleanup, 300.0);
   for (const auto& rule : predictor.rules()) {
     EXPECT_NE(rule.precursor, ErrorKind::kOffTheBus);
   }
@@ -51,7 +58,7 @@ TEST(Prediction, UnrelatedKindsGetNoRule) {
 TEST(Prediction, MinSupportFiltersRareKinds) {
   auto training = deterministic_stream(3);  // support 3 < min_support 5
   const auto predictor =
-      FailurePredictor::fit(training, ErrorKind::kPreemptiveCleanup, 300.0, 5);
+      FailurePredictor::fit(frame_of(training), ErrorKind::kPreemptiveCleanup, 300.0, 5);
   EXPECT_TRUE(predictor.rules().empty());
 }
 
@@ -59,10 +66,10 @@ TEST(Prediction, SelfRulesExcludedByDefault) {
   std::vector<ParsedEvent> burst;
   for (int i = 0; i < 50; ++i) burst.push_back(ev(i, ErrorKind::kGraphicsEngineException));
   const auto predictor =
-      FailurePredictor::fit(burst, ErrorKind::kGraphicsEngineException, 300.0);
+      FailurePredictor::fit(frame_of(burst), ErrorKind::kGraphicsEngineException, 300.0);
   EXPECT_TRUE(predictor.rules().empty());
   const auto with_self =
-      FailurePredictor::fit(burst, ErrorKind::kGraphicsEngineException, 300.0, 5, true);
+      FailurePredictor::fit(frame_of(burst), ErrorKind::kGraphicsEngineException, 300.0, 5, true);
   ASSERT_EQ(with_self.rules().size(), 1U);
   EXPECT_GT(with_self.rules().front().probability, 0.9);
 }
@@ -71,8 +78,8 @@ TEST(Prediction, PerfectEvaluationOnDeterministicStream) {
   const auto training = deterministic_stream(20);
   const auto eval_stream = deterministic_stream(10);
   const auto predictor =
-      FailurePredictor::fit(training, ErrorKind::kPreemptiveCleanup, 300.0);
-  const auto eval = predictor.evaluate(eval_stream, 0.5);
+      FailurePredictor::fit(frame_of(training), ErrorKind::kPreemptiveCleanup, 300.0);
+  const auto eval = predictor.evaluate(frame_of(eval_stream), 0.5);
   EXPECT_EQ(eval.alarms, 10U);
   EXPECT_EQ(eval.true_positives, 10U);
   EXPECT_EQ(eval.targets, 10U);
@@ -92,11 +99,11 @@ TEST(Prediction, ThresholdSilencesWeakRules) {
     }
   }
   const auto predictor =
-      FailurePredictor::fit(training, ErrorKind::kPreemptiveCleanup, 300.0);
+      FailurePredictor::fit(frame_of(training), ErrorKind::kPreemptiveCleanup, 300.0);
   ASSERT_FALSE(predictor.rules().empty());
   EXPECT_NEAR(predictor.rules().front().probability, 0.5, 0.01);
-  EXPECT_TRUE(predictor.predict(training, 0.9).empty());
-  EXPECT_FALSE(predictor.predict(training, 0.4).empty());
+  EXPECT_TRUE(predictor.predict(frame_of(training), 0.9).empty());
+  EXPECT_FALSE(predictor.predict(frame_of(training), 0.4).empty());
 }
 
 TEST(Prediction, PrecisionDegradesGracefully) {
@@ -107,8 +114,8 @@ TEST(Prediction, PrecisionDegradesGracefully) {
     eval_stream.push_back(ev(i * 10000, ErrorKind::kDoubleBitError));
   }
   const auto predictor =
-      FailurePredictor::fit(training, ErrorKind::kPreemptiveCleanup, 300.0);
-  const auto eval = predictor.evaluate(eval_stream, 0.5);
+      FailurePredictor::fit(frame_of(training), ErrorKind::kPreemptiveCleanup, 300.0);
+  const auto eval = predictor.evaluate(frame_of(eval_stream), 0.5);
   EXPECT_EQ(eval.alarms, 10U);
   EXPECT_EQ(eval.true_positives, 0U);
   EXPECT_DOUBLE_EQ(eval.precision(), 0.0);
@@ -116,10 +123,10 @@ TEST(Prediction, PrecisionDegradesGracefully) {
 }
 
 TEST(Prediction, EmptyInputsSafe) {
-  constexpr std::span<const parse::ParsedEvent> kNoEvents;
-  const auto predictor = FailurePredictor::fit(kNoEvents, ErrorKind::kPageRetirement, 300.0);
+  const EventFrame no_events;
+  const auto predictor = FailurePredictor::fit(no_events, ErrorKind::kPageRetirement, 300.0);
   EXPECT_TRUE(predictor.rules().empty());
-  const auto eval = predictor.evaluate(kNoEvents, 0.5);
+  const auto eval = predictor.evaluate(no_events, 0.5);
   EXPECT_EQ(eval.alarms, 0U);
   EXPECT_DOUBLE_EQ(eval.recall(), 0.0);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "analysis/retirement_study.hpp"
 
@@ -11,6 +13,11 @@ namespace {
 
 using parse::ParsedEvent;
 using xid::ErrorKind;
+
+EventFrame frame_of(const std::vector<ParsedEvent>& events,
+                    const gpu::FleetLedger* ledger = nullptr) {
+  return EventFrame::build(std::span<const ParsedEvent>{events}, ledger);
+}
 
 ParsedEvent ev(topology::NodeLocation loc, ErrorKind kind = ErrorKind::kDoubleBitError,
                stats::TimeSec t = 1000,
@@ -30,7 +37,7 @@ TEST(Spatial, HeatmapPlacesEventsByCabinet) {
       ev({10, 7, 2, 0, 0}),
       ev({0, 0, 0, 0, 0}, ErrorKind::kOffTheBus),  // wrong kind: ignored
   };
-  const auto grid = cabinet_heatmap(events, ErrorKind::kDoubleBitError);
+  const auto grid = cabinet_heatmap(frame_of(events), ErrorKind::kDoubleBitError);
   EXPECT_EQ(grid.rows(), 8U);
   EXPECT_EQ(grid.cols(), 25U);
   EXPECT_DOUBLE_EQ(grid.at(2, 3), 2.0);
@@ -51,7 +58,7 @@ TEST(Spatial, CageDistributionCountsAndDistinctCards) {
       ev(topology::locate(node_a)), ev(topology::locate(node_a)),  // same card twice
       ev(topology::locate(node_b)), ev(topology::locate(node_c)),
   };
-  const auto dist = cage_distribution(events, ErrorKind::kDoubleBitError, ledger);
+  const auto dist = cage_distribution(frame_of(events, &ledger), ErrorKind::kDoubleBitError);
   EXPECT_EQ(dist.event_counts[2], 3U);
   EXPECT_EQ(dist.event_counts[0], 1U);
   EXPECT_EQ(dist.distinct_cards[2], 2U);  // card 100 counted once
@@ -77,7 +84,7 @@ TEST(Spatial, StructureBreakdownShares) {
     events.push_back(ev({0, 0, 0, 1, 0}, ErrorKind::kDoubleBitError, 5000 + i,
                         xid::MemoryStructure::kRegisterFile));
   }
-  const auto breakdown = structure_breakdown(events, ErrorKind::kDoubleBitError);
+  const auto breakdown = structure_breakdown(frame_of(events), ErrorKind::kDoubleBitError);
   EXPECT_EQ(breakdown.total(), 100U);
   EXPECT_DOUBLE_EQ(breakdown.share(xid::MemoryStructure::kDeviceMemory), 0.86);
   EXPECT_DOUBLE_EQ(breakdown.share(xid::MemoryStructure::kRegisterFile), 0.14);
@@ -103,7 +110,7 @@ TEST(RetirementStudy, BucketsDelaysLikeFig8) {
   push(400000, ErrorKind::kDoubleBitError);         // pair without retirement
   push(500000, ErrorKind::kDoubleBitError);
 
-  const auto study = retirement_delay_study(events, 0);
+  const auto study = retirement_delay_study(frame_of(events), 0);
   EXPECT_EQ(study.within_10min, 1U);
   EXPECT_EQ(study.min10_to_6h, 1U);
   EXPECT_EQ(study.beyond_6h, 1U);
@@ -123,7 +130,7 @@ TEST(RetirementStudy, AccountingWindowExcludesEarlyDbes) {
   ret.kind = xid::ErrorKind::kPageRetirement;
   events.push_back(ret);
   // With accounting_from after the DBE, the retirement has no prior DBE.
-  const auto study = retirement_delay_study(events, 1000);
+  const auto study = retirement_delay_study(frame_of(events), 1000);
   EXPECT_EQ(study.before_any_dbe, 1U);
   EXPECT_EQ(study.total_retirements(), 1U);
 }

@@ -4,9 +4,10 @@
 // different seed and asserts the qualitative findings.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <unordered_set>
 
-#include "analysis/events_view.hpp"
+#include "analysis/event_frame.hpp"
 #include "analysis/frequency.hpp"
 #include "analysis/sbe_study.hpp"
 #include "core/facility.hpp"
@@ -26,13 +27,16 @@ class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {
     }
     return *data;
   }
+
+  static analysis::EventFrame frame() {
+    return analysis::EventFrame::build(std::span<const xid::Event>{dataset().events});
+  }
 };
 
 TEST_P(SeedSweep, DbeRatePlausible) {
-  const auto events = analysis::as_parsed(dataset().events);
   const auto& period = dataset().config.period;
   const auto mtbf =
-      analysis::kind_mtbf(events, xid::ErrorKind::kDoubleBitError, period.begin, period.end);
+      analysis::kind_mtbf(frame(), xid::ErrorKind::kDoubleBitError, period.begin, period.end);
   EXPECT_GE(mtbf.event_count, 4U);
   EXPECT_LE(mtbf.event_count, 40U);
 }
@@ -69,7 +73,7 @@ TEST_P(SeedSweep, Xid42NeverAndXid32Rare) {
 }
 
 TEST_P(SeedSweep, UserAppBurstierThanDriverErrors) {
-  const auto events = analysis::as_parsed(dataset().events);
+  const auto events = frame();
   const auto& period = dataset().config.period;
   const double d13 = analysis::daily_dispersion_index(
       events, xid::ErrorKind::kGraphicsEngineException, period.begin, period.end);

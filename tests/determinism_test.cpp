@@ -2,17 +2,37 @@
 // byte-identical across runs and across thread counts.  Every figure
 // bench depends on this (fixed seeds, reproducible output), so the
 // comparison below is exhaustive over everything run_study produces --
-// events, SBE strikes, console log, hot-spare actions, and the final
-// nvidia-smi snapshot.
+// events, SBE strikes, hot-spare actions, and the final nvidia-smi
+// snapshot -- plus the console log rendered from the events at the same
+// pool width.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/facility.hpp"
+#include "logsim/console.hpp"
 #include "par/pool.hpp"
 
 namespace titan {
 namespace {
 
-void expect_identical(const core::StudyDataset& a, const core::StudyDataset& b) {
+/// A study plus its console log, both produced at one pool width.
+struct Run {
+  core::StudyDataset study;
+  std::vector<std::string> console_log;
+};
+
+Run run_at(std::size_t threads) {
+  par::set_threads(threads);
+  auto study = core::run_study(core::quick_config(7));
+  auto console_log = logsim::emit_console_log(study.events, *study.config.profile);
+  return {std::move(study), std::move(console_log)};
+}
+
+void expect_identical(const Run& run_a, const Run& run_b) {
+  const auto& a = run_a.study;
+  const auto& b = run_b.study;
   ASSERT_EQ(a.events.size(), b.events.size());
   for (std::size_t i = 0; i < a.events.size(); ++i) {
     const auto& x = a.events[i];
@@ -39,9 +59,9 @@ void expect_identical(const core::StudyDataset& a, const core::StudyDataset& b) 
     ASSERT_EQ(x.from_weak_cell, y.from_weak_cell) << "strike " << i;
   }
 
-  ASSERT_EQ(a.console_log.size(), b.console_log.size());
-  for (std::size_t i = 0; i < a.console_log.size(); ++i) {
-    ASSERT_EQ(a.console_log[i], b.console_log[i]) << "line " << i;
+  ASSERT_EQ(run_a.console_log.size(), run_b.console_log.size());
+  for (std::size_t i = 0; i < run_a.console_log.size(); ++i) {
+    ASSERT_EQ(run_a.console_log[i], run_b.console_log[i]) << "line " << i;
   }
 
   ASSERT_EQ(a.hot_spare_actions.size(), b.hot_spare_actions.size());
@@ -84,19 +104,14 @@ struct ThreadsGuard {
 
 TEST(Determinism, ByteIdenticalAcrossRuns) {
   ThreadsGuard guard;
-  par::set_threads(4);
-  const auto first = core::run_study(core::quick_config(7));
-  const auto second = core::run_study(core::quick_config(7));
-  expect_identical(first, second);
+  expect_identical(run_at(4), run_at(4));
 }
 
 TEST(Determinism, ByteIdenticalAcrossThreadCounts) {
+  // Each side's console log is rendered at the width it was simulated at.
   ThreadsGuard guard;
-  par::set_threads(1);
-  const auto serial = core::run_study(core::quick_config(7));
-  par::set_threads(4);
-  const auto parallel = core::run_study(core::quick_config(7));
-  expect_identical(serial, parallel);
+  const auto serial = run_at(1);
+  expect_identical(serial, run_at(4));
 }
 
 }  // namespace

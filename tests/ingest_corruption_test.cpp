@@ -139,7 +139,7 @@ TEST(IngestClean, SalvageLoadOfCleanDataMatchesStrict) {
   // The simulator may legitimately emit byte-identical adjacent lines;
   // only when it did not are the streams required to agree exactly.
   if (salvage.ingest_report->duplicates_removed == 0) {
-    EXPECT_EQ(strict.events, salvage.events);
+    EXPECT_EQ(strict.frame, salvage.frame);
   }
   EXPECT_EQ(strict.period.begin, salvage.period.begin);
   EXPECT_EQ(strict.period.end, salvage.period.end);
@@ -173,7 +173,7 @@ TEST(IngestCorruption, EveryOperatorSalvagesWithNonEmptyReport) {
     ASSERT_TRUE(context.ingest_report.has_value()) << op_name(op);
     EXPECT_GT(context.ingest_report->total(), 0U)
         << op_name(op) << ": salvage of a corrupted dataset must record findings";
-    EXPECT_FALSE(context.events.empty()) << op_name(op);
+    EXPECT_FALSE(context.frame.empty()) << op_name(op);
     // The report section renders and the registry still runs.
     const auto report =
         study::AnalysisRegistry::standard().run(context, std::vector<std::string>{"frequency"});
@@ -213,7 +213,7 @@ TEST(IngestCorruption, StackedOperatorsSalvageAcrossSeeds) {
     ASSERT_NO_THROW(context = source.load()) << "seed " << seed;
     ASSERT_TRUE(context.ingest_report.has_value());
     EXPECT_GT(context.ingest_report->total(), 0U);
-    EXPECT_FALSE(context.events.empty());
+    EXPECT_FALSE(context.frame.empty());
   }
 }
 
@@ -302,7 +302,7 @@ TEST(TdfCorruption, EveryTdfOperatorNamedUnderSalvage) {
         }
         EXPECT_TRUE(named) << op_name(op) << " seed " << seed
                            << ": salvage survived without a named TDF finding";
-        EXPECT_FALSE(context.events.empty()) << op_name(op) << " seed " << seed;
+        EXPECT_FALSE(context.frame.empty()) << op_name(op) << " seed " << seed;
       } catch (const IngestError& error) {
         EXPECT_TRUE(is_tdf_code(error.code()))
             << op_name(op) << " seed " << seed << ": got "
@@ -338,7 +338,7 @@ TEST(TdfCorruption, TextOperatorsAreNoOpsOnBinaryDatasets) {
   EXPECT_EQ(slurp(dir / "dataset.tdf"), slurp(clean_binary_dataset() / "dataset.tdf"));
   const auto context = study::DatasetSource{dir}.load();
   EXPECT_TRUE(context.load_stats.binary);
-  EXPECT_FALSE(context.events.empty());
+  EXPECT_FALSE(context.frame.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -4,10 +4,14 @@
 // behave as described when driven through the study layer.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "analysis/frequency.hpp"
 #include "analysis/reliability_report.hpp"
+#include "logsim/console.hpp"
 #include "logsim/joblog.hpp"
 #include "parse/console.hpp"
 #include "parse/filter.hpp"
@@ -25,39 +29,55 @@ const study::StudyContext& context() {
 
 const core::StudyDataset& truth() { return *context().truth; }
 
+/// The console log the SMW would have recorded, rendered from ground
+/// truth.
+const std::vector<std::string>& console_log() {
+  static const auto lines = logsim::emit_console_log(truth().events, *context().profile);
+  return lines;
+}
+
+/// The frame's XID 13 rows as ParsedEvents, the input parse::filter_events
+/// takes.
+std::vector<parse::ParsedEvent> xid13_rows() {
+  constexpr auto kXid13 = xid::ErrorKind::kGraphicsEngineException;
+  const auto& frame = context().frame;
+  std::vector<parse::ParsedEvent> rows;
+  for (const auto row : frame.rows_of(kXid13)) {
+    rows.push_back(parse::ParsedEvent{frame.times()[row], frame.nodes()[row], kXid13,
+                                      frame.structures()[row]});
+  }
+  return rows;
+}
+
 TEST(Integration, SimulatedContextCarriesEveryCapability) {
   EXPECT_TRUE(context().has(study::kEvents | study::kLedger | study::kSnapshot |
                             study::kTrace | study::kGroundTruth | study::kStrikes));
-  EXPECT_EQ(context().frame.size(), context().events.size());
-  EXPECT_EQ(context().load_stats.console_lines, truth().console_log.size());
+  EXPECT_EQ(context().load_stats.console_lines, context().frame.size());
+  EXPECT_EQ(console_log().size(), context().frame.size());
 }
 
 TEST(Integration, ConsoleLogRoundTripsLosslessly) {
-  // The context's events came from as_parsed; re-parsing the emitted log
-  // must recover the identical stream.
-  const auto parsed = parse::parse_console_log(truth().console_log);
+  // Re-parsing the emitted log must recover the frame's stream exactly:
+  // the parsed frame equals the context frame's base columns rebuilt
+  // without the ledger and job joins a console line cannot carry.
+  const auto parsed = parse::parse_console_log(console_log());
   EXPECT_EQ(parsed.malformed_lines, 0U);
-  ASSERT_EQ(parsed.events.size(), context().events.size());
-  for (std::size_t i = 0; i < parsed.events.size(); i += 101) {
-    EXPECT_EQ(parsed.events[i].time, context().events[i].time);
-    EXPECT_EQ(parsed.events[i].node, context().events[i].node);
-    EXPECT_EQ(parsed.events[i].kind, context().events[i].kind);
-    EXPECT_EQ(parsed.events[i].structure, context().events[i].structure);
-  }
+  const auto& frame = context().frame;
+  EXPECT_EQ(analysis::EventFrame::build(std::span<const parse::ParsedEvent>{parsed.events}),
+            frame.slice(0, frame.size()));
 }
 
 TEST(Integration, FiveSecondFilterRecoversGroundTruthRoots) {
   // The paper's 5 s rule must recover (approximately) the true root count
   // for XID 13: one root per crashing debug job.  Ground truth comes off
-  // the truth frame's root column.
-  const auto xid13 =
-      analysis::of_kind(context().events, xid::ErrorKind::kGraphicsEngineException);
+  // the frame's root column.
+  const auto xid13 = xid13_rows();
   const auto filtered = parse::filter_events(xid13, parse::FilterParams{5.0});
 
   std::size_t true_roots = 0;
-  const auto roots = context().truth_frame.roots();
+  const auto roots = context().frame.roots();
   for (const auto row :
-       context().truth_frame.rows_of(xid::ErrorKind::kGraphicsEngineException)) {
+       context().frame.rows_of(xid::ErrorKind::kGraphicsEngineException)) {
     if (roots[row] != 0) ++true_roots;
   }
   // Machine-wide dedup can merge two genuinely distinct roots that land
@@ -68,13 +88,12 @@ TEST(Integration, FiveSecondFilterRecoversGroundTruthRoots) {
 }
 
 TEST(Integration, FilteredChildrenAreMostlyTrueChildren) {
-  const auto xid13 =
-      analysis::of_kind(context().events, xid::ErrorKind::kGraphicsEngineException);
+  const auto xid13 = xid13_rows();
   const auto filtered = parse::filter_events(xid13, parse::FilterParams{5.0});
   std::size_t true_children = 0;
-  const auto roots = context().truth_frame.roots();
+  const auto roots = context().frame.roots();
   for (const auto row :
-       context().truth_frame.rows_of(xid::ErrorKind::kGraphicsEngineException)) {
+       context().frame.rows_of(xid::ErrorKind::kGraphicsEngineException)) {
     if (roots[row] == 0) ++true_children;
   }
   EXPECT_GE(filtered.children.size(), true_children);
@@ -111,20 +130,19 @@ TEST(Integration, JobLogRoundTrips) {
 
 TEST(Integration, SecSeesEveryConsoleEvent) {
   parse::SimpleEventCorrelator sec{parse::default_gpu_rules()};
-  (void)sec.process(truth().console_log);
+  (void)sec.process(console_log());
   std::uint64_t total = 0;
   for (const auto& info : xid::all_errors()) {
     if (info.kind == xid::ErrorKind::kSingleBitError) continue;
     total += sec.match_count(std::string{"gpu-"} + std::string{xid::token(info.kind)});
   }
-  EXPECT_EQ(total, truth().console_log.size());
+  EXPECT_EQ(total, console_log().size());
 }
 
 TEST(Integration, BadNodeAnecdoteVisibleInPerNodeFilter) {
   // Observation 8: the bad node's XID 13 rate stands out when events are
   // deduped per node.
-  const auto xid13 =
-      analysis::of_kind(context().events, xid::ErrorKind::kGraphicsEngineException);
+  const auto xid13 = xid13_rows();
   const auto filtered = parse::filter_events(xid13, parse::FilterParams{5.0,
                                              parse::FilterScope::kPerNode});
   std::unordered_map<topology::NodeId, int> per_node;

@@ -88,7 +88,7 @@ TEST_F(ProfileMismatchTest, StrictExpectedProfileDisagreementThrows) {
     const auto context =
         study::DatasetSource{dir_, ingest::IngestPolicy::kStrict, &profile::h100()}.load();
     FAIL() << "expected ingest::IngestError, got a context with "
-           << context.events.size() << " events";
+           << context.frame.size() << " events";
   } catch (const ingest::IngestError& error) {
     EXPECT_EQ(error.code(), ingest::TriageCode::kProfileMismatch);
     EXPECT_NE(std::string{error.what()}.find("E_PROFILE_MISMATCH"), std::string::npos);

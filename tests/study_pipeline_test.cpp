@@ -6,17 +6,28 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/frequency.hpp"
 #include "analysis/reliability_report.hpp"
+#include "logsim/console.hpp"
 #include "par/pool.hpp"
+#include "study/io.hpp"
 #include "study/registry.hpp"
+#include "study/sharded.hpp"
 #include "study/source.hpp"
 
 namespace titan {
+namespace profile {
+
+// Print a profile parameter by its name, so test names are stable.
+void PrintTo(const FleetProfile* fleet, std::ostream* os) { *os << fleet->name; }
+
+}  // namespace profile
+
 namespace {
 
 constexpr std::uint64_t kSeed = 29;
@@ -49,9 +60,7 @@ study::StudyContext events_only() {
   study::StudyContext context;
   context.period = simulated().period;
   context.accounting_from = simulated().accounting_from;
-  context.events = simulated().events;
-  context.frame =
-      analysis::EventFrame::build(std::span<const parse::ParsedEvent>{context.events});
+  context.frame = simulated().frame.slice(0, simulated().frame.size());
   context.capabilities = study::kEvents;
   return context;
 }
@@ -112,6 +121,33 @@ TEST(StudyRegistry, SweepMatchesDirectKernelCalls) {
     const auto* swept = sweep.find(name);
     ASSERT_NE(swept, nullptr) << name;
     EXPECT_EQ(*swept, single.results[0]) << name;
+  }
+}
+
+TEST(StudyRegistry, SweepMatchesDirectCallsAtThreadWidths) {
+  // The parallel sweep must reproduce direct one-kernel invocations byte
+  // for byte at serial and wide pool widths alike, and the rendered report
+  // must not vary with the width either.
+  std::string text_at_1, json_at_1;
+  for (const std::size_t width : {std::size_t{1}, std::size_t{8}}) {
+    const ThreadsGuard guard{width};
+    const auto context = study::SimulatedSource{core::quick_config(17)}.load();
+    const auto sweep = registry().run_all(context);
+    for (const auto& name : registry().names()) {
+      const std::vector<std::string> one = {name};
+      const auto direct = registry().run(context, one);
+      ASSERT_EQ(direct.results.size(), 1U) << name;
+      const auto* swept = sweep.find(name);
+      ASSERT_NE(swept, nullptr) << name;
+      EXPECT_EQ(*swept, direct.results[0]) << name << " at width " << width;
+    }
+    if (width == 1) {
+      text_at_1 = sweep.text();
+      json_at_1 = sweep.json();
+    } else {
+      EXPECT_EQ(sweep.text(), text_at_1);
+      EXPECT_EQ(sweep.json(), json_at_1);
+    }
   }
 }
 
@@ -192,7 +228,7 @@ TEST(StudyPipeline, DatasetRoundTripReproducesSimulatedReportBytes) {
   EXPECT_EQ(loaded.period.begin, sim.period.begin);
   EXPECT_EQ(loaded.period.end, sim.period.end);
   EXPECT_EQ(loaded.accounting_from, sim.accounting_from);
-  EXPECT_EQ(loaded.events.size(), sim.events.size());
+  EXPECT_EQ(loaded.frame, sim.frame.slice(0, sim.frame.size()));
   EXPECT_TRUE(loaded.has(study::kEvents | study::kSnapshot));
   EXPECT_FALSE(loaded.has(study::kGroundTruth));
 
@@ -215,7 +251,7 @@ TEST(StudyPipeline, DatasetSourceWithoutConsoleLogThrows) {
 TEST(StudyPipeline, WriteDatasetWithoutTruthRoundTripsEventsOnly) {
   // Contexts without ground truth (e.g. a re-loaded dataset) are writable
   // in both formats: the console/job/smi artifacts are re-rendered from
-  // the materialized events instead of the simulation trace.
+  // the frame instead of the simulation trace.
   const auto context = events_only();
   for (const auto& [format, tag] :
        {std::pair{study::DatasetFormat::kText, "text"},
@@ -224,12 +260,68 @@ TEST(StudyPipeline, WriteDatasetWithoutTruthRoundTripsEventsOnly) {
                      (std::string{"titanrel_study_no_truth_"} + tag);
     study::write_dataset(context, dir, format);
     const auto loaded = study::DatasetSource{dir}.load();
-    EXPECT_EQ(loaded.events.size(), context.events.size()) << tag;
+    EXPECT_EQ(loaded.frame, context.frame) << tag;
     EXPECT_EQ(loaded.period.begin, context.period.begin) << tag;
     EXPECT_EQ(loaded.period.end, context.period.end) << tag;
     EXPECT_EQ(loaded.load_stats.binary, format == study::DatasetFormat::kBinary) << tag;
   }
 }
+
+TEST(StudyPipeline, WritersFollowSnapshotCapability) {
+  // Every writer decides smi presence from kSnapshot alone, so a reload
+  // never gains a capability its source lacked -- ground truth included.
+  auto context = simulated();
+  context.capabilities &= ~static_cast<unsigned>(study::kSnapshot);
+  const auto root = std::filesystem::path{::testing::TempDir()} / "titanrel_no_snapshot";
+  study::write_dataset(context, root / "text", study::DatasetFormat::kText);
+  EXPECT_FALSE(std::filesystem::exists(root / "text" / "smi_sweep.txt"));
+  study::write_dataset(context, root / "binary", study::DatasetFormat::kBinary);
+  (void)study::write_sharded_dataset(context, root / "sharded", 3);
+  for (const char* layout : {"text", "binary", "sharded"}) {
+    const auto loaded = study::DatasetSource{root / layout}.load();
+    EXPECT_TRUE(loaded.has(study::kEvents)) << layout;
+    EXPECT_FALSE(loaded.has(study::kSnapshot)) << layout;
+    EXPECT_EQ(loaded.frame, context.frame.slice(0, context.frame.size())) << layout;
+  }
+}
+
+class WriteTimeConsole : public testing::TestWithParam<const profile::FleetProfile*> {};
+
+TEST_P(WriteTimeConsole, MatchesEagerEmit) {
+  // Oracle: the eager renderer over the ground-truth events, which is how
+  // the simulator's console log was produced before it was rendered at
+  // write time.  The profiles word their descriptions differently.
+  const auto& fleet = *GetParam();
+  const auto context = study::SimulatedSource{core::quick_config(kSeed, fleet)}.load();
+  std::string expected;
+  for (const auto& line : logsim::emit_console_log(context.truth->events, fleet)) {
+    expected += line;
+    expected += '\n';
+  }
+  EXPECT_EQ(context.load_stats.console_lines, context.frame.size());
+
+  // The write-time renderer is parallel: its bytes must not depend on the
+  // pool width.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadsGuard width{threads};
+    const auto root = std::filesystem::path{::testing::TempDir()} /
+                      ("titanrel_console_" + std::string{fleet.name} + "_" +
+                       std::to_string(threads));
+    study::write_dataset(context, root / "simulated", study::DatasetFormat::kText);
+    EXPECT_TRUE(study::read_all(root / "simulated" / "console.log") == expected) << threads;
+
+    // A loaded dataset has no ground truth; rewriting it renders the same
+    // bytes from its frame.
+    const auto loaded = study::DatasetSource{root / "simulated"}.load();
+    EXPECT_EQ(loaded.load_stats.console_lines, loaded.frame.size()) << threads;
+    study::write_dataset(loaded, root / "rewritten", study::DatasetFormat::kText);
+    EXPECT_TRUE(study::read_all(root / "rewritten" / "console.log") == expected) << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBuiltins, WriteTimeConsole,
+                         testing::ValuesIn(profile::builtin_profiles().begin(),
+                                           profile::builtin_profiles().end()));
 
 TEST(StudyContext, TraceThrowsWithoutGroundTruth) {
   const auto context = events_only();

@@ -107,7 +107,7 @@ TEST(StudySharded, LoadMatchesMonolithicAtEveryShardCount) {
     const auto context = study::DatasetSource{sharded_dir(shards)}.load();
     EXPECT_TRUE(context.load_stats.binary) << shards;
     EXPECT_EQ(context.load_stats.shards, shards);
-    EXPECT_EQ(context.events, mono.events) << shards << " shards";
+    EXPECT_EQ(context.frame, mono.frame) << shards << " shards";
     EXPECT_EQ(context.period.begin, mono.period.begin) << shards;
     EXPECT_EQ(context.period.end, mono.period.end) << shards;
     EXPECT_EQ(context.accounting_from, mono.accounting_from) << shards;
@@ -150,10 +150,10 @@ TEST(StudySharded, ReshardingALoadedContextRoundTrips) {
   const auto dir = scratch_root() / "resharded_5";
   const auto stats = study::write_sharded_dataset(mono, dir, 5);
   EXPECT_EQ(stats.shards, 5U);
-  EXPECT_EQ(stats.events, mono.events.size());
+  EXPECT_EQ(stats.events, mono.frame.size());
 
   const auto context = study::DatasetSource{dir}.load();
-  EXPECT_EQ(context.events, mono.events);
+  EXPECT_EQ(context.frame, mono.frame);
   const auto shared = registry().available(mono);
   const auto a = registry().run(mono, shared);
   const auto b = registry().run(context, shared);
@@ -189,7 +189,8 @@ TEST(StudySharded, KwayMergeOrdersEqualTimestampsByShardIndex) {
   }
 
   const auto context = study::DatasetSource{dir}.load();
-  ASSERT_EQ(context.events.size(), 7U);
+  const auto& frame = context.frame;
+  ASSERT_EQ(frame.size(), 7U);
   const std::vector<topology::NodeId> expected_nodes{
       0,   // t0      shard 0
       10,  // t0      shard 1
@@ -200,10 +201,10 @@ TEST(StudySharded, KwayMergeOrdersEqualTimestampsByShardIndex) {
       12,  // t0+90   shard 1
   };
   for (std::size_t i = 0; i < expected_nodes.size(); ++i) {
-    EXPECT_EQ(context.events[i].node, expected_nodes[i]) << "event " << i;
+    EXPECT_EQ(frame.nodes()[i], expected_nodes[i]) << "event " << i;
   }
-  for (std::size_t i = 1; i < context.events.size(); ++i) {
-    EXPECT_LE(context.events[i - 1].time, context.events[i].time) << "event " << i;
+  for (std::size_t i = 1; i < frame.size(); ++i) {
+    EXPECT_LE(frame.times()[i - 1], frame.times()[i]) << "event " << i;
   }
 }
 

@@ -324,23 +324,62 @@ TEST(CapabilityCheck, ExactDeclarationsAreClean) {
 }
 
 TEST(CapabilityCheck, TruthFrameAndPeriodAttribution) {
+  // The frame's root column is ground truth riding on the event frame:
+  // kEvents for the member, kGroundTruth for the column.  The period is
+  // unconditional context state.
   const char registry[] =
       "namespace titan::study {\n"
       "namespace {\n"
       "AnalysisResult kernel_truth(const StudyContext& context) {\n"
-      "  auto roots = context.truth_frame.roots();\n"
+      "  auto roots = context.frame.roots();\n"
       "  auto begin = context.period.begin;\n"
       "  return begin;\n"
       "}\n"
       "}\n"
       "const AnalysisRegistry& AnalysisRegistry::standard() {\n"
       "  AnalysisRegistry r;\n"
-      "  r.add({\"truth\", \"ground truth only\", kGroundTruth, kernel_truth});\n"
+      "  r.add({\"truth\", \"ground truth only\", kEvents | kGroundTruth, kernel_truth});\n"
       "  return r;\n"
       "}\n"
       "}\n";
   const std::vector<SourceFile> files = {{"src/study/registry.cpp", registry}};
   EXPECT_TRUE(titanlint::run_lint(files).diagnostics.empty());
+}
+
+TEST(CapabilityCheck, JobColumnThroughHelperNeedsGroundTruth) {
+  // A helper that reads frame.jobs() makes its caller a ground-truth
+  // reader, even when the kernel itself only ever names context.frame.
+  const char helpers[] =
+      "namespace titan::analysis {\n"
+      "int interruptions(const EventFrame& frame, int kind) {\n"
+      "  auto owners = frame.jobs();\n"
+      "  return static_cast<int>(owners.size()) + kind;\n"
+      "}\n"
+      "}\n";
+  const char registry[] =
+      "namespace titan::study {\n"
+      "namespace {\n"
+      "AnalysisResult kernel_jobs(const StudyContext& context) {\n"
+      "  auto hits = interruptions(context.frame, 3);\n"
+      "  return hits;\n"
+      "}\n"
+      "}\n"
+      "const AnalysisRegistry& AnalysisRegistry::standard() {\n"
+      "  AnalysisRegistry r;\n"
+      "  r.add({\"jobs\", \"events only\", kEvents, kernel_jobs});\n"
+      "  return r;\n"
+      "}\n"
+      "}\n";
+  const std::vector<SourceFile> files = {
+      {"src/analysis/fixture_helpers.cpp", helpers},
+      {"src/study/registry.cpp", registry},
+  };
+  const auto result = titanlint::run_lint(files);
+  const auto lines = formatted(result);
+  ASSERT_EQ(lines.size(), 1U);
+  EXPECT_EQ(lines[0],
+            "src/study/registry.cpp:4: error[cap-undeclared]: kernel 'kernel_jobs' reads "
+            "kGroundTruth but analysis 'jobs' declares only kEvents");
 }
 
 // ---------------------------------------------------------------------------

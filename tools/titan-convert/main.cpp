@@ -108,7 +108,7 @@ int convert(const fs::path& src, const fs::path& dst, std::string_view to, bool 
   std::printf("converted %s (%s) -> %s (%s)\n", src.string().c_str(),
               src_binary ? "binary" : "text", dst.string().c_str(), dst_kind);
   std::printf("  profile %s\n", std::string{context.profile->name}.c_str());
-  std::printf("  events  %zu\n", context.events.size());
+  std::printf("  events  %zu\n", context.frame.size());
   std::printf("  jobs    %zu\n", context.job_log.size());
   std::printf("  smi     %zu blocks\n", context.snapshot.records.size());
   if (shards > 0) std::printf("  shards  %zu\n", shards);

@@ -509,18 +509,18 @@ std::string cap_list(unsigned mask) {
 
 /// Capability implied by touching a StudyContext member.
 unsigned cap_of_context_member(std::string_view member) {
-  if (member == "events" || member == "frame") return kCapEvents;
+  if (member == "frame") return kCapEvents;
   if (member == "snapshot") return kCapSnapshot;
   if (member == "trace") return kCapTrace;
-  if (member == "truth_frame") return kCapGroundTruth;
   // period / accounting_from / load_stats / capabilities / has / job_log
   // are unconditional context state.
   return 0;
 }
 
 /// Capability implied by an EventFrame column accessor.  Base columns
-/// (times/nodes/kinds/... and the kind CSR) ride on whichever capability
-/// provided the frame, so only the join columns map to extra bits.
+/// (times/nodes/kinds/... and the kind CSR) are covered by the kEvents the
+/// `frame` member itself implies, so only the join columns map to extra
+/// bits.
 unsigned cap_of_frame_column(std::string_view column) {
   if (column == "cards") return kCapLedger;
   if (column == "jobs" || column == "roots") return kCapGroundTruth;
