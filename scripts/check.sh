@@ -14,10 +14,11 @@
 #   --ubsan      add a second build under TITANREL_SANITIZE=undefined
 #                (-fno-sanitize-recover=all) and run ctest under it
 #   --tsan       add a build under TITANREL_SANITIZE=thread and run the
-#                concurrency-bearing suites (titan::par pool, the JobTrace
-#                index's parallel epoch fill, the study pipeline, the
-#                sharded out-of-core driver, and the determinism gates)
-#                under it
+#                concurrency-bearing suites (titan::par pool, the workload
+#                and JobTrace index, the allocator's shared node order, the
+#                fault campaign's pool workers reading shared job node
+#                lists, the study pipeline, the sharded out-of-core
+#                driver, and the determinism gates) under it
 #   --asan       add a whole-tree build under TITANREL_SANITIZE=address
 #                with -D_GLIBCXX_ASSERTIONS (checked operator[]) and run
 #                the full ctest under it
@@ -133,10 +134,12 @@ if [[ "$TSAN" == 1 ]]; then
   echo "== TSan build + concurrency suites =="
   cmake -B build-tsan -S . -DTITANREL_SANITIZE=thread -DTITANREL_WERROR=ON
   cmake --build build-tsan -j "$JOBS" --target \
-    par_pool_test sched_workload_test study_pipeline_test study_sharded_test \
-    determinism_test profile_determinism_test
+    par_pool_test sched_workload_test sched_allocator_property_test fault_campaign_test \
+    study_pipeline_test study_sharded_test determinism_test profile_determinism_test
   ./build-tsan/tests/par_pool_test
   ./build-tsan/tests/sched_workload_test
+  ./build-tsan/tests/sched_allocator_property_test
+  ./build-tsan/tests/fault_campaign_test
   ./build-tsan/tests/study_pipeline_test
   ./build-tsan/tests/study_sharded_test
   ./build-tsan/tests/determinism_test

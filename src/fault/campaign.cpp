@@ -544,10 +544,11 @@ TailStream run_campaign_tail(const CampaignSchedule& plan, const gpu::Fleet& fle
     out.push_back(root);
     const std::int64_t root_index = 0;
 
-    for (std::size_t i = 0; i < job.nodes.size(); ++i) {
-      if (i == root_pick) continue;
+    std::size_t i = 0;
+    for (const NodeId node : job.nodes) {
+      if (i++ == root_pick) continue;
       Event child = root;
-      child.node = job.nodes[i];
+      child.node = node;
       child.time = crash + static_cast<TimeSec>(
                                job_rng.below(static_cast<std::uint64_t>(model.job_propagation_window_s)));
       child.parent = root_index;

@@ -35,9 +35,7 @@ void check_node(NodeId node) {
 }  // namespace
 
 TorusAllocator::TorusAllocator(const std::vector<bool>& usable, PlacementPolicy policy)
-    : position_of_node_(static_cast<std::size_t>(kNodeSlots), kNoPosition),
-      node_usable_{usable},
-      node_held_(static_cast<std::size_t>(kNodeSlots), false) {
+    : node_usable_{usable}, node_held_(static_cast<std::size_t>(kNodeSlots), false) {
   if (usable.size() != static_cast<std::size_t>(kNodeSlots)) {
     throw std::invalid_argument{"TorusAllocator: usable mask must cover all node slots"};
   }
@@ -61,13 +59,12 @@ TorusAllocator::TorusAllocator(const std::vector<bool>& usable, PlacementPolicy 
                      [](std::size_t a, std::size_t b) { return cage_of_rank(a) < cage_of_rank(b); });
   }
 
-  search_nodes_.reserve(2 * search_order.size());
-  for (std::size_t pos = 0; pos < search_order.size(); ++pos) {
-    for (NodeId n : nodes_of_rank(search_order[pos])) {
-      search_nodes_.push_back(n);
-      position_of_node_[static_cast<std::size_t>(n)] = static_cast<std::uint32_t>(pos);
-    }
+  std::vector<NodeId> search_nodes;
+  search_nodes.reserve(2 * search_order.size());
+  for (const std::size_t rank : search_order) {
+    for (NodeId n : nodes_of_rank(rank)) search_nodes.push_back(n);
   }
+  order_ = std::make_shared<const NodeOrder>(std::move(search_nodes));
   // Every router starts free; bits past the last position stay clear so
   // no run or scan ever reaches them.
   yield_.assign(search_order.size(), 0);
@@ -137,7 +134,7 @@ std::size_t TorusAllocator::next_free(std::size_t pos) const {
 void TorusAllocator::refresh_yield(std::size_t pos) noexcept {
   std::uint8_t yield = 0;
   for (std::size_t i = 2 * pos; i < 2 * pos + 2; ++i) {
-    const auto idx = static_cast<std::size_t>(search_nodes_[i]);
+    const auto idx = static_cast<std::size_t>(order_->node(i));
     if (node_usable_[idx] && !node_held_[idx]) ++yield;
   }
   yield_[pos] = yield;
@@ -149,8 +146,7 @@ void TorusAllocator::refresh_yield(std::size_t pos) noexcept {
   }
 }
 
-void TorusAllocator::fill_from(std::size_t pos, std::vector<NodeId>& out,
-                               std::size_t& remaining) {
+void TorusAllocator::fill_from(std::size_t pos, NodeList& out, std::size_t& remaining) {
   for (pos = next_free(pos); remaining > 0 && pos < router_count(); pos = next_free(pos)) {
     const std::size_t w = pos / kWordBits;
     const std::size_t bit = pos % kWordBits;
@@ -165,8 +161,7 @@ void TorusAllocator::fill_from(std::size_t pos, std::vector<NodeId>& out,
       free_words_[w] &= ~(ones << bit);
       free_node_count_ -= 2 * run;  // whole routers are reserved either way
       const std::size_t take = std::min(2 * run, remaining);
-      const auto first = search_nodes_.begin() + static_cast<std::ptrdiff_t>(2 * pos);
-      out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(take));
+      out.append(static_cast<std::uint32_t>(2 * pos), static_cast<std::uint32_t>(take));
       remaining -= take;
       pos += run;
       continue;
@@ -178,9 +173,9 @@ void TorusAllocator::fill_from(std::size_t pos, std::vector<NodeId>& out,
       set_free(pos, false);
       --free_node_count_;
       for (std::size_t i = 2 * pos; i < 2 * pos + 2; ++i) {
-        const auto idx = static_cast<std::size_t>(search_nodes_[i]);
+        const auto idx = static_cast<std::size_t>(order_->node(i));
         if (node_usable_[idx] && !node_held_[idx]) {
-          out.push_back(search_nodes_[i]);
+          out.append(static_cast<std::uint32_t>(i), 1);
           --remaining;
           break;
         }
@@ -190,16 +185,15 @@ void TorusAllocator::fill_from(std::size_t pos, std::vector<NodeId>& out,
   }
 }
 
-std::optional<std::vector<NodeId>> TorusAllocator::allocate(std::size_t node_count) {
-  if (node_count == 0) return std::vector<NodeId>{};
+std::optional<NodeList> TorusAllocator::allocate(std::size_t node_count) {
+  NodeList out{order_};
+  if (node_count == 0) return out;
   if (node_count > free_node_count_) return std::nullopt;
 
   // Router demand assumes two usable nodes per router; holds or service
   // sharing can make a router yield one, handled by the scattered pass.
   const std::size_t gemini_demand = (node_count + 1) / 2;
 
-  std::vector<NodeId> out;
-  out.reserve(node_count);
   std::size_t remaining = node_count;
   // The found window is free by construction; the fill continues past it
   // only if holds made some routers yield fewer nodes than expected.
@@ -215,14 +209,46 @@ std::optional<std::vector<NodeId>> TorusAllocator::allocate(std::size_t node_cou
   return out;
 }
 
-void TorusAllocator::release(const std::vector<NodeId>& nodes) {
+void TorusAllocator::free_routers(std::size_t first, std::size_t last) noexcept {
+  while (first < last) {
+    const std::size_t w = first / kWordBits;
+    const std::size_t bit = first % kWordBits;
+    const std::size_t span = std::min(last - first, kWordBits - bit);
+    // span is 1..64, so the shift stays below the word width.
+    const std::uint64_t mask = (~std::uint64_t{0} >> (kWordBits - span)) << bit;
+    const std::uint64_t newly = mask & ~free_words_[w];
+    free_words_[w] |= mask;
+    // Full routers yield two nodes; the rest are looked up one by one.
+    free_node_count_ += 2 * static_cast<std::size_t>(std::popcount(newly & full_words_[w]));
+    for (std::uint64_t partial = newly & ~full_words_[w]; partial != 0; partial &= partial - 1) {
+      const auto pos = w * kWordBits + static_cast<std::size_t>(std::countr_zero(partial));
+      free_node_count_ += yield_[pos];
+    }
+    first += span;
+  }
+}
+
+void TorusAllocator::release(const NodeList& nodes) {
+  if (nodes.order() == order_) {
+    for (std::size_t r = 0; r < nodes.run_count(); ++r) {
+      const NodeList::Run run = nodes.run(r);
+      if (std::size_t{run.first} + run.length > order_->size()) {
+        throw std::out_of_range{"TorusAllocator: run past the search order"};
+      }
+    }
+    // A job owns whole routers; a run frees every router it touches.
+    for (std::size_t r = 0; r < nodes.run_count(); ++r) {
+      const NodeList::Run run = nodes.run(r);
+      free_routers(run.first / 2, (std::size_t{run.first} + run.length + 1) / 2);
+    }
+    return;
+  }
   std::for_each(nodes.begin(), nodes.end(), check_node);
-  // A job owns whole routers; freeing any node of a router frees it.
+  // Freeing any node of a router frees it.
   for (NodeId n : nodes) {
-    const std::uint32_t pos = position_of_node_[static_cast<std::size_t>(n)];
-    if (pos == kNoPosition || is_free(pos)) continue;  // already freed via its sibling node
-    set_free(pos, true);
-    free_node_count_ += yield_[pos];
+    const std::uint32_t entry = order_->entry_of(n);
+    if (entry == NodeOrder::kNoEntry) continue;
+    free_routers(entry / 2, entry / 2 + 1);
   }
 }
 
@@ -232,7 +258,7 @@ void TorusAllocator::hold_node(NodeId node) {
   if (node_held_[idx]) return;
   node_held_[idx] = true;
   if (!node_usable_[idx]) return;
-  const std::size_t pos = position_of_node_[idx];
+  const std::size_t pos = order_->entry_of(node) / 2;
   refresh_yield(pos);
   if (is_free(pos)) --free_node_count_;
 }
@@ -243,7 +269,7 @@ void TorusAllocator::unhold_node(NodeId node) {
   if (!node_held_[idx]) return;
   node_held_[idx] = false;
   if (!node_usable_[idx]) return;
-  const std::size_t pos = position_of_node_[idx];
+  const std::size_t pos = order_->entry_of(node) / 2;
   refresh_yield(pos);
   if (is_free(pos)) ++free_node_count_;
 }

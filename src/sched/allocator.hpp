@@ -9,20 +9,20 @@
 // fit in torus-rank order, falling back to a scattered lowest-rank fill
 // when fragmentation prevents a contiguous block.
 //
-// Cost: the allocator works on runs of routers, not single nodes.  A
-// flat node table lists the two nodes behind each router in search
-// order, so a run of routers is a range of that table; a node-to-position
-// table maps the other way.  Two bitmaps over the search order, 64
-// routers to a word, hold which routers are free and which are *full*
-// (both nodes usable and unheld); `yield_` keeps each router's count of
-// usable, unheld nodes, refreshed on every hold and unhold.  A contiguous
-// first fit hops the free bitmap a word at a time (countr_one /
-// countr_zero), so it costs O(routers / 64 + free runs passed).  The fill
-// then takes each run of free-and-full routers within a word with one
-// mask clear and appends its nodes with one range insert; only a free
-// router that yields fewer than two nodes is visited on its own.
-// `release` looks each node's router up in O(1), sets its free bit and
-// adds back its yield.
+// Cost: the allocator works on runs of routers, not single nodes.  Its
+// search order is a `NodeOrder` listing the two nodes behind each router,
+// so a run of routers is a run of entries, and an allocation is a
+// `NodeList` of such runs over that shared order -- one run for most jobs.
+// Two bitmaps over the search order, 64 routers to a word, hold which
+// routers are free and which are *full* (both nodes usable and unheld);
+// `yield_` keeps each router's count of usable, unheld nodes, refreshed
+// on every hold and unhold.  A contiguous first fit hops the free bitmap
+// a word at a time (countr_one / countr_zero), so it costs
+// O(routers / 64 + free runs passed).  The fill then takes each run of
+// free-and-full routers within a word with one mask clear and appends it
+// as one run; only a free router that yields fewer than two nodes is
+// visited on its own, as a one-entry run.  `release` sets a run's free
+// bits with word masks and adds back their yield, O(runs + words).
 //
 // An optional cage-aware placement policy implements the operational
 // improvement of Observation 4 ("this observation was used for improved
@@ -32,9 +32,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "sched/node_list.hpp"
 #include "topology/machine.hpp"
 #include "topology/torus.hpp"
 
@@ -58,13 +60,17 @@ class TorusAllocator {
   /// Allocate `node_count` nodes.  Returns std::nullopt when not enough
   /// free nodes exist.  Allocation is Gemini-granular: an odd request
   /// holds its final router's second node unusable-but-reserved (as ALPS
-  /// does for exclusive placement).
-  [[nodiscard]] std::optional<std::vector<topology::NodeId>> allocate(std::size_t node_count);
+  /// does for exclusive placement).  The list's runs index `order()`.
+  [[nodiscard]] std::optional<NodeList> allocate(std::size_t node_count);
 
-  /// Return nodes of a previous allocation to the free pool.  Throws
-  /// std::out_of_range, before freeing anything, if a node id is not a
-  /// node slot.
-  void release(const std::vector<topology::NodeId>& nodes);
+  /// Return nodes of a previous allocation to the free pool.  A list over
+  /// `order()` frees its runs whole; any other list is freed node by
+  /// node, and throws std::out_of_range, before freeing anything, if a
+  /// node id is not a node slot.
+  void release(const NodeList& nodes);
+
+  /// The search order: router p of the order owns entries 2p and 2p + 1.
+  [[nodiscard]] const std::shared_ptr<const NodeOrder>& order() const noexcept { return order_; }
 
   [[nodiscard]] std::size_t free_nodes() const noexcept { return free_node_count_; }
   [[nodiscard]] std::size_t total_nodes() const noexcept { return total_node_count_; }
@@ -76,10 +82,6 @@ class TorusAllocator {
   void unhold_node(topology::NodeId node);
 
  private:
-  /// Search position marking a node whose router is not in the search
-  /// order (no usable node behind it).
-  static constexpr std::uint32_t kNoPosition = static_cast<std::uint32_t>(-1);
-
   /// Leftmost start (a search position) of `count` >= 1 consecutive free
   /// routers: the first fit of a linear scan in search order.
   [[nodiscard]] std::optional<std::size_t> find_contiguous(std::size_t count) const;
@@ -90,15 +92,16 @@ class TorusAllocator {
   [[nodiscard]] std::size_t router_count() const noexcept { return yield_.size(); }
   /// Reserve free routers in search order from `pos` until `remaining`
   /// nodes have been appended to `out` or the order runs out.
-  void fill_from(std::size_t pos, std::vector<topology::NodeId>& out, std::size_t& remaining);
+  void fill_from(std::size_t pos, NodeList& out, std::size_t& remaining);
+  /// Free the routers at search positions [first, last) that are not
+  /// free yet.
+  void free_routers(std::size_t first, std::size_t last) noexcept;
   /// Recount the usable, unheld nodes behind the router at `pos`.
   void refresh_yield(std::size_t pos) noexcept;
 
   /// The two nodes behind each router of the search order (routers with
-  /// at least one usable node, in visit order per policy): router p owns
-  /// entries 2p and 2p + 1.
-  std::vector<topology::NodeId> search_nodes_;
-  std::vector<std::uint32_t> position_of_node_;  ///< by NodeId; kNoPosition if off the order
+  /// at least one usable node, in visit order per policy).
+  std::shared_ptr<const NodeOrder> order_;
   std::vector<std::uint8_t> yield_;  ///< usable, unheld nodes behind each router (0..2)
   /// Bit p of word p / 64 is set while the router at search position p is
   /// unallocated.  Held nodes do not clear it.

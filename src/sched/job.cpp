@@ -5,8 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "par/parallel.hpp"
-
 namespace titan::sched {
 
 namespace {
@@ -45,49 +43,49 @@ JobTrace::JobTrace(std::vector<JobRecord> jobs) : jobs_{std::move(jobs)} {
     throw std::invalid_argument{"JobTrace: more than 2^32 jobs"};
   }
 
-  const std::vector<std::uint32_t> order = fill_order(jobs_);
-
-  // Cut the fill order into epochs before the job that would take an
-  // epoch past kEpochEntries.  cuts[e] is epoch e's first position.
-  std::vector<std::size_t> cuts{0};
-  std::size_t filled = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const std::size_t width = jobs_[order[i]].nodes.size();
-    if (filled > 0 && filled + width > kEpochEntries) {
-      cuts.push_back(i);
-      filled = 0;
+  // One order for every job with nodes; each run must stay inside it.
+  const auto with_nodes = std::find_if(jobs_.begin(), jobs_.end(),
+                                       [](const JobRecord& job) { return !job.nodes.empty(); });
+  if (with_nodes != jobs_.end()) order_ = with_nodes->nodes.order();
+  const std::size_t entries =
+      order_ ? order_->size() : static_cast<std::size_t>(topology::kNodeSlots);
+  for (const JobRecord& job : jobs_) {
+    if (job.nodes.empty()) continue;
+    if (job.nodes.order() != order_) {
+      throw std::invalid_argument{"JobTrace: jobs list their nodes over different orders"};
     }
-    filled += width;
+    for (std::size_t r = 0; r < job.nodes.run_count(); ++r) {
+      const NodeList::Run run = job.nodes.run(r);
+      if (std::size_t{run.first} + run.length > entries) {
+        throw std::invalid_argument{"JobTrace: job allocates an unknown node"};
+      }
+    }
+    max_duration_ = std::max(max_duration_, job.end - job.start);
   }
-  if (!order.empty()) cuts.push_back(order.size());
 
-  // Each epoch is a counting pass then a scatter into exact-sized arrays
-  // it owns, so epochs fill concurrently.
-  epochs_.resize(cuts.size() - 1);
-  par::parallel_for(0, epochs_.size(), 1, [&](std::size_t e) {
-    const auto first = order.begin() + static_cast<std::ptrdiff_t>(cuts[e]);
-    const auto last = order.begin() + static_cast<std::ptrdiff_t>(cuts[e + 1]);
-    Epoch& epoch = epochs_[e];
-    epoch.first_start = jobs_[*first].start;
-    epoch.offsets.assign(static_cast<std::size_t>(topology::kNodeSlots) + 1, 0);
-    for (auto it = first; it != last; ++it) {
-      for (topology::NodeId node : jobs_[*it].nodes) {
-        if (node < 0 || node >= topology::kNodeSlots) {
-          throw std::invalid_argument{"JobTrace: job allocates an unknown node"};
+  // Counting pass then scatter, in (start, id) order: each run lands in
+  // every word it touches.
+  const std::vector<std::uint32_t> order = fill_order(jobs_);
+  const auto for_each_slot = [&](auto&& visit) {
+    for (const std::uint32_t j : order) {
+      const NodeList& nodes = jobs_[j].nodes;
+      for (std::size_t r = 0; r < nodes.run_count(); ++r) {
+        const NodeList::Run run = nodes.run(r);
+        const std::size_t last = std::size_t{run.first} + run.length;
+        for (std::size_t w = run.first / kWordEntries; w * kWordEntries < last; ++w) {
+          const std::size_t base = w * kWordEntries;
+          visit(w, Slot{j, static_cast<std::uint8_t>(std::max<std::size_t>(run.first, base) - base),
+                        static_cast<std::uint8_t>(std::min(last, base + kWordEntries) - base)});
         }
-        ++epoch.offsets[static_cast<std::size_t>(node) + 1];
       }
     }
-    std::partial_sum(epoch.offsets.begin(), epoch.offsets.end(), epoch.offsets.begin());
-
-    epoch.jobs.resize(epoch.offsets.back());
-    std::vector<std::uint32_t> cursor{epoch.offsets.begin(), epoch.offsets.end() - 1};
-    for (auto it = first; it != last; ++it) {
-      for (topology::NodeId node : jobs_[*it].nodes) {
-        epoch.jobs[cursor[static_cast<std::size_t>(node)]++] = *it;
-      }
-    }
-  });
+  };
+  word_offsets_.assign((entries + kWordEntries - 1) / kWordEntries + 1, 0);
+  for_each_slot([&](std::size_t w, const Slot&) { ++word_offsets_[w + 1]; });
+  std::partial_sum(word_offsets_.begin(), word_offsets_.end(), word_offsets_.begin());
+  slots_.resize(word_offsets_.back());
+  std::vector<std::size_t> cursor{word_offsets_.begin(), word_offsets_.end() - 1};
+  for_each_slot([&](std::size_t w, const Slot& slot) { slots_[cursor[w]++] = slot; });
 }
 
 const JobRecord& JobTrace::job(xid::JobId id) const {
@@ -97,53 +95,55 @@ const JobRecord& JobTrace::job(xid::JobId id) const {
   return jobs_[static_cast<std::size_t>(id)];
 }
 
-xid::JobId JobTrace::job_at(topology::NodeId node, stats::TimeSec when) const {
+std::uint32_t JobTrace::entry_of(topology::NodeId node) const {
   check_node(node);
-  const auto n = static_cast<std::size_t>(node);
+  return order_ ? order_->entry_of(node) : static_cast<std::uint32_t>(node);
+}
 
-  // The last epoch whose first job starts at or before `when`: no later
-  // epoch holds an entry that starts by then.
-  auto epoch = std::upper_bound(epochs_.begin(), epochs_.end(), when,
-                                [](stats::TimeSec t, const Epoch& e) { return t < e.first_start; });
-  if (epoch == epochs_.begin()) return xid::kNoJob;
-  --epoch;
+std::span<const JobTrace::Slot> JobTrace::word_slots(std::size_t w) const noexcept {
+  return std::span{slots_}.subspan(word_offsets_[w], word_offsets_[w + 1] - word_offsets_[w]);
+}
 
-  // The node's last entry starting at or before `when`, if its job is
-  // still running.  When this epoch has none, it is the last entry of the
-  // newest earlier epoch that has any: those all start by first_start.
-  const auto begin = epoch->jobs.begin() + epoch->offsets[n];
-  const auto end = epoch->jobs.begin() + epoch->offsets[n + 1];
-  const auto it = std::upper_bound(begin, end, when, [&](stats::TimeSec t, std::uint32_t j) {
-    return t < jobs_[j].start;
-  });
-  std::uint32_t job = 0;
-  if (it != begin) {
-    job = *(it - 1);
-  } else {
-    do {
-      if (epoch == epochs_.begin()) return xid::kNoJob;
-      --epoch;
-    } while (epoch->offsets[n] == epoch->offsets[n + 1]);
-    job = epoch->jobs[epoch->offsets[n + 1] - 1];
+xid::JobId JobTrace::job_at(topology::NodeId node, stats::TimeSec when) const {
+  const std::uint32_t entry = entry_of(node);
+  if (entry == NodeOrder::kNoEntry) return xid::kNoJob;
+  const auto slots = word_slots(entry / kWordEntries);
+  const auto offset = static_cast<std::uint8_t>(entry % kWordEntries);
+
+  // Back from the word's last slot starting at or before `when`: the
+  // first slot covering the entry is the node's latest-starting job.
+  // Slots that started more than max_duration_ before `when` belong to
+  // jobs that have ended, so the scan stops there.
+  auto it = std::upper_bound(slots.begin(), slots.end(), when,
+                             [&](stats::TimeSec t, const Slot& s) { return t < jobs_[s.job].start; });
+  while (it != slots.begin()) {
+    --it;
+    const JobRecord& record = jobs_[it->job];
+    if (when - record.start > max_duration_) break;
+    if (it->lo <= offset && offset < it->end) {
+      return when < record.end ? record.id : xid::kNoJob;
+    }
   }
-  const JobRecord& record = jobs_[job];
-  return (when >= record.start && when < record.end) ? record.id : xid::kNoJob;
+  return xid::kNoJob;
 }
 
 std::vector<JobTrace::Occupancy> JobTrace::occupancy(topology::NodeId node, stats::TimeSec begin,
                                                      stats::TimeSec end) const {
-  check_node(node);
-  const auto n = static_cast<std::size_t>(node);
+  const std::uint32_t entry = entry_of(node);
   std::vector<Occupancy> out;
-  for (const Epoch& epoch : epochs_) {
-    if (epoch.first_start >= end) break;
-    for (std::uint32_t i = epoch.offsets[n]; i < epoch.offsets[n + 1]; ++i) {
-      const JobRecord& record = jobs_[epoch.jobs[i]];
-      if (record.end <= begin) continue;
-      if (record.start >= end) return out;
-      out.push_back(Occupancy{record.id, std::max(begin, record.start),
-                              std::min(end, record.end)});
-    }
+  if (entry == NodeOrder::kNoEntry) return out;
+  const auto slots = word_slots(entry / kWordEntries);
+  const auto offset = static_cast<std::uint8_t>(entry % kWordEntries);
+
+  // Jobs that started more than max_duration_ before `begin` ended by then.
+  auto it = std::partition_point(slots.begin(), slots.end(), [&](const Slot& s) {
+    return begin - jobs_[s.job].start > max_duration_;
+  });
+  for (; it != slots.end(); ++it) {
+    const JobRecord& record = jobs_[it->job];
+    if (record.start >= end) break;
+    if (offset < it->lo || offset >= it->end || record.end <= begin) continue;
+    out.push_back(Occupancy{record.id, std::max(begin, record.start), std::min(end, record.end)});
   }
   return out;
 }

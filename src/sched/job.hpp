@@ -4,8 +4,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "sched/node_list.hpp"
 #include "stats/calendar.hpp"
 #include "topology/machine.hpp"
 #include "xid/event.hpp"
@@ -18,7 +21,10 @@ struct JobRecord {
   xid::UserId user = xid::kNoUser;
   stats::TimeSec start = 0;
   stats::TimeSec end = 0;                 ///< exclusive
-  std::vector<topology::NodeId> nodes;    ///< allocation, torus-rank order
+  /// Allocation, in the order the allocator reserved it: runs of its
+  /// search order, which is torus-rank order under kTorusOrder and lower
+  /// cages first under kCoolCageFirst.
+  NodeList nodes;
   double gpu_core_hours = 0.0;            ///< node-hours x GPU duty factor
   double max_memory_gb = 0.0;             ///< peak per-node GPU memory (RUR maxrss style, <= 6)
   double total_memory_gb = 0.0;           ///< time-integrated per-node memory (GB x hours)
@@ -30,23 +36,26 @@ struct JobRecord {
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes.size(); }
 };
 
-/// A job trace plus per-node occupancy index for (node, time) -> job
+/// A job trace plus an occupancy index for (node, time) -> job
 /// attribution, which the fault generators and the per-job nvidia-smi
 /// framework both need.
 class JobTrace {
  public:
-  /// Throws std::invalid_argument unless ids are dense and 0-based and
-  /// every allocated node is in [0, kNodeSlots).
+  /// Throws std::invalid_argument unless ids are dense and 0-based, every
+  /// job with nodes lists them over one shared order, and every allocated
+  /// node is in [0, kNodeSlots).
   explicit JobTrace(std::vector<JobRecord> jobs);
 
   [[nodiscard]] const std::vector<JobRecord>& jobs() const noexcept { return jobs_; }
   [[nodiscard]] const JobRecord& job(xid::JobId id) const;
 
-  /// Job running on `node` at `when`; kNoJob when idle.  Both lookups
-  /// throw std::out_of_range for a node outside [0, kNodeSlots).
+  /// Job running on `node` at `when`: the node's latest-starting job
+  /// (ties to the higher id) if it has not ended; kNoJob when idle.  Both
+  /// lookups throw std::out_of_range for a node outside [0, kNodeSlots).
   [[nodiscard]] xid::JobId job_at(topology::NodeId node, stats::TimeSec when) const;
 
-  /// All (job, overlap-seconds) pairs for `node` within [begin, end).
+  /// All (job, overlap-seconds) pairs for `node` within [begin, end), in
+  /// (start, id) order.
   struct Occupancy {
     xid::JobId job = xid::kNoJob;
     stats::TimeSec begin = 0;
@@ -55,32 +64,35 @@ class JobTrace {
   [[nodiscard]] std::vector<Occupancy> occupancy(topology::NodeId node, stats::TimeSec begin,
                                                  stats::TimeSec end) const;
 
-  /// Target index entries per epoch (4 MiB of 4-byte entries).  A fixed
-  /// constant, so the index layout depends only on the jobs.
-  static constexpr std::size_t kEpochEntries = std::size_t{1} << 20;
-
  private:
-  std::vector<JobRecord> jobs_;  ///< indexed by JobId (ids are dense, 0-based)
-
-  /// The occupancy index holds one 4-byte entry, the dense job index, per
-  /// (job x allocated node) -- tens of millions at Titan scale.  Entries
-  /// are filled in (start, id) order, so each node's entries come out
-  /// sorted by start without a per-node sort; lookups compare against
-  /// jobs_[job].start.  The fill order is cut, at job boundaries, into
-  /// epochs of about kEpochEntries entries, and each epoch is its own
-  /// CSR: node n owns [offsets[n], offsets[n+1]) of its jobs.  An epoch's
-  /// arrays fit in cache, so its scatter stays cache- and TLB-local where
-  /// one trace-wide CSR sends every write to a different page; epochs are
-  /// also independent, so they are counted and filled in parallel.  Epoch
-  /// boundaries depend only on the jobs, never on the thread count.
-  /// Every entry of epoch e starts no earlier than epochs_[e].first_start
-  /// and no later than epochs_[e+1].first_start.
-  struct Epoch {
-    stats::TimeSec first_start = 0;      ///< start of the epoch's first job
-    std::vector<std::uint32_t> offsets;  ///< kNodeSlots + 1 fences into jobs
-    std::vector<std::uint32_t> jobs;     ///< dense job indices
+  /// One run of one job, clipped to a word of kWordEntries entries:
+  /// entries [lo, end) of the word, as offsets from its first entry.
+  struct Slot {
+    std::uint32_t job = 0;  ///< dense job index
+    std::uint8_t lo = 0;
+    std::uint8_t end = 0;
   };
-  std::vector<Epoch> epochs_;
+  static constexpr std::size_t kWordEntries = 128;  ///< 64 routers of the search order
+
+  /// Entry of `node` in order_; throws std::out_of_range for a node
+  /// outside [0, kNodeSlots).
+  [[nodiscard]] std::uint32_t entry_of(topology::NodeId node) const;
+  [[nodiscard]] std::span<const Slot> word_slots(std::size_t w) const noexcept;
+
+  std::vector<JobRecord> jobs_;  ///< indexed by JobId (ids are dense, 0-based)
+  /// The order every job's runs index; null means NodeId order.
+  std::shared_ptr<const NodeOrder> order_;
+  /// The longest job (end - start): a job that started longer ago than
+  /// this before `when` has ended by then, so scans stop there.
+  stats::TimeSec max_duration_ = 0;
+
+  /// The occupancy index registers each run in every word of the order it
+  /// touches, a few hundred thousand slots at Titan scale.  It is one CSR
+  /// by word -- word w owns slots [word_offsets_[w], word_offsets_[w + 1])
+  /// -- filled in (start, id) order, so each word's slots are sorted by
+  /// start and lookups compare against jobs_[slot.job].start.
+  std::vector<std::size_t> word_offsets_;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace titan::sched

@@ -18,8 +18,7 @@ sched::JobTrace make_trace() {
   jobs[1].user = 2;
   jobs[1].start = 0;
   jobs[1].end = 7200;
-  jobs[1].nodes.resize(1000);
-  for (int i = 0; i < 1000; ++i) jobs[1].nodes[static_cast<std::size_t>(i)] = 100 + i;
+  jobs[1].nodes.append(100, 1000);  // nodes 100..1099, in NodeId order
   // Job 2: 1 node, 1 h, untouched.
   jobs[2].id = 2;
   jobs[2].user = 3;

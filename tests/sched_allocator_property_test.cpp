@@ -24,6 +24,15 @@ void PrintTo(PlacementPolicy policy, std::ostream* os) {
 
 namespace {
 
+std::vector<topology::NodeId> expand(const NodeList& nodes) {
+  return {nodes.begin(), nodes.end()};
+}
+
+std::optional<std::vector<topology::NodeId>> expand(const std::optional<NodeList>& nodes) {
+  if (!nodes) return std::nullopt;
+  return expand(*nodes);
+}
+
 class AllocatorFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AllocatorFuzz, InvariantsHoldUnderRandomOps) {
@@ -31,7 +40,7 @@ TEST_P(AllocatorFuzz, InvariantsHoldUnderRandomOps) {
   auto alloc = TorusAllocator::production();
   const std::size_t total = alloc.total_nodes();
 
-  std::vector<std::vector<topology::NodeId>> live;
+  std::vector<NodeList> live;
   std::set<topology::NodeId> allocated;
   std::set<topology::NodeId> held;
 
@@ -242,7 +251,7 @@ TEST_P(AllocatorOracle, MatchesLinearScanStepForStep) {
   ReferenceAllocator reference{usable, policy};
   ASSERT_EQ(alloc.free_nodes(), reference.free_nodes());
 
-  std::vector<std::vector<topology::NodeId>> live;
+  std::vector<NodeList> live;
   std::vector<topology::NodeId> held;
   for (int step = 0; step < 1500; ++step) {
     const double action = rng.uniform();
@@ -256,13 +265,13 @@ TEST_P(AllocatorOracle, MatchesLinearScanStepForStep) {
       const auto want = reference.allocate(request);
       ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
       if (got) {
-        ASSERT_EQ(*got, *want) << "step " << step << " request " << request;
+        ASSERT_EQ(expand(*got), *want) << "step " << step << " request " << request;
         live.push_back(*got);
       }
     } else if (action < 0.8 && !live.empty()) {
       const std::size_t idx = rng.below(live.size());
       alloc.release(live[idx]);
-      reference.release(live[idx]);
+      reference.release(expand(live[idx]));
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     } else if (action < 0.92) {
       // Any node: free, allocated (the hold applies on release), service.
@@ -301,21 +310,22 @@ TEST(AllocatorProperty, FragmentedLargeRequestsMatchReference) {
     const auto usable = usable_mask(rng, false);
     TorusAllocator alloc{usable, policy};
     ReferenceAllocator reference{usable, policy};
-    std::vector<std::vector<topology::NodeId>> jobs;
+    std::vector<NodeList> jobs;
     while (alloc.free_nodes() >= 2) {
       auto nodes = alloc.allocate(2);
-      ASSERT_EQ(nodes, reference.allocate(2));
+      ASSERT_EQ(expand(nodes), reference.allocate(2));
       jobs.push_back(std::move(*nodes));
     }
     for (const auto& job : jobs) {
       if (rng.bernoulli(0.5)) {
         alloc.release(job);
-        reference.release(job);
+        reference.release(expand(job));
       }
     }
     for (const std::size_t request : {std::size_t{3}, std::size_t{64}, std::size_t{5000},
                                       alloc.free_nodes(), alloc.free_nodes() + 1}) {
-      ASSERT_EQ(alloc.allocate(request), reference.allocate(request)) << "request " << request;
+      ASSERT_EQ(expand(alloc.allocate(request)), reference.allocate(request))
+          << "request " << request;
       ASSERT_EQ(alloc.free_nodes(), reference.free_nodes());
     }
   }
@@ -330,15 +340,15 @@ class Lockstep {
     EXPECT_EQ(alloc_.free_nodes(), reference_.free_nodes());
   }
 
-  std::vector<topology::NodeId> allocate(std::size_t request) {
+  NodeList allocate(std::size_t request) {
     const auto got = alloc_.allocate(request);
-    EXPECT_EQ(got, reference_.allocate(request)) << "request " << request;
+    EXPECT_EQ(expand(got), reference_.allocate(request)) << "request " << request;
     EXPECT_EQ(alloc_.free_nodes(), reference_.free_nodes()) << "request " << request;
-    return got.value_or(std::vector<topology::NodeId>{});
+    return got.value_or(NodeList{});
   }
-  void release(const std::vector<topology::NodeId>& nodes) {
+  void release(const NodeList& nodes) {
     alloc_.release(nodes);
-    reference_.release(nodes);
+    reference_.release(expand(nodes));
     EXPECT_EQ(alloc_.free_nodes(), reference_.free_nodes());
   }
   void hold(topology::NodeId node) {
@@ -411,7 +421,7 @@ TEST(AllocatorProperty, WordBoundaryRunsMatchReference) {
     SCOPED_TRACE(policy == PlacementPolicy::kTorusOrder ? "kTorusOrder" : "kCoolCageFirst");
     stats::Rng rng{31};
     Lockstep both{usable_mask(rng, true), policy};
-    std::vector<std::vector<topology::NodeId>> live;
+    std::vector<NodeList> live;
     for (const std::size_t request :
          {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{127},
           std::size_t{128}, std::size_t{129}, std::size_t{255}, std::size_t{256},
@@ -431,7 +441,7 @@ TEST(AllocatorProperty, RepeatedFillDrainIsStable) {
   auto alloc = TorusAllocator::production();
   const std::size_t total = alloc.total_nodes();
   for (int round = 0; round < 5; ++round) {
-    std::vector<std::vector<topology::NodeId>> jobs;
+    std::vector<NodeList> jobs;
     while (alloc.free_nodes() >= 1000) {
       auto nodes = alloc.allocate(1000);
       ASSERT_TRUE(nodes.has_value());
@@ -446,7 +456,7 @@ TEST(AllocatorProperty, FragmentationStillServes) {
   // Allocate pairs, free every other one, then ask for a large block: the
   // scattered fallback must serve it from the freed holes.
   auto alloc = TorusAllocator::production();
-  std::vector<std::vector<topology::NodeId>> jobs;
+  std::vector<NodeList> jobs;
   while (alloc.free_nodes() >= 2) {
     auto nodes = alloc.allocate(2);
     ASSERT_TRUE(nodes.has_value());

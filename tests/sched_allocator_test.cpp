@@ -150,13 +150,81 @@ TEST(Allocator, OutOfRangeNodeThrows) {
     EXPECT_THROW(alloc.unhold_node(bad), std::out_of_range) << bad;
     EXPECT_THROW(alloc.release({bad}), std::out_of_range) << bad;
     // A bad id anywhere in the list frees nothing, not even the valid nodes.
-    std::vector<NodeId> mixed = *job;
+    std::vector<NodeId> mixed(job->begin(), job->end());
     mixed.push_back(bad);
-    EXPECT_THROW(alloc.release(mixed), std::out_of_range) << bad;
+    EXPECT_THROW(alloc.release(NodeList{mixed}), std::out_of_range) << bad;
     EXPECT_EQ(alloc.free_nodes(), free) << bad;
   }
   alloc.release(*job);
   EXPECT_EQ(alloc.free_nodes(), alloc.total_nodes());
+}
+
+TEST(Allocator, AllocationIsRunsOfTheSearchOrder) {
+  auto alloc = TorusAllocator::production();
+  const auto nodes = alloc.allocate(1000);
+  ASSERT_TRUE(nodes.has_value());
+  EXPECT_EQ(nodes->order(), alloc.order());
+  EXPECT_EQ(nodes->run_count(), 1U);  // an empty machine: one contiguous window
+  EXPECT_EQ(nodes->run(0).first, 0U);
+  EXPECT_EQ(nodes->run(0).length, 1000U);
+  std::size_t i = 0;
+  for (const NodeId n : *nodes) {
+    EXPECT_EQ(n, alloc.order()->node(i));
+    EXPECT_EQ((*nodes)[i], n);
+    ++i;
+  }
+  EXPECT_EQ(i, nodes->size());
+  EXPECT_EQ(nodes->front(), alloc.order()->node(0));
+}
+
+TEST(Allocator, ReleaseOfAListInAnotherOrderFreesNodeByNode) {
+  auto alloc = TorusAllocator::production();
+  const auto job = alloc.allocate(301);
+  ASSERT_TRUE(job.has_value());
+  // The same nodes in NodeId order: freed one by one, whole routers.
+  const NodeList by_id{std::vector<NodeId>(job->begin(), job->end())};
+  EXPECT_EQ(by_id, *job);
+  EXPECT_EQ(by_id.order(), nullptr);
+  alloc.release(by_id);
+  EXPECT_EQ(alloc.free_nodes(), alloc.total_nodes());
+}
+
+TEST(Allocator, RunPastTheSearchOrderThrows) {
+  auto alloc = TorusAllocator::production();
+  const auto job = alloc.allocate(10);
+  ASSERT_TRUE(job.has_value());
+  NodeList bad = *job;
+  bad.append(static_cast<std::uint32_t>(alloc.order()->size()) - 1, 2);
+  EXPECT_THROW(alloc.release(bad), std::out_of_range);
+  EXPECT_EQ(alloc.free_nodes(), alloc.total_nodes() - 10);  // nothing freed
+  alloc.release(*job);
+  EXPECT_EQ(alloc.free_nodes(), alloc.total_nodes());
+}
+
+TEST(NodeList, RunsIndexAndIterateInListOrder) {
+  const NodeList list{7, 8, 9, 3, 4, 20, 10, 11, 12, 13};
+  ASSERT_EQ(list.run_count(), 4U);  // 7..9, 3..4, 20, 10..13
+  EXPECT_EQ(list.run(1).first, 3U);
+  EXPECT_EQ(list.run(1).length, 2U);
+  EXPECT_EQ(list.size(), 10U);
+  EXPECT_EQ(list.front(), 7);
+  const std::vector<NodeId> expanded(list.begin(), list.end());
+  EXPECT_EQ(expanded, (std::vector<NodeId>{7, 8, 9, 3, 4, 20, 10, 11, 12, 13}));
+  for (std::size_t i = 0; i < expanded.size(); ++i) EXPECT_EQ(list[i], expanded[i]) << i;
+  EXPECT_TRUE(NodeList{}.empty());
+  EXPECT_FALSE(list == (NodeList{7, 8, 9}));
+
+  // A fragmented machine: the scattered fill hands out many runs.
+  auto alloc = TorusAllocator::production();
+  std::vector<NodeList> pairs;
+  while (alloc.free_nodes() >= 2) pairs.push_back(*alloc.allocate(2));
+  for (std::size_t i = 0; i < pairs.size(); i += 3) alloc.release(pairs[i]);
+  const auto scattered = alloc.allocate(500);
+  ASSERT_TRUE(scattered.has_value());
+  ASSERT_GT(scattered->run_count(), 100U);
+  std::size_t i = 0;
+  for (const NodeId n : *scattered) EXPECT_EQ((*scattered)[i++], n);
+  EXPECT_EQ(i, 500U);
 }
 
 TEST(Allocator, RejectsBadMask) {
