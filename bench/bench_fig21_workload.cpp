@@ -20,25 +20,25 @@ void print_profile(const titan::analysis::Profile& profile, const char* key_name
 int main() {
   using namespace titan;
   using analysis::JobField;
-  const auto& trace = bench::full_study().trace;
+  const analysis::JobColumns jobs{bench::full_study().trace};
 
   bench::print_header("Fig. 21(a) -- sorted by GPU core hours: memory consumption");
-  print_profile(analysis::job_profile(trace, JobField::kGpuCoreHours, JobField::kMaxMemory, 12),
+  print_profile(analysis::job_profile(jobs, JobField::kGpuCoreHours, JobField::kMaxMemory, 12),
                 "core-hours/mean", "max-mem/mean");
 
   bench::print_header("Fig. 21(b) -- sorted by GPU core hours: node count");
-  print_profile(analysis::job_profile(trace, JobField::kGpuCoreHours, JobField::kNodeCount, 12),
+  print_profile(analysis::job_profile(jobs, JobField::kGpuCoreHours, JobField::kNodeCount, 12),
                 "core-hours/mean", "nodes/mean");
 
   bench::print_header("Fig. 21(c) -- sorted by node count: wall-clock time");
-  print_profile(analysis::job_profile(trace, JobField::kNodeCount, JobField::kWallHours, 12),
+  print_profile(analysis::job_profile(jobs, JobField::kNodeCount, JobField::kWallHours, 12),
                 "nodes/mean", "wall-hours/mean");
 
   bench::print_header("Fig. 21(d) -- sorted by node count: max memory");
-  print_profile(analysis::job_profile(trace, JobField::kNodeCount, JobField::kMaxMemory, 12),
+  print_profile(analysis::job_profile(jobs, JobField::kNodeCount, JobField::kMaxMemory, 12),
                 "nodes/mean", "max-mem/mean");
 
-  const auto shape = analysis::workload_shape(trace);
+  const auto shape = analysis::workload_shape(jobs);
   bench::print_row("core hours vs node count", "larger jobs use more core hours",
                    "Spearman " + render::fmt_double(shape.corehours_vs_nodes.coefficient, 2));
   bench::print_row("node-count percentile of top-1% max-memory jobs",

@@ -3,6 +3,7 @@
 // correlation statistics, topology math, and a small end-to-end study.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
@@ -13,6 +14,8 @@
 #include "analysis/reliability_report.hpp"
 #include "analysis/retirement_study.hpp"
 #include "analysis/spatial.hpp"
+#include "analysis/utilization.hpp"
+#include "analysis/workload_char.hpp"
 #include "analysis/xid_matrix.hpp"
 #include "core/facility.hpp"
 #include "gpu/secded.hpp"
@@ -234,6 +237,43 @@ void BM_AnalysisSuiteFrame(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(frame.size()));
 }
 BENCHMARK(BM_AnalysisSuiteFrame)->Unit(benchmark::kMillisecond);
+
+void BM_WorkloadChar(benchmark::State& state) {
+  // The workload_char kernel's work: job columns (one comparison sort,
+  // one counting sort), the Fig. 21 shape and its four 20-bin panels.
+  using analysis::JobField;
+  constexpr std::array<std::array<JobField, 2>, 4> kPanels = {{
+      {JobField::kGpuCoreHours, JobField::kTotalMemory},
+      {JobField::kGpuCoreHours, JobField::kNodeCount},
+      {JobField::kNodeCount, JobField::kWallHours},
+      {JobField::kNodeCount, JobField::kMaxMemory},
+  }};
+  const auto& trace = perf_dataset().trace;
+  for (auto _ : state) {
+    const analysis::JobColumns jobs{trace};
+    benchmark::DoNotOptimize(analysis::workload_shape(jobs));
+    for (const auto& [key, target] : kPanels) {
+      benchmark::DoNotOptimize(analysis::job_profile(jobs, key, target, 20));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.jobs().size()));
+}
+BENCHMARK(BM_WorkloadChar)->Unit(benchmark::kMillisecond);
+
+void BM_Utilization(benchmark::State& state) {
+  // The utilization kernel's study: the last 45 days of per-job SBE counts
+  // and their correlations, offender jobs excluded and not.
+  const auto& data = perf_dataset();
+  const auto end = data.config.period.end;
+  const auto begin = std::max(data.config.period.begin, end - 45 * stats::kSecondsPerDay);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analysis::utilization_study(data.trace, data.sbe_strikes, begin, end));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.sbe_strikes.size()));
+}
+BENCHMARK(BM_Utilization)->Unit(benchmark::kMillisecond);
 
 void BM_FullStudyEndToEnd(benchmark::State& state) {
   // The canonical 21-month default_config campaign every figure bench

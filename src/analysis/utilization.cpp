@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "stats/descriptive.hpp"
 #include "stats/topk.hpp"
@@ -44,12 +44,15 @@ UtilizationStudy utilization_study(const sched::JobTrace& trace,
     card_node[s.card] = s.node;
   }
   out.top10_offenders = stats::top_k_keys(card_totals, 10);
-  std::unordered_set<topology::NodeId> offender_nodes;
-  for (const auto card : out.top10_offenders) offender_nodes.insert(card_node.at(card));
+  std::vector<std::uint8_t> offender_node(static_cast<std::size_t>(topology::kNodeSlots), 0);
+  for (const auto card : out.top10_offenders) {
+    offender_node[static_cast<std::size_t>(card_node.at(card))] = 1;
+  }
 
   const auto job_uses_offender = [&](const sched::JobRecord& job) {
-    return std::any_of(job.nodes.begin(), job.nodes.end(),
-                       [&](topology::NodeId n) { return offender_nodes.contains(n); });
+    return std::any_of(job.nodes.begin(), job.nodes.end(), [&](topology::NodeId n) {
+      return offender_node[static_cast<std::size_t>(n)] != 0;
+    });
   };
 
   // One pass over the window jobs: a single trace lookup per record

@@ -6,7 +6,9 @@
 // states in prose.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "sched/job.hpp"
@@ -29,11 +31,46 @@ enum class JobField : std::uint8_t {
   kMaxMemory,
   kTotalMemory,
 };
+/// Number of JobField values.
+inline constexpr std::size_t kJobFields = 5;
 
 [[nodiscard]] double field_value(const sched::JobRecord& job, JobField field) noexcept;
 
-[[nodiscard]] Profile job_profile(const sched::JobTrace& trace, JobField sort_key,
-                                  JobField target, std::size_t bins);
+/// A trace's jobs as one column per JobField (trace order), plus what
+/// Fig. 21 sorts by: the stable ascending order (stats::sort_permutation's)
+/// and the average ranks of core hours and of node count.  Building costs
+/// one comparison sort (core hours) and one counting sort (node count, a
+/// whole number); workload_shape and every job_profile panel read only
+/// these, so a kernel builds the columns once and shares them.
+class JobColumns {
+ public:
+  explicit JobColumns(const sched::JobTrace& trace);
+
+  /// One sort key's stable ascending order and its average ranks.
+  struct SortedKey {
+    std::vector<std::size_t> order;
+    std::vector<double> ranks;
+  };
+
+  [[nodiscard]] std::size_t size() const noexcept { return columns_[0].size(); }
+  [[nodiscard]] std::span<const double> column(JobField field) const noexcept {
+    return columns_[static_cast<std::size_t>(field)];
+  }
+  /// kGpuCoreHours or kNodeCount; throws std::invalid_argument for any
+  /// other field.
+  [[nodiscard]] const SortedKey& sorted(JobField key) const;
+
+ private:
+  std::array<std::vector<double>, kJobFields> columns_;
+  SortedKey core_hours_;
+  SortedKey node_count_;
+};
+
+/// Jobs sorted by `sort_key` -- kGpuCoreHours or kNodeCount; any other
+/// key throws std::invalid_argument -- then split into `bins` equal-count
+/// bins.
+[[nodiscard]] Profile job_profile(const JobColumns& jobs, JobField sort_key, JobField target,
+                                  std::size_t bins);
 
 struct WorkloadShape {
   /// Fig. 21(b): core hours and node count move together.
@@ -49,6 +86,6 @@ struct WorkloadShape {
   double small_vs_large_max_wall_ratio = 0.0;
 };
 
-[[nodiscard]] WorkloadShape workload_shape(const sched::JobTrace& trace);
+[[nodiscard]] WorkloadShape workload_shape(const JobColumns& jobs);
 
 }  // namespace titan::analysis

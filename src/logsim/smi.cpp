@@ -1,6 +1,7 @@
 #include "logsim/smi.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace titan::logsim {
 
@@ -45,11 +46,15 @@ std::vector<JobSbeRecord> per_job_sbe_counts(const std::vector<fault::SbeStrike>
                                              const sched::JobTrace& trace,
                                              stats::TimeSec window_begin,
                                              stats::TimeSec window_end) {
-  // Index strike times by node for range counting.
+  // Index strike times by node for range counting.  Few nodes are ever
+  // struck, so a byte map lets the job walk skip the rest without
+  // touching their (empty) time lists.
   std::vector<std::vector<stats::TimeSec>> by_node(
       static_cast<std::size_t>(topology::kNodeSlots));
+  std::vector<std::uint8_t> struck(static_cast<std::size_t>(topology::kNodeSlots), 0);
   for (const auto& s : strikes) {
     by_node[static_cast<std::size_t>(s.node)].push_back(s.time);
+    struck[static_cast<std::size_t>(s.node)] = 1;
   }
   for (auto& times : by_node) std::sort(times.begin(), times.end());
 
@@ -59,6 +64,7 @@ std::vector<JobSbeRecord> per_job_sbe_counts(const std::vector<fault::SbeStrike>
     JobSbeRecord rec;
     rec.job = job.id;
     for (const topology::NodeId node : job.nodes) {
+      if (struck[static_cast<std::size_t>(node)] == 0) continue;
       const auto& times = by_node[static_cast<std::size_t>(node)];
       const auto lo = std::lower_bound(times.begin(), times.end(), job.start);
       const auto hi = std::lower_bound(times.begin(), times.end(), job.end);

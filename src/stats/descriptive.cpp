@@ -60,16 +60,20 @@ std::vector<double> apply_permutation(std::span<const double> xs,
 }
 
 std::vector<double> average_ranks(std::span<const double> xs) {
+  return average_ranks(xs, sort_permutation(xs));
+}
+
+std::vector<double> average_ranks(std::span<const double> xs,
+                                  std::span<const std::size_t> order) {
   const std::size_t n = xs.size();
   std::vector<double> ranks(n, 0.0);
-  const auto perm = sort_permutation(xs);
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i;
-    while (j + 1 < n && xs[perm[j + 1]] == xs[perm[i]]) ++j;
-    // Elements perm[i..j] are tied; each gets the average 1-based rank.
+    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
+    // Elements order[i..j] are tied; each gets the average 1-based rank.
     const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[perm[k]] = avg;
+    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
     i = j + 1;
   }
   return ranks;

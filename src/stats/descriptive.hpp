@@ -24,6 +24,10 @@ namespace titan::stats {
 /// Average ranks (1-based) with ties sharing the average of their span --
 /// the ranking used by the Spearman coefficient.
 [[nodiscard]] std::vector<double> average_ranks(std::span<const double> xs);
+/// The same ranks from `order`, any permutation that lists `xs` in
+/// ascending order (e.g. sort_permutation's), without sorting again.
+[[nodiscard]] std::vector<double> average_ranks(std::span<const double> xs,
+                                                std::span<const std::size_t> order);
 
 /// Indices that would sort `keys` ascending (stable).
 [[nodiscard]] std::vector<std::size_t> sort_permutation(std::span<const double> keys);

@@ -412,8 +412,8 @@ AnalysisResult kernel_reliability_report(const StudyContext& context) {
 
 AnalysisResult kernel_workload_char(const StudyContext& context) {
   AnalysisResult out{.name = "workload_char", .text = {}, .json = JsonValue::object()};
-  const auto& trace = context.trace();
-  const auto shape = analysis::workload_shape(trace);
+  const analysis::JobColumns jobs{context.trace()};
+  const auto shape = analysis::workload_shape(jobs);
 
   out.text += "core-hours vs node-count spearman: " +
               render::fmt_double(shape.corehours_vs_nodes.coefficient, 3) + " (n=" +
@@ -440,7 +440,7 @@ AnalysisResult kernel_workload_char(const StudyContext& context) {
   };
   auto profiles = JsonValue::object();
   for (const auto& panel : kPanels) {
-    const auto profile = analysis::job_profile(trace, panel.sort_key, panel.target, kBins);
+    const auto profile = analysis::job_profile(jobs, panel.sort_key, panel.target, kBins);
     auto entry = JsonValue::object();
     entry.set("key_mean", sequence_json(std::span<const double>{profile.key_mean}))
         .set("target_mean", sequence_json(std::span<const double>{profile.target_mean}));

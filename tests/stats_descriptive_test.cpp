@@ -81,6 +81,13 @@ TEST(Descriptive, AverageRanksAllTied) {
   for (const double r : ranks) EXPECT_DOUBLE_EQ(r, 2.0);
 }
 
+TEST(Descriptive, AverageRanksFromAnyAscendingOrder) {
+  // Ties may be listed in any order; the ranks come out the same.
+  const std::vector<double> xs{5, 5, 1, 9, 5};
+  const std::vector<std::size_t> order{2, 4, 0, 1, 3};
+  EXPECT_EQ(average_ranks(xs, order), average_ranks(xs));
+}
+
 TEST(Descriptive, RankSumInvariant) {
   // Sum of ranks == n(n+1)/2 regardless of ties.
   const std::vector<double> xs{3, 1, 4, 1, 5, 9, 2, 6, 5, 3};
