@@ -7,6 +7,7 @@
 
 #include "ckpt/study_ckpt.hpp"
 #include "study/io.hpp"
+#include "study/source.hpp"
 #include "tdf/tdf.hpp"
 
 namespace titan::study {
@@ -67,20 +68,8 @@ void check_manifest(const fs::path& dir, const ingest::ManifestIngest& manifest,
     add_finding(out, diag.file, diag.code, diag.detail);
   }
   for (const auto& [name, expected] : manifest.checksums) {
-    const auto path = dir / name;
-    if (!fs::exists(path)) {
-      const bool shard = name.starts_with("dataset.shard-") && name.ends_with(".tdf");
-      add_finding(out, name,
-                  shard ? TriageCode::kPartialShardSet : TriageCode::kFileMissing,
-                  shard ? "manifest claims this shard container but it is missing"
-                        : "manifest claims a checksum for this file but it is missing");
-      continue;
-    }
-    const auto actual = ingest::content_checksum(read_all(path));
-    if (actual != expected) {
-      add_finding(out, name, TriageCode::kChecksumMismatch,
-                  "manifest records " + ingest::checksum_hex(expected) +
-                      ", content hashes to " + ingest::checksum_hex(actual));
+    if (auto finding = check_claim(dir, name, expected)) {
+      out.findings.push_back(std::move(*finding));
     }
   }
   // Shard roster vs the `shards N` claim: every shard in [0, N) must be
@@ -121,30 +110,36 @@ std::string FsckResult::report_text() const {
   return text;
 }
 
+std::optional<FsckFinding> check_claim(const fs::path& dir, const std::string& name,
+                                       std::uint64_t expected) {
+  const auto path = dir / name;
+  if (!fs::exists(path)) {
+    // A missing shard container is its own crash-state class: the roster
+    // the manifest promised is incomplete, which is what a writer killed
+    // between shard commits leaves behind.
+    if (name.starts_with("dataset.shard-") && name.ends_with(".tdf")) {
+      return FsckFinding{name, TriageCode::kPartialShardSet,
+                         "manifest claims this shard container but it is missing"};
+    }
+    return FsckFinding{name, TriageCode::kFileMissing,
+                       "manifest claims a checksum for this file but it is missing"};
+  }
+  const auto actual = ingest::content_checksum(read_all(path));
+  if (actual == expected) return std::nullopt;
+  return FsckFinding{name, TriageCode::kChecksumMismatch,
+                     "manifest records " + ingest::checksum_hex(expected) +
+                         ", content hashes to " + ingest::checksum_hex(actual)};
+}
+
 FsckResult fsck_dataset(const fs::path& dir) {
   FsckResult out;
-  if (fs::exists(dir / std::string{tdf::kTdfFileName})) {
-    out.layout = "binary";
-  } else if (fs::exists(dir / tdf::shard_file_name(0))) {
-    out.layout = "sharded";
-  } else if (fs::exists(dir / "console.log")) {
-    out.layout = "text";
-  } else {
-    out.layout = "none";
-  }
+  ingest::IngestReport report{ingest::IngestPolicy::kSalvage};
+  const auto manifest = read_manifest(dir, ingest::IngestPolicy::kSalvage, report);
+  out.layout = std::string{dataset_layout(dir, manifest).name()};
 
   check_orphans(dir, out);
-
-  const bool have_manifest = fs::exists(dir / "manifest.txt");
-  check_checkpoint(dir, have_manifest, out);
-
-  if (have_manifest) {
-    ingest::IngestReport report{ingest::IngestPolicy::kSalvage};
-    const auto manifest = ingest::ingest_manifest_text(
-        read_all(dir / "manifest.txt"), "manifest.txt", ingest::IngestPolicy::kSalvage,
-        report);
-    check_manifest(dir, manifest, report, out);
-  }
+  check_checkpoint(dir, fs::exists(dir / "manifest.txt"), out);
+  check_manifest(dir, manifest, report, out);
   return out;
 }
 

@@ -13,7 +13,9 @@
 // runs.
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,12 @@ struct FsckResult {
   /// Byte-stable plain-text report (suitable for golden tests).
   [[nodiscard]] std::string report_text() const;
 };
+
+/// Check one manifest checksum claim against the bytes on disk (the
+/// loader shares it): nullopt when it holds, else the named finding.
+[[nodiscard]] std::optional<FsckFinding> check_claim(const std::filesystem::path& dir,
+                                                     const std::string& name,
+                                                     std::uint64_t expected);
 
 /// Check `dir` for crash state and integrity damage.  Read-only: never
 /// quarantines, repairs or deletes.  Never throws on dataset damage --

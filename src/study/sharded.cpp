@@ -13,7 +13,6 @@
 #include "faulttest/faulttest.hpp"
 #include "ingest/triage.hpp"
 #include "logsim/joblog.hpp"
-#include "logsim/smi_text.hpp"
 #include "study/io.hpp"
 #include "study/serialize_detail.hpp"
 #include "tdf/tdf.hpp"
@@ -102,21 +101,6 @@ void require_plan_match(const ckpt::StudyCheckpoint& prior,
   if (prior.card_fences != plan.card_fences) fail("shard card-fence plan");
 }
 
-std::vector<std::string> manifest_header(stats::TimeSec begin, stats::TimeSec end,
-                                         stats::TimeSec accounting_from,
-                                         const profile::FleetProfile& profile,
-                                         std::size_t shard_count) {
-  return {
-      std::string{ingest::kDatasetManifestHeader},
-      "period_begin " + std::to_string(begin),
-      "period_end " + std::to_string(end),
-      "accounting_from " + std::to_string(accounting_from),
-      "profile " + std::string{profile.name} + ' ' +
-          ingest::checksum_hex(profile.content_hash()),
-      "shards " + std::to_string(shard_count),
-  };
-}
-
 }  // namespace
 
 ShardedWriteStats generate_sharded_dataset(const core::FacilityConfig& config,
@@ -191,14 +175,9 @@ ShardedWriteStats generate_sharded_dataset(const core::FacilityConfig& config,
       // like write_dataset, so every format of one study quantizes
       // identically.
       data.has_jobs = true;
-      for (const auto& line : logsim::emit_job_log(sharded.trace())) {
-        if (const auto rec = logsim::parse_job_log_line(line)) data.jobs.push_back(*rec);
-      }
+      data.jobs = detail::quantized_jobs(logsim::emit_job_log(sharded.trace()));
       data.has_smi = true;
-      const auto sweep =
-          logsim::parse_smi_sweep_text(logsim::smi_sweep_text(sharded.final_snapshot()));
-      data.snapshot.taken_at = sweep.taken_at;
-      data.snapshot.records = sweep.records;
+      data.snapshot = detail::quantized_smi(sharded.final_snapshot());
     }
 
     auto seal = write_shard(dir, s, data);
@@ -214,8 +193,8 @@ ShardedWriteStats generate_sharded_dataset(const core::FacilityConfig& config,
 
   // Manifest last (atomically): a crashed writer leaves a directory
   // without integrity claims rather than one with stale claims.
-  auto manifest = manifest_header(config.period.begin, config.period.end, accounting_from,
-                                  *config.profile, shard_count);
+  auto manifest = detail::manifest_header(config.period.begin, config.period.end,
+                                          accounting_from, *config.profile, shard_count);
   for (const auto& seal : state.sealed) {
     manifest.push_back("checksum " + seal.file + ' ' +
                        ingest::checksum_hex(seal.checksum));
@@ -239,55 +218,22 @@ ShardedWriteStats write_sharded_dataset(const StudyContext& context,
   // context).  Without it, a kill between shard commits leaves a
   // contiguous-but-short shard roster that loads as a silently smaller
   // dataset; with it, loaders reject the directory as E_CKPT_INCOMPLETE.
-  ckpt::StudyCheckpoint intent;
-  intent.seed = 0;
-  intent.profile_name = std::string{context.profile->name};
-  intent.profile_hash = context.profile->content_hash();
-  intent.shard_count = 0;
-  intent.card_fences = {0};
-  ckpt::save_study_checkpoint(intent, dir);
+  detail::save_write_intent(context, dir);
 
-  const bool have_jobs = context.truth.has_value() || !context.job_log.empty();
-  const bool have_smi = context.has(kSnapshot);
-  auto manifest = manifest_header(context.period.begin, context.period.end,
-                                  context.accounting_from, *context.profile, shard_count);
-
+  auto manifest = detail::manifest_header(context.period.begin, context.period.end,
+                                          context.accounting_from, *context.profile,
+                                          shard_count);
   ShardedWriteStats out;
   out.shards = shard_count;
-  const auto& frame = context.frame;
-  const std::size_t total = frame.size();
+  const std::size_t total = context.frame.size();
   for (std::size_t s = 0; s < shard_count; ++s) {
     // Even contiguous split: the stream is time-sorted, so the loader's
     // (time, shard) merge reduces to concatenation and any bounds work.
-    const std::size_t lo = total * s / shard_count;
-    const std::size_t hi = total * (s + 1) / shard_count;
-
-    tdf::TdfDataset data;
-    data.period_begin = context.period.begin;
-    data.period_end = context.period.end;
-    data.accounting_from = context.accounting_from;
-    data.profile_name = std::string{context.profile->name};
-    data.profile_hash = context.profile->content_hash();
-    const auto slice = [&](auto column) {
-      const auto part = column.subspan(lo, hi - lo);
-      return std::vector(part.begin(), part.end());
-    };
-    data.times = slice(frame.times());
-    data.nodes = slice(frame.nodes());
-    data.kinds = slice(frame.kinds());
-    data.structures = slice(frame.structures());
-
-    if (s + 1 == shard_count) {
-      if (have_jobs) {
-        data.has_jobs = true;
-        data.jobs = detail::quantized_jobs(context);
-      }
-      if (have_smi) {
-        data.has_smi = true;
-        data.snapshot = detail::quantized_smi(context.snapshot);
-      }
-    }
-    const auto seal = write_shard(dir, s, data);
+    // Side artifacts ride in the last shard.
+    const auto seal = write_shard(
+        dir, s,
+        detail::container_of(context, total * s / shard_count, total * (s + 1) / shard_count,
+                             s + 1 == shard_count));
     tally(out, seal);
     manifest.push_back("checksum " + seal.file + ' ' +
                        ingest::checksum_hex(seal.checksum));

@@ -6,9 +6,9 @@
 // a `shards S` key.  Each shard carries one contiguous, time-ordered
 // slice of the event stream; the job-accounting and nvidia-smi segments
 // ride in the LAST shard (they depend on end-of-campaign card state).
-// DatasetSource::load detects the layout and k-way merges the shard
-// streams back into one StudyContext that is byte-identical to loading
-// the equivalent monolithic dataset.
+// The manifest's `shards S` line is what makes the directory sharded to
+// DatasetSource::load, whose one roster loader k-way merges the shard
+// streams -- the loader a monolithic dataset.tdf takes as a roster of one.
 //
 // Two producers:
 //   * generate_sharded_dataset runs the campaign shard by shard through
@@ -41,8 +41,8 @@ struct ShardedWriteStats {
 /// Run the fault campaign for `config` shard by shard and write a sharded
 /// binary dataset into `dir`.  Events stream to disk as each shard
 /// completes; the full event set is never resident.  Deterministic: the
-/// loaded result is byte-identical to a monolithic dataset of the same
-/// config at every shard count.  Throws std::invalid_argument when
+/// merged load equals a monolithic dataset of the same config at every
+/// shard count.  Throws std::invalid_argument when
 /// `shard_count` is zero.
 ///
 /// Crash consistency: a `study.ckpt` checkpoint is saved before the

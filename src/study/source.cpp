@@ -12,6 +12,7 @@
 #include "faulttest/faulttest.hpp"
 #include "logsim/console.hpp"
 #include "logsim/smi_text.hpp"
+#include "study/fsck.hpp"
 #include "study/io.hpp"
 #include "study/serialize_detail.hpp"
 #include "tdf/tdf.hpp"
@@ -77,147 +78,71 @@ void resolve_profile(StudyContext& context, std::string_view source_file, bool r
   context.profile = dataset_profile;
 }
 
-/// Verify every checksum the manifest claims against on-disk bytes.
-/// A claimed-but-missing file and a content mismatch are both integrity
-/// findings (fatal under kStrict).  With `skip_tdf`, `.tdf` container
-/// claims are presence-checked but not hashed: a TDF container
+/// Ingest manifest.txt when present and verify every checksum it claims
+/// against on-disk bytes: a claimed-but-missing file and a content
+/// mismatch are integrity findings (fatal under kStrict).  `.tdf`
+/// container claims are presence-checked but not hashed: a TDF container
 /// self-validates every byte it decodes (table + per-segment FNV-1a), and
-/// hashing full contents here would read each container twice on the load
-/// fast path -- and force a whole-file read of containers the streaming
-/// path deliberately never materializes.
-void verify_checksums(const fs::path& dir, const ingest::ManifestIngest& manifest,
-                      IngestPolicy policy, IngestReport& report, bool skip_tdf = false) {
-  for (const auto& [name, expected] : manifest.checksums) {
-    const auto path = dir / name;
-    if (skip_tdf && name.ends_with(".tdf") && fs::exists(path)) continue;
-    if (!fs::exists(path)) {
-      // A missing shard container is its own crash-state class: the
-      // roster the manifest promised is incomplete, which is what a
-      // writer killed between shard commits leaves behind.
-      const bool shard = name.starts_with("dataset.shard-") && name.ends_with(".tdf");
-      triage_file(policy, report, name,
-                  shard ? TriageCode::kPartialShardSet : TriageCode::kFileMissing,
-                  SalvageAction::kIgnored,
-                  shard ? "manifest claims this shard container but it is missing"
-                        : "manifest claims a checksum for this file but it is missing");
-      continue;
-    }
-    const auto actual = ingest::content_checksum(read_all(path));
-    if (actual != expected) {
-      triage_file(policy, report, name, TriageCode::kChecksumMismatch, SalvageAction::kIgnored,
-                  "manifest records " + ingest::checksum_hex(expected) + ", content hashes to " +
-                      ingest::checksum_hex(actual));
-    }
-  }
-}
-
-/// Ingest manifest.txt when present, verifying its checksum claims.
+/// hashing full contents here would read each container twice -- and
+/// force a whole-file read of containers the streaming decode never
+/// materializes.  Only binary manifests claim containers.
 ingest::ManifestIngest load_manifest(const fs::path& dir, IngestPolicy policy,
-                                     IngestReport& report, bool skip_tdf = false) {
-  ingest::ManifestIngest manifest;
-  const auto manifest_path = dir / "manifest.txt";
-  if (fs::exists(manifest_path)) {
-    manifest = ingest::ingest_manifest_text(read_all(manifest_path), "manifest.txt", policy,
-                                            report);
-    verify_checksums(dir, manifest, policy, report, skip_tdf);
+                                     IngestReport& report) {
+  auto manifest = read_manifest(dir, policy, report);
+  for (const auto& [name, expected] : manifest.checksums) {
+    if (name.ends_with(".tdf") && fs::exists(dir / name)) continue;
+    if (const auto finding = check_claim(dir, name, expected)) {
+      triage_file(policy, report, name, finding->code, SalvageAction::kIgnored,
+                  finding->detail);
+    }
   }
   return manifest;
 }
 
-/// The binary load path: mmap dataset.tdf, decode its columns, and build
-/// the EventFrame straight from them (no text parsing, no row copy).
-StudyContext load_binary(const fs::path& dir, const fs::path& tdf_path, IngestPolicy policy,
-                         IngestReport& report, const profile::FleetProfile* expected) {
-  const auto manifest = load_manifest(dir, policy, report, /*skip_tdf=*/true);
-
-  auto data = tdf::read_tdf(tdf_path, policy, report);
-  if (data.times.empty()) {
-    throw ingest::IngestError{std::string{tdf::kTdfFileName}, 0, TriageCode::kNoEvents,
-                              "dataset at " + dir.string() + " contains no events"};
-  }
-
-  StudyContext context;
-  context.frame = analysis::EventFrame::from_columns(data.times, data.nodes, data.kinds,
-                                                     data.structures);
-  context.capabilities = kEvents;
-
-  // Study window: the container's meta segment is authoritative (it is
-  // what write_dataset recorded); a manifest, when present, was already
-  // cross-checked by its checksum claim on the container bytes.
-  if (data.period_begin != 0 || data.period_end != 0) {
-    context.period.begin = data.period_begin;
-    context.period.end = data.period_end;
-    context.accounting_from = data.accounting_from;
-  } else {
-    context.period.begin = manifest.have_begin ? manifest.begin : data.times.front();
-    context.period.end = manifest.have_end ? manifest.end : data.times.back() + 1;
-    context.accounting_from =
-        manifest.have_accounting ? manifest.accounting : context.period.begin;
-  }
-
-  if (data.has_jobs) {
-    context.load_stats.job_lines = data.jobs.size();
-    context.job_log = std::move(data.jobs);
-  }
-  if (data.has_smi) {
-    context.snapshot = std::move(data.snapshot);
-    context.load_stats.smi_blocks = context.snapshot.records.size();
-    context.capabilities |= kSnapshot;
-  }
-
-  context.load_stats.binary = true;
-  context.load_stats.tdf_segments =
-      std::size_t{6} + (data.has_jobs ? 1U : 0U) + (data.has_smi ? 1U : 0U);
-  std::error_code ec;
-  const auto size = fs::file_size(tdf_path, ec);
-  context.load_stats.tdf_bytes = ec ? 0 : static_cast<std::size_t>(size);
-
-  // Profile: the container's meta recording is authoritative (a manifest
-  // claim, when present, covered the container bytes via its checksum).
-  resolve_profile(context, tdf::kTdfFileName, !data.profile_name.empty(), data.profile_name,
-                  data.profile_hash, expected, policy, report);
-  return context;
+/// Study window from the manifest's claims, else the event stream's span
+/// (foreign datasets without a manifest).
+void adopt_manifest_period(StudyContext& context, const ingest::ManifestIngest& manifest) {
+  const auto times = context.frame.times();
+  context.period.begin = manifest.have_begin ? manifest.begin : times.front();
+  context.period.end = manifest.have_end ? manifest.end : times.back() + 1;
+  context.accounting_from =
+      manifest.have_accounting ? manifest.accounting : context.period.begin;
 }
 
-/// The sharded load path: open a streaming SegmentReader per shard
-/// container, k-way merge their windowed event streams by (time, shard
-/// index), and build the context from the merged columns.  Shard k holds
-/// strictly earlier stream positions than shard k+1 at equal timestamps,
-/// so the merge reproduces the unsharded order exactly -- the resulting
-/// context is byte-identical to load_binary over the equivalent
-/// monolithic container, at any shard count.  Per-shard resident decode
-/// state is one window, so shard containers beyond the whole-file read
+/// The binary load path, for one container and a shard roster alike:
+/// open a streaming SegmentReader per container, k-way merge their
+/// windowed event streams by (time, roster index), and build the context
+/// from the merged columns.  Container k holds strictly earlier stream
+/// positions than container k+1 at equal timestamps, so the merge
+/// reproduces the unsharded order exactly, at any roster size.  Once only
+/// one container still has rows, its remaining windows append whole --
+/// which is all a one-container roster ever does.  Per-container resident
+/// decode state is one window, so containers beyond the whole-file read
 /// cap stream fine.
-StudyContext load_sharded(const fs::path& dir, IngestPolicy policy, IngestReport& report,
-                          const profile::FleetProfile* expected) {
-  const auto manifest = load_manifest(dir, policy, report, /*skip_tdf=*/true);
-
-  // Shard roster: the manifest's `shards N` claim when present, else the
-  // contiguous run of dataset.shard-K.tdf files starting at 0.
-  std::size_t shard_count = 0;
-  if (manifest.have_shards) {
-    shard_count = static_cast<std::size_t>(manifest.shards);
-  } else {
-    while (fs::exists(dir / tdf::shard_file_name(shard_count))) ++shard_count;
-  }
-
+StudyContext load_containers(const fs::path& dir, const ingest::ManifestIngest& manifest,
+                             const DatasetLayout& layout, IngestPolicy policy,
+                             IngestReport& report, const profile::FleetProfile* expected) {
+  const bool sharded = layout.kind == LayoutKind::kSharded;
+  // No reserve: a damaged `shards` count must end at the first missing
+  // shard below, not in one huge allocation.
   std::vector<tdf::SegmentReader> readers;
-  readers.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    const auto name = tdf::shard_file_name(s);
+  for (std::size_t s = 0; s < layout.containers; ++s) {
+    const auto name = layout.container(s);
     const auto path = dir / name;
     if (!fs::exists(path)) {
       // Fatal under either policy: a missing slice of the event stream
       // cannot be salvaged around without silently dropping its events.
-      throw ingest::IngestError{name, 0, TriageCode::kPartialShardSet,
-                                "sharded dataset claims " + std::to_string(shard_count) +
-                                    " shards but shard " + std::to_string(s) + " is missing"};
+      throw ingest::IngestError{
+          name, 0, sharded ? TriageCode::kPartialShardSet : TriageCode::kFileMissing,
+          sharded ? "sharded dataset claims " + std::to_string(manifest.shards) +
+                        " shards but shard " + std::to_string(s) + " is missing"
+                  : "manifest claims " + name + " but it is missing"};
     }
     readers.emplace_back(path, policy, report);
   }
 
-  // Every shard must describe the same study window; shard 0 is the
-  // reference and disagreement names the odd shard out.
+  // Every container must describe the same study window; the first is
+  // the reference and disagreement names the odd one out.
   for (std::size_t s = 1; s < readers.size(); ++s) {
     if (readers[s].period_begin() != readers[0].period_begin() ||
         readers[s].period_end() != readers[0].period_end() ||
@@ -235,24 +160,21 @@ StudyContext load_sharded(const fs::path& dir, IngestPolicy policy, IngestReport
   std::uint64_t total = 0;
   for (const auto& r : readers) total += r.event_count();
   if (total == 0) {
-    throw ingest::IngestError{tdf::shard_file_name(0), 0, TriageCode::kNoEvents,
-                              "sharded dataset at " + dir.string() + " contains no events"};
+    throw ingest::IngestError{layout.container(0), 0, TriageCode::kNoEvents,
+                              "dataset at " + dir.string() + " contains no events"};
   }
 
-  std::vector<stats::TimeSec> times;
-  std::vector<topology::NodeId> nodes;
-  std::vector<xid::ErrorKind> kinds;
-  std::vector<xid::MemoryStructure> structures;
-  times.reserve(static_cast<std::size_t>(total));
-  nodes.reserve(static_cast<std::size_t>(total));
-  kinds.reserve(static_cast<std::size_t>(total));
-  structures.reserve(static_cast<std::size_t>(total));
+  tdf::EventWindow merged;
+  merged.times.reserve(static_cast<std::size_t>(total));
+  merged.nodes.reserve(static_cast<std::size_t>(total));
+  merged.kinds.reserve(static_cast<std::size_t>(total));
+  merged.structures.reserve(static_cast<std::size_t>(total));
 
-  struct ShardCursor {
+  struct Cursor {
     tdf::EventWindow window;
     std::size_t pos = 0;
   };
-  std::vector<ShardCursor> cursors(readers.size());
+  std::vector<Cursor> cursors(readers.size());
   // True when the cursor points at a decoded row (refilling the window
   // from the reader as needed).
   const auto ready = [&](std::size_t s) -> bool {
@@ -276,59 +198,70 @@ StudyContext load_sharded(const fs::path& dir, IngestPolicy policy, IngestReport
       heap.push(Head{cursors[s].window.times[0], static_cast<std::uint32_t>(s)});
     }
   }
-  while (!heap.empty()) {
+  while (heap.size() > 1) {
     const Head top = heap.top();
     heap.pop();
     auto& cur = cursors[top.shard];
-    times.push_back(cur.window.times[cur.pos]);
-    nodes.push_back(cur.window.nodes[cur.pos]);
-    kinds.push_back(cur.window.kinds[cur.pos]);
-    structures.push_back(cur.window.structures[cur.pos]);
+    merged.times.push_back(cur.window.times[cur.pos]);
+    merged.nodes.push_back(cur.window.nodes[cur.pos]);
+    merged.kinds.push_back(cur.window.kinds[cur.pos]);
+    merged.structures.push_back(cur.window.structures[cur.pos]);
     ++cur.pos;
     if (ready(top.shard)) {
       heap.push(Head{cur.window.times[cur.pos], top.shard});
     }
   }
+  if (!heap.empty()) {
+    // The last container with rows: nothing left to interleave, so the
+    // rest of its current window and every later window append whole.
+    const std::uint32_t last = heap.top().shard;
+    auto& cur = cursors[last];
+    const auto tail = [&cur](auto& out, const auto& column) {
+      out.insert(out.end(), column.begin() + static_cast<std::ptrdiff_t>(cur.pos),
+                 column.end());
+    };
+    do {
+      tail(merged.times, cur.window.times);
+      tail(merged.nodes, cur.window.nodes);
+      tail(merged.kinds, cur.window.kinds);
+      tail(merged.structures, cur.window.structures);
+      cur.pos = 0;
+    } while (readers[last].next_window(cur.window) > 0);
+  }
 
   StudyContext context;
-  context.frame = analysis::EventFrame::from_columns(times, nodes, kinds, structures);
+  context.frame = analysis::EventFrame::from_columns(merged.times, merged.nodes, merged.kinds,
+                                                     merged.structures);
   context.capabilities = kEvents;
 
-  // Study window: the shards' (agreeing) meta segments are authoritative,
-  // same precedence as the monolithic path.
+  // Study window: the containers' (agreeing) meta segments are
+  // authoritative -- they are what the writer recorded, and a manifest
+  // claim covers the container bytes.  Containers recording none fall
+  // back to the manifest.
   if (readers[0].period_begin() != 0 || readers[0].period_end() != 0) {
     context.period.begin = readers[0].period_begin();
     context.period.end = readers[0].period_end();
     context.accounting_from = readers[0].accounting_from();
   } else {
-    context.period.begin = manifest.have_begin ? manifest.begin : times.front();
-    context.period.end = manifest.have_end ? manifest.end : times.back() + 1;
-    context.accounting_from =
-        manifest.have_accounting ? manifest.accounting : context.period.begin;
+    adopt_manifest_period(context, manifest);
   }
 
-  // Side artifacts ride in whichever shard carries the segment (the
-  // writers put them in the last).
+  // Side artifacts ride in whichever container carries the segment (the
+  // sharded writers put them in the last); salvage may have dropped them.
   for (auto& reader : readers) {
-    if (reader.has_jobs()) {
-      std::vector<logsim::JobLogRecord> jobs;
-      if (reader.read_jobs(jobs)) {
-        context.load_stats.job_lines = jobs.size();
-        context.job_log = std::move(jobs);
-      }
+    if (std::vector<logsim::JobLogRecord> jobs; reader.read_jobs(jobs)) {
+      context.load_stats.job_lines = jobs.size();
+      context.job_log = std::move(jobs);
     }
-    if (reader.has_smi()) {
-      logsim::SmiSnapshot snapshot;
-      if (reader.read_smi(snapshot)) {
-        context.snapshot = std::move(snapshot);
-        context.load_stats.smi_blocks = context.snapshot.records.size();
-        context.capabilities |= kSnapshot;
-      }
+    if (logsim::SmiSnapshot snapshot; reader.read_smi(snapshot)) {
+      context.snapshot = std::move(snapshot);
+      context.load_stats.smi_blocks = context.snapshot.records.size();
+      context.capabilities |= kSnapshot;
     }
   }
 
   context.load_stats.binary = true;
-  context.load_stats.shards = readers.size();
+  context.load_stats.shards = sharded ? readers.size() : 0;
   for (const auto& reader : readers) {
     context.load_stats.tdf_segments += reader.segment_count();
     context.load_stats.tdf_bytes += static_cast<std::size_t>(reader.file_bytes());
@@ -340,7 +273,8 @@ StudyContext load_sharded(const fs::path& dir, IngestPolicy policy, IngestReport
   return context;
 }
 
-StudyContext load_text(const fs::path& dir, IngestPolicy policy, IngestReport& report,
+StudyContext load_text(const fs::path& dir, const ingest::ManifestIngest& manifest,
+                       IngestPolicy policy, IngestReport& report,
                        const profile::FleetProfile* expected) {
   const auto console_path = dir / "console.log";
   if (!fs::exists(console_path)) {
@@ -349,10 +283,6 @@ StudyContext load_text(const fs::path& dir, IngestPolicy policy, IngestReport& r
     throw ingest::IngestError{"console.log", 0, TriageCode::kFileMissing,
                               "no dataset at " + dir.string()};
   }
-
-  // Manifest first: the producer's claims (study window, accounting
-  // cutoff, content checksums) gate everything that follows.
-  const auto manifest = load_manifest(dir, policy, report);
 
   StudyContext context;
   {
@@ -371,13 +301,7 @@ StudyContext load_text(const fs::path& dir, IngestPolicy policy, IngestReport& r
   }
   context.capabilities = kEvents;
 
-  // Study window: manifest claims, else the event stream's span (foreign
-  // datasets without a manifest).
-  const auto times = context.frame.times();
-  context.period.begin = manifest.have_begin ? manifest.begin : times.front();
-  context.period.end = manifest.have_end ? manifest.end : times.back() + 1;
-  context.accounting_from =
-      manifest.have_accounting ? manifest.accounting : context.period.begin;
+  adopt_manifest_period(context, manifest);
 
   if (const auto jobs_path = dir / "jobs.log"; fs::exists(jobs_path)) {
     auto jobs = ingest::ingest_job_text(read_all(jobs_path), "jobs.log", policy, report);
@@ -434,6 +358,12 @@ void gate_crash_state(const fs::path& dir, IngestPolicy policy, IngestReport& re
   }
 }
 
+/// Whether a context carries a job log to write (a simulated trace or a
+/// loaded one).
+bool has_job_log(const StudyContext& context) {
+  return context.truth.has_value() || !context.job_log.empty();
+}
+
 }  // namespace
 
 StudyContext SimulatedSource::load() const {
@@ -461,16 +391,14 @@ StudyContext DatasetSource::load() const {
   IngestReport report{policy_};
   gate_crash_state(dir_, policy_, report);
 
-  // A binary container takes precedence: it is the format written for
-  // exactly this load path (mmap + columnar decode).  A sharded layout
-  // (dataset.shard-0.tdf ...) comes next; text artifacts are the fallback.
-  const auto tdf_path = dir_ / std::string{tdf::kTdfFileName};
+  // Manifest first: the producer's claims (study window, accounting
+  // cutoff, content checksums, layout) gate everything that follows.
+  const auto manifest = load_manifest(dir_, policy_, report);
+  const auto layout = dataset_layout(dir_, manifest);
   StudyContext context =
-      fs::exists(tdf_path)
-          ? load_binary(dir_, tdf_path, policy_, report, expected_profile_)
-      : fs::exists(dir_ / tdf::shard_file_name(0))
-          ? load_sharded(dir_, policy_, report, expected_profile_)
-          : load_text(dir_, policy_, report, expected_profile_);
+      layout.containers == 0
+          ? load_text(dir_, manifest, policy_, report, expected_profile_)
+          : load_containers(dir_, manifest, layout, policy_, report, expected_profile_);
 
   // Only salvage loads carry the triage record into the report pipeline;
   // a strict load that got this far saw nothing fatal, and omitting the
@@ -478,6 +406,49 @@ StudyContext DatasetSource::load() const {
   // reports byte-identical to an ingest-unaware build.
   if (policy_ == IngestPolicy::kSalvage) context.ingest_report = std::move(report);
   return context;
+}
+
+std::string DatasetLayout::container(std::size_t index) const {
+  return kind == LayoutKind::kBinary ? std::string{tdf::kTdfFileName}
+                                      : tdf::shard_file_name(index);
+}
+
+std::string_view DatasetLayout::name() const noexcept {
+  constexpr std::string_view kNames[] = {"none", "text", "binary", "sharded"};
+  return kNames[static_cast<std::size_t>(kind)];
+}
+
+DatasetLayout dataset_layout(const fs::path& dir, const ingest::ManifestIngest& manifest) {
+  const std::string mono{tdf::kTdfFileName};
+  DatasetLayout layout;
+  if (manifest.have_shards) {
+    layout = {LayoutKind::kSharded, static_cast<std::size_t>(manifest.shards)};
+  } else if (std::any_of(manifest.checksums.begin(), manifest.checksums.end(),
+                         [&](const auto& claim) { return claim.first == mono; })) {
+    layout = {LayoutKind::kBinary, 1};
+  } else if (!manifest.checksums.empty()) {
+    layout.kind = LayoutKind::kText;
+  } else if (fs::exists(dir / mono)) {
+    layout = {LayoutKind::kBinary, 1};
+  } else if (fs::exists(dir / tdf::shard_file_name(0))) {
+    layout.kind = LayoutKind::kSharded;
+    while (fs::exists(dir / tdf::shard_file_name(layout.containers))) ++layout.containers;
+  } else if (fs::exists(dir / "console.log")) {
+    layout.kind = LayoutKind::kText;
+  }
+  return layout;
+}
+
+DatasetLayout dataset_layout(const fs::path& dir) {
+  IngestReport scratch{IngestPolicy::kSalvage};
+  return dataset_layout(dir, read_manifest(dir, IngestPolicy::kSalvage, scratch));
+}
+
+ingest::ManifestIngest read_manifest(const fs::path& dir, IngestPolicy policy,
+                                     IngestReport& report) {
+  const auto path = dir / "manifest.txt";
+  if (!fs::exists(path)) return {};
+  return ingest::ingest_manifest_text(read_all(path), "manifest.txt", policy, report);
 }
 
 namespace detail {
@@ -496,9 +467,9 @@ std::vector<std::string> job_lines_of(const StudyContext& context) {
   return lines;
 }
 
-std::vector<logsim::JobLogRecord> quantized_jobs(const StudyContext& context) {
+std::vector<logsim::JobLogRecord> quantized_jobs(const std::vector<std::string>& job_lines) {
   std::vector<logsim::JobLogRecord> jobs;
-  for (const auto& line : job_lines_of(context)) {
+  for (const auto& line : job_lines) {
     if (const auto rec = logsim::parse_job_log_line(line)) jobs.push_back(*rec);
   }
   return jobs;
@@ -512,6 +483,60 @@ logsim::SmiSnapshot quantized_smi(const logsim::SmiSnapshot& snapshot) {
   return out;
 }
 
+void save_write_intent(const StudyContext& context, const fs::path& dir) {
+  ckpt::StudyCheckpoint intent;
+  intent.seed = 0;
+  intent.profile_name = std::string{context.profile->name};
+  intent.profile_hash = context.profile->content_hash();
+  intent.shard_count = 0;
+  intent.card_fences = {0};
+  ckpt::save_study_checkpoint(intent, dir);
+}
+
+std::vector<std::string> manifest_header(stats::TimeSec begin, stats::TimeSec end,
+                                         stats::TimeSec accounting_from,
+                                         const profile::FleetProfile& profile,
+                                         std::size_t shard_count) {
+  std::vector<std::string> lines = {
+      std::string{ingest::kDatasetManifestHeader},
+      "period_begin " + std::to_string(begin),
+      "period_end " + std::to_string(end),
+      "accounting_from " + std::to_string(accounting_from),
+      "profile " + std::string{profile.name} + ' ' +
+          ingest::checksum_hex(profile.content_hash()),
+  };
+  if (shard_count > 0) lines.push_back("shards " + std::to_string(shard_count));
+  return lines;
+}
+
+tdf::TdfDataset container_of(const StudyContext& context, std::size_t lo, std::size_t hi,
+                             bool side_artifacts) {
+  tdf::TdfDataset data;
+  data.period_begin = context.period.begin;
+  data.period_end = context.period.end;
+  data.accounting_from = context.accounting_from;
+  data.profile_name = std::string{context.profile->name};
+  data.profile_hash = context.profile->content_hash();
+  const auto slice = [&](auto column) {
+    const auto part = column.subspan(lo, hi - lo);
+    return std::vector(part.begin(), part.end());
+  };
+  const auto& frame = context.frame;
+  data.times = slice(frame.times());
+  data.nodes = slice(frame.nodes());
+  data.kinds = slice(frame.kinds());
+  data.structures = slice(frame.structures());
+  if (side_artifacts && has_job_log(context)) {
+    data.has_jobs = true;
+    data.jobs = quantized_jobs(job_lines_of(context));
+  }
+  if (side_artifacts && context.has(kSnapshot)) {
+    data.has_smi = true;
+    data.snapshot = quantized_smi(context.snapshot);
+  }
+  return data;
+}
+
 }  // namespace detail
 
 void write_dataset(const StudyContext& context, const std::filesystem::path& dir,
@@ -521,33 +546,17 @@ void write_dataset(const StudyContext& context, const std::filesystem::path& dir
   // Intent first: with the checkpoint marker on disk, a writer killed
   // between artifacts and the manifest leaves a directory loaders reject
   // as E_CKPT_INCOMPLETE instead of silently studying a partial dataset
-  // (a console.log alone is a loadable foreign dataset otherwise).  The
-  // monolithic writer has no shard plan, so the marker carries
-  // shard_count 0.  Rerunning write_dataset IS the resume path: every
-  // artifact is rewritten idempotently and the marker removed at commit.
-  ckpt::StudyCheckpoint intent;
-  intent.seed = 0;
-  intent.profile_name = std::string{context.profile->name};
-  intent.profile_hash = context.profile->content_hash();
-  intent.shard_count = 0;
-  intent.card_fences = {0};
-  ckpt::save_study_checkpoint(intent, dir);
+  // (a console.log alone is a loadable foreign dataset otherwise).
+  // Rerunning write_dataset IS the resume path: every artifact is
+  // rewritten idempotently and the marker removed at commit.
+  detail::save_write_intent(context, dir);
 
   // Both formats round-trip doubles through the text serialization, so a
   // text dataset and a binary dataset of the same context load into
   // byte-identical contexts (the text path quantizes at write time; the
   // binary path must not keep more precision than that).
-  const bool have_jobs = context.truth.has_value() || !context.job_log.empty();
-  const bool have_smi = context.has(kSnapshot);
-
-  std::vector<std::string> manifest = {
-      std::string{ingest::kDatasetManifestHeader},
-      "period_begin " + std::to_string(context.period.begin),
-      "period_end " + std::to_string(context.period.end),
-      "accounting_from " + std::to_string(context.accounting_from),
-      "profile " + std::string{context.profile->name} + ' ' +
-          ingest::checksum_hex(context.profile->content_hash()),
-  };
+  auto manifest = detail::manifest_header(context.period.begin, context.period.end,
+                                          context.accounting_from, *context.profile, 0);
   const auto claim = [&](std::string_view name) {
     const auto sum = ingest::content_checksum(read_all(dir / name));
     manifest.push_back("checksum " + std::string{name} + ' ' + ingest::checksum_hex(sum));
@@ -557,37 +566,19 @@ void write_dataset(const StudyContext& context, const std::filesystem::path& dir
     atomic_write_lines(dir / "console.log", detail::console_lines_of(context));
     claim("console.log");
     TITAN_PTP("study/write/artifact");
-    if (have_jobs) {
+    if (has_job_log(context)) {
       atomic_write_lines(dir / "jobs.log", detail::job_lines_of(context));
       claim("jobs.log");
       TITAN_PTP("study/write/artifact");
     }
-    if (have_smi) {
+    if (context.has(kSnapshot)) {
       atomic_write_text(dir / "smi_sweep.txt", logsim::smi_sweep_text(context.snapshot));
       claim("smi_sweep.txt");
       TITAN_PTP("study/write/artifact");
     }
   } else {
-    tdf::TdfDataset data;
-    data.period_begin = context.period.begin;
-    data.period_end = context.period.end;
-    data.accounting_from = context.accounting_from;
-    data.profile_name = std::string{context.profile->name};
-    data.profile_hash = context.profile->content_hash();
-    const auto& frame = context.frame;
-    data.times.assign(frame.times().begin(), frame.times().end());
-    data.nodes.assign(frame.nodes().begin(), frame.nodes().end());
-    data.kinds.assign(frame.kinds().begin(), frame.kinds().end());
-    data.structures.assign(frame.structures().begin(), frame.structures().end());
-    if (have_jobs) {
-      data.has_jobs = true;
-      data.jobs = detail::quantized_jobs(context);
-    }
-    if (have_smi) {
-      data.has_smi = true;
-      data.snapshot = detail::quantized_smi(context.snapshot);
-    }
-    tdf::write_tdf(data, dir / std::string{tdf::kTdfFileName});
+    tdf::write_tdf(detail::container_of(context, 0, context.frame.size(), true),
+                   dir / std::string{tdf::kTdfFileName});
     claim(tdf::kTdfFileName);
     TITAN_PTP("study/write/artifact");
   }

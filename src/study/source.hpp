@@ -8,9 +8,11 @@
 // one StudyContext with the EventFrame built exactly once.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/facility.hpp"
@@ -49,16 +51,15 @@ class SimulatedSource final : public StudySource {
 };
 
 /// Ingests a dataset directory written by write_dataset or the sharded
-/// producers (or any producer of the same formats).  A `dataset.tdf`
-/// binary container, when present, is preferred (mmap + columnar decode,
-/// no text parsing); next a sharded layout (`dataset.shard-0.tdf` ...,
-/// streamed window-by-window and k-way merged back into the global event
-/// order -- byte-identical to the monolithic load at any shard count);
-/// otherwise the text artifacts are loaded: console.log is required;
-/// jobs.log, smi_sweep.txt and manifest.txt are optional (capabilities
-/// shrink accordingly; without a manifest the period is inferred from the
-/// event stream).  Capabilities: events, plus snapshot when the sweep
-/// exists.
+/// producers (or any producer of the same formats).  manifest.txt is read
+/// once, first, and dataset_layout picks the layout from it.  Both binary
+/// layouts load through one roster loader: each container (`dataset.tdf`,
+/// or the shards in order) streams window by window out of its mapping,
+/// k-way merged back into the global event order.  The text layout needs
+/// console.log; jobs.log, smi_sweep.txt and manifest.txt are optional
+/// (capabilities shrink accordingly; without a manifest the period is
+/// inferred from the event stream).  Capabilities: events, plus snapshot
+/// when the sweep exists.
 ///
 /// Under IngestPolicy::kStrict (the default) structural corruption --
 /// checksum mismatches, manifest damage, NUL/overlong lines, timestamp
@@ -91,6 +92,42 @@ class DatasetSource final : public StudySource {
   ingest::IngestPolicy policy_;
   const profile::FleetProfile* expected_profile_;
 };
+
+/// How a dataset directory stores its event stream.
+enum class LayoutKind : std::uint8_t { kNone, kText, kBinary, kSharded };
+
+/// A dataset directory's layout plus, for the binary layouts, its
+/// container roster in merge order.
+struct DatasetLayout {
+  LayoutKind kind = LayoutKind::kNone;
+  std::size_t containers = 0;  ///< roster size; 0 for kNone and kText
+
+  /// File name of roster entry `index`: dataset.tdf, or that shard's.
+  [[nodiscard]] std::string container(std::size_t index) const;
+  /// "none", "text", "binary" or "sharded".
+  [[nodiscard]] std::string_view name() const noexcept;
+};
+
+/// Decide `dir`'s layout; the loader, fsck and titan-convert all ask
+/// here.  A manifest that names an artifact decides: a `shards N` line
+/// means sharded (roster: shards 0..N-1), a dataset.tdf checksum claim
+/// means binary, any other claim means text -- so stale containers left
+/// beside a fresh dataset are never studied.  With no manifest (an empty
+/// `manifest`) or one that claims nothing, the directory is probed:
+/// dataset.tdf, then dataset.shard-0.tdf (roster: the contiguous run from
+/// shard 0), then console.log.
+[[nodiscard]] DatasetLayout dataset_layout(const std::filesystem::path& dir,
+                                           const ingest::ManifestIngest& manifest);
+
+/// The same decision on `dir`'s manifest, parsed under salvage (its
+/// findings are for the loader and fsck to report).
+[[nodiscard]] DatasetLayout dataset_layout(const std::filesystem::path& dir);
+
+/// Parse `dir`'s manifest.txt, or return an empty manifest when there is
+/// none.  Findings land in `report`; under kStrict damage throws.
+[[nodiscard]] ingest::ManifestIngest read_manifest(const std::filesystem::path& dir,
+                                                   ingest::IngestPolicy policy,
+                                                   ingest::IngestReport& report);
 
 /// On-disk dataset representation write_dataset produces.
 enum class DatasetFormat : std::uint8_t {

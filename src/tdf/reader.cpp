@@ -649,11 +649,6 @@ TdfDataset decode_tdf(std::string_view bytes, std::string_view file, IngestPolic
   return data;
 }
 
-TdfDataset read_tdf(const fs::path& path, IngestPolicy policy, IngestReport& report) {
-  const MappedFile file{path, kTdfMaxFallbackBytes};
-  return decode_tdf(file.bytes(), path.filename().string(), policy, report);
-}
-
 struct SegmentReader::Impl {
   std::string name;     ///< diagnostics file name; ctx.file points here
   MappedFile file;

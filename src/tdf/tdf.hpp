@@ -4,12 +4,13 @@
 // A TdfDataset is the StudyContext's column view -- the event stream as
 // four parallel columns (ready for EventFrame::from_columns), plus the
 // optional job-accounting and nvidia-smi side artifacts.  write_tdf
-// serializes it atomically (tmp + fsync + rename); read_tdf maps the file
-// (mmap with a read fallback) and decodes straight out of the mapped
-// region, validating each segment's FNV-1a checksum right before that
-// segment's first bytes are decoded, and only for segments the load
-// needs.  SegmentReader is the out-of-core variant: same container, same
-// validation, but the event columns stream window by window.
+// serializes it atomically (tmp + fsync + rename); decode_tdf decodes a
+// whole container from its bytes (a MappedFile's, say), validating each
+// segment's FNV-1a checksum right before that segment's first bytes are
+// decoded, and only for segments the load needs.  SegmentReader is the
+// file reader the dataset loader uses: it maps the container (mmap with
+// a read fallback), validates the same way, and streams the event
+// columns window by window.
 //
 // Damage policy mirrors the text ingest taxonomy:
 //   * container damage (bad magic, version mismatch, truncation, mangled
@@ -113,10 +114,6 @@ void write_tdf(const TdfDataset& data, const std::filesystem::path& path);
 /// See the damage policy above; salvage findings land in `report`.
 [[nodiscard]] TdfDataset decode_tdf(std::string_view bytes, std::string_view file,
                                     ingest::IngestPolicy policy, ingest::IngestReport& report);
-
-/// Map `path` and decode it.
-[[nodiscard]] TdfDataset read_tdf(const std::filesystem::path& path,
-                                  ingest::IngestPolicy policy, ingest::IngestReport& report);
 
 /// Default streaming decode window: rows materialized per next_window
 /// call.  64Ki rows is ~1.5 MiB of decoded columns -- small enough that a

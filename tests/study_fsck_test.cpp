@@ -7,7 +7,8 @@
 // salvage (E_ORPHAN_TMP recorded) and throw under strict; a checkpoint
 // without a manifest is fatal under BOTH policies (E_CKPT_INCOMPLETE --
 // "salvaging" a half-written dataset would silently study a partial
-// campaign).
+// campaign).  The layout test pins that the manifest, not whichever
+// container happens to exist, decides what a directory holds.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -19,6 +20,7 @@
 #include "ingest/triage.hpp"
 #include "study/fsck.hpp"
 #include "study/io.hpp"
+#include "study/registry.hpp"
 #include "study/sharded.hpp"
 #include "study/source.hpp"
 #include "tdf/tdf.hpp"
@@ -196,6 +198,58 @@ TEST(StudyCrashGate, LingeringCheckpointBesideManifestIsIgnored) {
   const auto salvage = study::DatasetSource{dir, IngestPolicy::kSalvage}.load();
   ASSERT_TRUE(salvage.ingest_report.has_value());
   EXPECT_EQ(salvage.ingest_report->count(TriageCode::kCkptIncomplete), 0U);
+}
+
+// ---------------------------------------------------------------------------
+// The layout decision (study::dataset_layout, via the loader and fsck).
+// ---------------------------------------------------------------------------
+
+/// Report bytes of a strict load of `dir` over every analysis it supports.
+std::string report_bytes(const fs::path& dir) {
+  const auto context = study::DatasetSource{dir}.load();
+  const auto& registry = study::AnalysisRegistry::standard();
+  const auto report = registry.run(context, registry.available(context));
+  return report.text() + report.json();
+}
+
+TEST(StudyLayout, ManifestPicksTheLayoutOverStaleContainers) {
+  // A fresh dataset written over the remains of another study's dataset
+  // in a different layout: the manifest names the fresh artifacts, so the
+  // stale containers must be neither loaded nor reported as the layout.
+  const auto fresh = study::SimulatedSource{core::quick_config(kSeed)}.load();
+  const auto stale = study::SimulatedSource{core::quick_config(kSeed + 2)}.load();
+  const auto write_text = [](const study::StudyContext& c, const fs::path& dir) {
+    study::write_dataset(c, dir, study::DatasetFormat::kText);
+  };
+  const auto write_binary = [](const study::StudyContext& c, const fs::path& dir) {
+    study::write_dataset(c, dir, study::DatasetFormat::kBinary);
+  };
+  const auto write_shards = [](const study::StudyContext& c, const fs::path& dir) {
+    (void)study::write_sharded_dataset(c, dir, 3);
+  };
+  using Write = void (*)(const study::StudyContext&, const fs::path&);
+  struct Case {
+    const char* name;
+    Write stale_write;
+    Write fresh_write;
+    const char* layout;
+  };
+  const Case cases[] = {
+      {"text_over_tdf", write_binary, write_text, "text"},
+      {"text_over_shards", write_shards, write_text, "text"},
+      {"shards_over_tdf", write_binary, write_shards, "sharded"},
+  };
+  for (const auto& c : cases) {
+    const auto alone = scratch_root() / (std::string{c.name} + "_alone");
+    const auto mixed = scratch_root() / (std::string{c.name} + "_mixed");
+    c.fresh_write(fresh, alone);
+    c.stale_write(stale, mixed);
+    c.fresh_write(fresh, mixed);
+
+    EXPECT_EQ(report_bytes(mixed), report_bytes(alone)) << c.name;
+    EXPECT_EQ(study::fsck_dataset(mixed).layout, c.layout) << c.name;
+    EXPECT_EQ(study::fsck_dataset(alone).layout, c.layout) << c.name;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Sharded dataset path: shard-count invariance (reports byte-identical
 // to the unsharded load at S in {1,3,7,16} x par widths {1,4}), k-way
 // merge ordering with equal timestamps across shards, streaming
-// SegmentReader equivalence at tiny windows, and the sharded layout's
+// SegmentReader equivalence at tiny windows, and the roster loader's
 // failure taxonomy (corrupt shard named, missing shard fatal, meta
-// window disagreement named).
+// window disagreement named, an empty stream named first).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -211,7 +211,8 @@ TEST(StudySharded, KwayMergeOrdersEqualTimestampsByShardIndex) {
 TEST(StudySharded, SegmentReaderSmallWindowsMatchWholeFileDecode) {
   const auto path = monolithic_dir() / "dataset.tdf";
   IngestReport whole_report{IngestPolicy::kStrict};
-  const auto whole = tdf::read_tdf(path, IngestPolicy::kStrict, whole_report);
+  const auto whole = tdf::decode_tdf(tdf::MappedFile{path}.bytes(), "dataset.tdf",
+                                     IngestPolicy::kStrict, whole_report);
 
   IngestReport report{IngestPolicy::kStrict};
   tdf::SegmentReader reader{path, IngestPolicy::kStrict, report, /*window_rows=*/7};
@@ -348,6 +349,43 @@ TEST(StudySharded, EmptyShardedDatasetRejectedWithNoEvents) {
     FAIL() << "empty sharded dataset must throw";
   } catch (const IngestError& error) {
     EXPECT_EQ(error.code(), TriageCode::kNoEvents);
+  }
+}
+
+TEST(StudySharded, EmptyRosterWithTamperedJobsNamesNoEventsFirst) {
+  // No events anywhere, and the job segment's bytes damaged: a strict
+  // load names the empty stream before it ever decodes the job table,
+  // for a one-container roster (dataset.tdf) and a shard roster alike.
+  for (const std::size_t containers : {std::size_t{1}, std::size_t{3}}) {
+    const auto dir = scratch_root() / ("empty_tampered_" + std::to_string(containers));
+    fs::create_directories(dir);
+    for (std::size_t s = 0; s < containers; ++s) {
+      tdf::TdfDataset data;
+      data.period_begin = 1000;
+      data.period_end = 2000;
+      data.accounting_from = 1000;
+      const bool last = s + 1 == containers;
+      if (last) {
+        data.has_jobs = true;
+        data.jobs.push_back(logsim::JobLogRecord{});
+      }
+      const auto path =
+          dir / (containers == 1 ? std::string{tdf::kTdfFileName} : tdf::shard_file_name(s));
+      tdf::write_tdf(data, path);
+      if (!last) continue;
+      const auto info = tdf::inspect_tdf(path);
+      const auto jobs = std::find_if(info.segments.begin(), info.segments.end(),
+                                     [](const auto& seg) { return seg.name == "jobs"; });
+      ASSERT_NE(jobs, info.segments.end());
+      flip_byte(path, jobs->offset);
+    }
+
+    try {
+      (void)study::DatasetSource{dir}.load();
+      FAIL() << "an empty roster must throw";
+    } catch (const IngestError& error) {
+      EXPECT_EQ(error.code(), TriageCode::kNoEvents) << containers << ": " << error.what();
+    }
   }
 }
 

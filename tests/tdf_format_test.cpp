@@ -402,7 +402,7 @@ TEST(TdfDamage, UnknownSegmentKindSkippedUnderBothPolicies) {
 }
 
 // ---------------------------------------------------------------------------
-// File-level API: write_tdf / read_tdf / inspect_tdf.
+// File-level API: write_tdf / MappedFile / inspect_tdf.
 // ---------------------------------------------------------------------------
 
 TEST(TdfFile, WriteReadRoundTripLeavesNoTmpFiles) {
@@ -416,13 +416,16 @@ TEST(TdfFile, WriteReadRoundTripLeavesNoTmpFiles) {
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   }
 
-  tdf::MappedFile mapped{path};
-  EXPECT_EQ(mapped.bytes(), tdf::encode_tdf(data));
+  {
+    const tdf::MappedFile mapped{path};
+    EXPECT_EQ(mapped.bytes(), tdf::encode_tdf(data));
 
-  IngestReport report{IngestPolicy::kStrict};
-  const auto out = tdf::read_tdf(path, IngestPolicy::kStrict, report);
-  EXPECT_EQ(out.times, data.times);
-  EXPECT_EQ(out.nodes, data.nodes);
+    IngestReport report{IngestPolicy::kStrict};
+    const auto out =
+        tdf::decode_tdf(mapped.bytes(), "dataset.tdf", IngestPolicy::kStrict, report);
+    EXPECT_EQ(out.times, data.times);
+    EXPECT_EQ(out.nodes, data.nodes);
+  }
   fs::remove_all(dir);
 }
 

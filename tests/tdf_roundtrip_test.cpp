@@ -97,8 +97,12 @@ TEST(TdfRoundTrip, BinaryLoadMatchesTextLoad) {
 
   EXPECT_FALSE(text.load_stats.binary);
   EXPECT_TRUE(binary.load_stats.binary);
-  EXPECT_GT(binary.load_stats.tdf_segments, 0U);
+  EXPECT_EQ(binary.load_stats.shards, 0U);  // a one-container roster, not "1 shard"
+  EXPECT_EQ(binary.load_stats.tdf_segments, 8U);
   EXPECT_GT(binary.load_stats.tdf_bytes, 0U);
+  // The one container appends its windows whole: the stream must span
+  // more than one window for the append to cross a window boundary.
+  ASSERT_GT(binary.frame.size(), tdf::kTdfStreamWindowRows);
 
   EXPECT_EQ(text.frame, binary.frame);
   EXPECT_EQ(text.period.begin, binary.period.begin);

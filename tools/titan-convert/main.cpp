@@ -7,11 +7,12 @@
 //   titan-convert --info <dataset_dir | dataset.tdf>
 //   titan-convert --fsck <dataset_dir>
 //
-// Without --to, the conversion direction is inferred: a source directory
-// holding binary containers converts to text, a text dataset converts to
-// binary.  --shards N writes the destination as N shard containers
-// (dataset.shard-0.tdf ...; implies binary).  --salvage loads the source
-// under IngestPolicy::kSalvage (repair/quarantine with a triage report)
+// Without --to, the conversion direction is inferred from the source's
+// layout (its manifest, else the files present): a binary or sharded
+// dataset converts to text, a text dataset converts to binary.  --shards
+// N writes the destination as N shard containers (dataset.shard-0.tdf
+// ...; implies binary).  --salvage loads the source under
+// IngestPolicy::kSalvage (repair/quarantine with a triage report)
 // instead of strict.  --profile NAME asserts the source's recorded fleet
 // profile (a disagreement is E_PROFILE_MISMATCH).  --info on a sharded
 // directory prints one segment table per shard.  --fsck runs the
@@ -51,17 +52,17 @@ int usage() {
 int info(const fs::path& arg) {
   fs::path path = arg;
   if (fs::is_directory(path)) {
-    const auto mono = path / std::string{tdf::kTdfFileName};
-    if (!fs::exists(mono) && fs::exists(path / tdf::shard_file_name(0))) {
+    const auto layout = study::dataset_layout(path);
+    if (layout.kind == study::LayoutKind::kSharded) {
       // Sharded layout: one segment table per shard, in shard order.
-      for (std::size_t s = 0; fs::exists(path / tdf::shard_file_name(s)); ++s) {
-        const auto name = tdf::shard_file_name(s);
+      for (std::size_t s = 0; s < layout.containers; ++s) {
+        const auto name = layout.container(s);
         const auto summary = tdf::inspect_tdf(path / name).summary_text();
         std::printf("shard %zu: %s\n%s", s, name.c_str(), summary.c_str());
       }
       return 0;
     }
-    path = mono;
+    path /= std::string{tdf::kTdfFileName};
   }
   const auto summary = tdf::inspect_tdf(path).summary_text();
   std::printf("%s", summary.c_str());
@@ -76,8 +77,7 @@ int fsck(const fs::path& dir) {
 
 int convert(const fs::path& src, const fs::path& dst, std::string_view to, bool salvage,
             std::size_t shards, const profile::FleetProfile* expected) {
-  const bool src_binary = fs::exists(src / std::string{tdf::kTdfFileName}) ||
-                          fs::exists(src / tdf::shard_file_name(0));
+  const bool src_binary = study::dataset_layout(src).containers > 0;
   study::DatasetFormat format;
   if (to == "binary" || (to.empty() && (shards > 0 || !src_binary))) {
     format = study::DatasetFormat::kBinary;
