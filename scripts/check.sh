@@ -30,8 +30,10 @@
 #                kill-point sweep over every dataset writer
 #                (bench_faulttest_crash: each kill must end in clean
 #                salvage or a named failure, each resume byte-identical),
-#                plus an explicit titanlint io-atomic pass over the
-#                durable-write layers
+#                an fsck of every layout the shipped CLIs write (text,
+#                binary, 3 shards, re-sharded 3 -> 2: each must report
+#                `verdict: clean`), plus an explicit titanlint io-atomic
+#                pass over the durable-write layers
 #   --profiles   run the cross-fleet profile sweep: the profile unit /
 #                golden-equivalence / determinism / mismatch test
 #                binaries, the profile-matrix bench (full registry under
@@ -99,6 +101,22 @@ fi
 if [[ "$CRASH" == 1 ]]; then
   echo "== crash-consistency gate (kill-point sweep over every dataset writer) =="
   ./build/bench/bench_faulttest_crash
+  echo "== fsck of every layout the CLIs write (claims re-hashed from disk) =="
+  FSCK_DIR="$(mktemp -d)"
+  trap 'rm -rf "$FSCK_DIR"' EXIT
+  ./build/examples/generate_dataset "$FSCK_DIR/text" 29 --format text > /dev/null
+  ./build/examples/generate_dataset "$FSCK_DIR/binary" 29 --format binary > /dev/null
+  ./build/examples/generate_dataset "$FSCK_DIR/shards3" 29 --shards 3 > /dev/null
+  ./build/tools/titan-convert --shards 2 "$FSCK_DIR/shards3" "$FSCK_DIR/shards2" > /dev/null
+  for layout in text binary shards3 shards2; do
+    report="$(./build/tools/titan-convert --fsck "$FSCK_DIR/$layout")" || true
+    if ! grep -qx 'verdict: clean' <<<"$report"; then
+      echo "fsck of the $layout dataset is not clean:" >&2
+      echo "$report" >&2
+      exit 1
+    fi
+    echo "  $layout: clean"
+  done
   echo "== titanlint io-atomic sweep over the durable-write layers =="
   ./build/tools/titanlint --root . src/faulttest/atomic_file.hpp \
     src/faulttest/atomic_file.cpp src/faulttest/faulttest.hpp \

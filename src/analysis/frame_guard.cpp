@@ -25,14 +25,6 @@ Handler set_handler(Handler handler) noexcept {
   return g_handler.exchange(handler == nullptr ? &default_handler : handler);
 }
 
-bool enabled() noexcept {
-  static const bool on = [] {
-    const char* env = std::getenv("TITANREL_FRAME_GUARD");
-    return env == nullptr || (env[0] != '0' || env[1] != '\0');
-  }();
-  return on;
-}
-
 const char* column_name(unsigned column) noexcept {
   switch (column) {
     case kColumnBase:

@@ -1,8 +1,8 @@
 // The one POSIX atomic-write primitive for durable dataset artifacts:
-// write `path.tmp`, fsync, rename over `path`.  Previously duplicated in
-// study::io and the TDF writer; centralised here (the lowest layer both
-// can reach) so the crash-consistency kill points instrument every
-// durable write in the tree through a single code path.
+// write `path.tmp`, fsync, rename over `path`.  study::io's atomic
+// writers (every dataset artifact, TDF containers included) and the study
+// checkpoint both reach it, so the crash-consistency kill points
+// instrument every durable write in the tree through a single code path.
 //
 // Kill-point stages (see faulttest.hpp), in protocol order:
 //   io/atomic/pre-tmp      nothing written yet (clean abort)
@@ -23,7 +23,7 @@
 namespace titan::faulttest {
 
 /// Atomically replace `path` with `bytes` (tmp + fsync + rename).
-/// `what` prefixes error messages ("write_tdf", "study.ckpt", ...).
+/// `what` prefixes error messages ("atomic_write_text", "study.ckpt", ...).
 void atomic_write_file(const std::filesystem::path& path, std::string_view bytes,
                        std::string_view what = "atomic_write");
 

@@ -398,6 +398,11 @@ bool match_manifest_int(std::string_view line, std::string_view key, stats::Time
 
 }  // namespace
 
+bool ManifestIngest::claims(std::string_view file) const {
+  return std::any_of(checksums.begin(), checksums.end(),
+                     [&](const auto& claim) { return claim.first == file; });
+}
+
 ManifestIngest ingest_manifest_text(std::string_view text, std::string_view file,
                                     IngestPolicy policy, IngestReport& report) {
   ManifestIngest out;

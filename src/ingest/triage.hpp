@@ -249,6 +249,9 @@ struct ManifestIngest {
   std::uint64_t profile_hash = 0;
   /// (file name, checksum) pairs, manifest order.
   std::vector<std::pair<std::string, std::uint64_t>> checksums;
+
+  /// Whether a checksum line claims `file`.
+  [[nodiscard]] bool claims(std::string_view file) const;
 };
 
 [[nodiscard]] ManifestIngest ingest_manifest_text(std::string_view text,

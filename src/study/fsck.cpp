@@ -21,35 +21,17 @@ void add_finding(FsckResult& out, std::string file, TriageCode code, std::string
   out.findings.push_back(FsckFinding{std::move(file), code, std::move(detail)});
 }
 
-/// Orphan tmp files (and quarantined copies a salvage load set aside):
-/// evidence of an interrupted atomic write.
-void check_orphans(const fs::path& dir, FsckResult& out) {
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (fs::directory_iterator it{dir, ec}, end; !ec && it != end; it.increment(ec)) {
-    const auto ext = it->path().extension();
-    if (ext == ".tmp" || ext == ".quarantined") {
-      names.push_back(it->path().filename().string());
-    }
-  }
-  std::sort(names.begin(), names.end());
-  for (auto& name : names) {
-    add_finding(out, std::move(name), TriageCode::kOrphanTmp,
-                "leftover file from an interrupted atomic write");
-  }
-}
-
 /// Checkpoint state: a study.ckpt must decode, and must not outlive its
 /// run (present without a manifest = generation died mid-write).
-void check_checkpoint(const fs::path& dir, bool have_manifest, FsckResult& out) {
-  if (!fs::exists(dir / ckpt::kStudyCheckpointFileName)) return;
+void check_checkpoint(const fs::path& dir, const CrashEvidence& evidence, FsckResult& out) {
+  if (!evidence.checkpoint) return;
   ingest::IngestReport report{ingest::IngestPolicy::kSalvage};
   const auto decoded =
       ckpt::load_study_checkpoint(dir, ingest::IngestPolicy::kSalvage, report);
   for (const auto& diag : report.diagnostics()) {
     add_finding(out, diag.file, diag.code, diag.detail);
   }
-  if (!have_manifest) {
+  if (!evidence.manifest) {
     add_finding(out, std::string{ckpt::kStudyCheckpointFileName},
                 TriageCode::kCkptIncomplete,
                 "generation checkpoint present but no committed manifest");
@@ -78,12 +60,9 @@ void check_manifest(const fs::path& dir, const ingest::ManifestIngest& manifest,
     const auto shard_count = static_cast<std::size_t>(manifest.shards);
     for (std::size_t s = 0; s < shard_count; ++s) {
       const auto name = tdf::shard_file_name(s);
-      const bool claimed = std::any_of(
-          manifest.checksums.begin(), manifest.checksums.end(),
-          [&](const auto& claim) { return claim.first == name; });
       // A claimed-but-missing shard was already reported by the claim
       // walk above; only the never-claimed hole is new information here.
-      if (!claimed) {
+      if (!manifest.claims(name)) {
         add_finding(out, name, TriageCode::kPartialShardSet,
                     "manifest declares " + std::to_string(shard_count) +
                         " shards but carries no checksum claim for this one");
@@ -108,6 +87,21 @@ std::string FsckResult::report_text() const {
   }
   text += std::string{"verdict: "} + (clean() ? "clean" : "crash-state") + '\n';
   return text;
+}
+
+CrashEvidence scan_crash_state(const fs::path& dir) {
+  CrashEvidence evidence;
+  std::error_code ec;
+  for (fs::directory_iterator it{dir, ec}, end; !ec && it != end; it.increment(ec)) {
+    const auto ext = it->path().extension();
+    if (ext == ".tmp" || ext == ".quarantined") {
+      evidence.leftovers.push_back(it->path().filename().string());
+    }
+  }
+  std::sort(evidence.leftovers.begin(), evidence.leftovers.end());
+  evidence.checkpoint = fs::exists(dir / ckpt::kStudyCheckpointFileName);
+  evidence.manifest = fs::exists(dir / "manifest.txt");
+  return evidence;
 }
 
 std::optional<FsckFinding> check_claim(const fs::path& dir, const std::string& name,
@@ -137,8 +131,14 @@ FsckResult fsck_dataset(const fs::path& dir) {
   const auto manifest = read_manifest(dir, ingest::IngestPolicy::kSalvage, report);
   out.layout = std::string{dataset_layout(dir, manifest).name()};
 
-  check_orphans(dir, out);
-  check_checkpoint(dir, fs::exists(dir / "manifest.txt"), out);
+  // Orphan tmp files and the copies a salvage load quarantined: evidence
+  // of an interrupted atomic write.
+  const auto evidence = scan_crash_state(dir);
+  for (const auto& name : evidence.leftovers) {
+    add_finding(out, name, TriageCode::kOrphanTmp,
+                "leftover file from an interrupted atomic write");
+  }
+  check_checkpoint(dir, evidence, out);
   check_manifest(dir, manifest, report, out);
   return out;
 }

@@ -3,7 +3,8 @@
 //
 // fsck_dataset answers one question without mutating anything: is this
 // directory a cleanly committed dataset, or does it carry crash state a
-// loader would reject?  It walks the same evidence the loaders do --
+// loader would reject?  It reads the same evidence the loaders do (one
+// scan_crash_state serves the loader, fsck and resume) --
 // orphan *.tmp files, a study.ckpt with no committed manifest, manifest
 // checksum claims (hashing the TDF containers too, which the load fast
 // path deliberately skips), the shard roster against the `shards N`
@@ -42,6 +43,21 @@ struct FsckResult {
   /// Byte-stable plain-text report (suitable for golden tests).
   [[nodiscard]] std::string report_text() const;
 };
+
+/// The crash evidence a dataset directory carries, as one read-only scan
+/// sees it.  The loader, fsck and the sharded generator's resume each
+/// apply their own policy to it.
+struct CrashEvidence {
+  /// Sorted names of the *.tmp files interrupted atomic writes left and
+  /// the *.quarantined copies salvage loads set aside.
+  std::vector<std::string> leftovers;
+  bool checkpoint = false;  ///< study.ckpt present
+  bool manifest = false;    ///< manifest.txt present
+};
+
+/// Scan `dir` for crash evidence.  Read-only; an unreadable or missing
+/// directory yields no evidence.
+[[nodiscard]] CrashEvidence scan_crash_state(const std::filesystem::path& dir);
 
 /// Check one manifest checksum claim against the bytes on disk (the
 /// loader shares it): nullopt when it holds, else the named finding.

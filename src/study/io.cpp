@@ -61,10 +61,13 @@ std::string read_all(const std::filesystem::path& path) {
   return out;
 }
 
-void write_lines(const std::filesystem::path& path, std::span<const std::string> lines) {
-  std::ofstream out{path, std::ios::binary};
-  if (!out) throw std::runtime_error{"cannot open for writing: " + path.string()};
-  for (const auto& line : lines) out << line << '\n';
+std::string join_lines(std::span<const std::string> lines) {
+  std::size_t bytes = 0;
+  for (const auto& line : lines) bytes += line.size() + 1;
+  std::string text;
+  text.reserve(bytes);
+  for (const auto& line : lines) (text += line) += '\n';
+  return text;
 }
 
 void write_text(const std::filesystem::path& path, std::string_view text) {
@@ -75,19 +78,6 @@ void write_text(const std::filesystem::path& path, std::string_view text) {
 
 void atomic_write_text(const std::filesystem::path& path, std::string_view text) {
   faulttest::atomic_write_file(path, text, "atomic_write_text");
-}
-
-void atomic_write_lines(const std::filesystem::path& path,
-                        std::span<const std::string> lines) {
-  std::string text;
-  std::size_t bytes = 0;
-  for (const auto& line : lines) bytes += line.size() + 1;
-  text.reserve(bytes);
-  for (const auto& line : lines) {
-    text += line;
-    text += '\n';
-  }
-  atomic_write_text(path, text);
 }
 
 }  // namespace titan::study

@@ -31,9 +31,8 @@ inline constexpr std::uint64_t kMaxIngestFileBytes = 4ULL * 1024 * 1024 * 1024;
 /// IngestError.
 [[nodiscard]] std::string read_all(const std::filesystem::path& path);
 
-/// Write lines, each terminated with '\n'.  Throws std::runtime_error
-/// when the file cannot be opened.
-void write_lines(const std::filesystem::path& path, std::span<const std::string> lines);
+/// The lines joined into one text, each terminated with '\n'.
+[[nodiscard]] std::string join_lines(std::span<const std::string> lines);
 
 /// Write raw text.  Throws std::runtime_error when the file cannot be
 /// opened.
@@ -46,9 +45,5 @@ void write_text(const std::filesystem::path& path, std::string_view text);
 /// a faulttest::KillPointError deliberately leaves the orphan tmp behind
 /// as the crash evidence loaders must triage (E_ORPHAN_TMP).
 void atomic_write_text(const std::filesystem::path& path, std::string_view text);
-
-/// Atomic variant of write_lines (same tmp + fsync + rename protocol).
-void atomic_write_lines(const std::filesystem::path& path,
-                        std::span<const std::string> lines);
 
 }  // namespace titan::study

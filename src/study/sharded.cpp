@@ -13,6 +13,7 @@
 #include "faulttest/faulttest.hpp"
 #include "ingest/triage.hpp"
 #include "logsim/joblog.hpp"
+#include "study/fsck.hpp"
 #include "study/io.hpp"
 #include "study/serialize_detail.hpp"
 #include "tdf/tdf.hpp"
@@ -23,15 +24,15 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Encode and write one shard container atomically, returning its seal
-/// record.  The checksum claim hashes the encoded bytes directly --
-/// never a read-back -- so writing shards larger than the whole-file
-/// read cap stays possible.
-ckpt::ShardSeal write_shard(const fs::path& dir, std::size_t shard,
+/// Encode and write one container (roster entry `shard`, file `file`)
+/// atomically, returning its seal record.  The checksum claim hashes the
+/// encoded bytes directly -- never a read-back -- so writing containers
+/// larger than the whole-file read cap stays possible.
+ckpt::ShardSeal write_shard(const fs::path& dir, std::string file, std::size_t shard,
                             const tdf::TdfDataset& data) {
   ckpt::ShardSeal seal;
   seal.shard = shard;
-  seal.file = tdf::shard_file_name(shard);
+  seal.file = std::move(file);
   const auto encoded = tdf::encode_tdf(data);
   TITAN_PTP("study/shard/encoded");
   seal.checksum = ingest::content_checksum(encoded);
@@ -51,17 +52,6 @@ void tally(ShardedWriteStats& out, const ckpt::ShardSeal& seal) {
   out.bytes += seal.bytes;
   out.jobs += seal.jobs;
   out.smi_blocks += seal.smi_blocks;
-}
-
-/// Remove leftover *.tmp files from crashed atomic writes, plus any
-/// *.quarantined copies a salvage load set aside (resume sweep; a tmp is
-/// pre-rename by construction, so removal loses nothing).
-void sweep_orphan_tmps(const fs::path& dir) {
-  std::error_code ec;
-  for (fs::directory_iterator it{dir, ec}, end; !ec && it != end; it.increment(ec)) {
-    const auto ext = it->path().extension();
-    if (ext == ".tmp" || ext == ".quarantined") fs::remove(it->path(), ec);
-  }
 }
 
 /// The checkpoint skeleton pinning this run's identity: seed, profile,
@@ -112,8 +102,15 @@ ShardedWriteStats generate_sharded_dataset(const core::FacilityConfig& config,
 
   auto state = checkpoint_plan(config, sharded);
   if (resume) {
-    sweep_orphan_tmps(dir);
-    if (fs::exists(dir / "manifest.txt")) {
+    // Remove the leftovers of crashed atomic writes and any copies a
+    // salvage load quarantined: a tmp is pre-rename by construction, so
+    // removal loses nothing.
+    const auto evidence = scan_crash_state(dir);
+    for (const auto& name : evidence.leftovers) {
+      std::error_code ec;
+      fs::remove(dir / name, ec);
+    }
+    if (evidence.manifest) {
       // Already committed: the manifest is the commit point, so there is
       // nothing to redo.  Recover the summary stats from a complete
       // checkpoint if one lingers (salvage decode: stale damage must not
@@ -157,11 +154,7 @@ ShardedWriteStats generate_sharded_dataset(const core::FacilityConfig& config,
     }
 
     tdf::TdfDataset data;
-    data.period_begin = config.period.begin;
-    data.period_end = config.period.end;
-    data.accounting_from = accounting_from;
-    data.profile_name = std::string{config.profile->name};
-    data.profile_hash = config.profile->content_hash();
+    detail::stamp_meta(data, config.period, accounting_from, *config.profile);
     data.times = std::move(columns.times);
     data.nodes = std::move(columns.nodes);
     data.kinds = std::move(columns.kinds);
@@ -180,7 +173,7 @@ ShardedWriteStats generate_sharded_dataset(const core::FacilityConfig& config,
       data.snapshot = detail::quantized_smi(sharded.final_snapshot());
     }
 
-    auto seal = write_shard(dir, s, data);
+    auto seal = write_shard(dir, tdf::shard_file_name(s), s, data);
     tally(out, seal);
     if (s < state.sealed.size()) {
       state.sealed[s] = std::move(seal);
@@ -191,18 +184,12 @@ ShardedWriteStats generate_sharded_dataset(const core::FacilityConfig& config,
     TITAN_PTP("study/shard/checkpoint");
   }
 
-  // Manifest last (atomically): a crashed writer leaves a directory
-  // without integrity claims rather than one with stale claims.
-  auto manifest = detail::manifest_header(config.period.begin, config.period.end,
-                                          accounting_from, *config.profile, shard_count);
+  auto manifest =
+      detail::manifest_header(config.period, accounting_from, *config.profile, shard_count);
   for (const auto& seal : state.sealed) {
-    manifest.push_back("checksum " + seal.file + ' ' +
-                       ingest::checksum_hex(seal.checksum));
+    manifest.push_back(detail::claim_line(seal.file, seal.checksum));
   }
-  TITAN_PTP("study/shard/pre-manifest");
-  atomic_write_lines(dir / "manifest.txt", manifest);
-  TITAN_PTP("study/shard/committed");
-  ckpt::remove_study_checkpoint(dir);
+  detail::commit_manifest(dir, manifest, "study/shard/pre-manifest", "study/shard/committed");
   return out;
 }
 
@@ -212,37 +199,28 @@ ShardedWriteStats write_sharded_dataset(const StudyContext& context,
   if (shard_count == 0) {
     throw std::invalid_argument{"write_sharded_dataset: shard_count must be positive"};
   }
-  fs::create_directories(dir);
+  return detail::write_roster(context, dir, DatasetLayout{LayoutKind::kSharded, shard_count});
+}
 
-  // Intent marker (not a resume plan: re-sharding reruns from the loaded
-  // context).  Without it, a kill between shard commits leaves a
-  // contiguous-but-short shard roster that loads as a silently smaller
-  // dataset; with it, loaders reject the directory as E_CKPT_INCOMPLETE.
-  detail::save_write_intent(context, dir);
-
-  auto manifest = detail::manifest_header(context.period.begin, context.period.end,
-                                          context.accounting_from, *context.profile,
-                                          shard_count);
+ShardedWriteStats detail::write_roster(const StudyContext& context,
+                                       const std::filesystem::path& dir,
+                                       const DatasetLayout& layout) {
+  const std::size_t count = layout.containers;
+  auto manifest = begin_write(context, dir, layout.kind == LayoutKind::kSharded ? count : 0);
   ShardedWriteStats out;
-  out.shards = shard_count;
+  out.shards = count;
   const std::size_t total = context.frame.size();
-  for (std::size_t s = 0; s < shard_count; ++s) {
+  for (std::size_t s = 0; s < count; ++s) {
     // Even contiguous split: the stream is time-sorted, so the loader's
     // (time, shard) merge reduces to concatenation and any bounds work.
-    // Side artifacts ride in the last shard.
+    // Side artifacts ride in the last container.
     const auto seal = write_shard(
-        dir, s,
-        detail::container_of(context, total * s / shard_count, total * (s + 1) / shard_count,
-                             s + 1 == shard_count));
+        dir, layout.container(s), s,
+        container_of(context, total * s / count, total * (s + 1) / count, s + 1 == count));
     tally(out, seal);
-    manifest.push_back("checksum " + seal.file + ' ' +
-                       ingest::checksum_hex(seal.checksum));
+    manifest.push_back(claim_line(seal.file, seal.checksum));
   }
-
-  TITAN_PTP("study/reshard/pre-manifest");
-  atomic_write_lines(dir / "manifest.txt", manifest);
-  TITAN_PTP("study/reshard/committed");
-  ckpt::remove_study_checkpoint(dir);
+  commit_manifest(dir, manifest, "study/write/pre-manifest", "study/write/committed");
   return out;
 }
 

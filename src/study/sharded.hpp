@@ -10,14 +10,17 @@
 // DatasetSource::load, whose one roster loader k-way merges the shard
 // streams -- the loader a monolithic dataset.tdf takes as a roster of one.
 //
-// Two producers:
+// Two producers, both sealing each container through one shard writer
+// that hashes the encoded bytes it writes:
 //   * generate_sharded_dataset runs the campaign shard by shard through
 //     core::ShardedStudy and spills each shard as it completes -- peak
 //     resident memory is the campaign plan plus ONE shard's events, never
 //     the full stream.  This is the only way to produce datasets that
 //     exceed what run_study can materialize.
 //   * write_sharded_dataset splits an already-loaded context into S
-//     contiguous chunks (the titan-convert re-sharding path).
+//     contiguous chunks (the titan-convert re-sharding path).  It is the
+//     context roster writer that write_dataset's binary format also
+//     uses, with dataset.tdf as a roster of one.
 #pragma once
 
 #include <cstddef>

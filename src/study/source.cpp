@@ -303,14 +303,23 @@ StudyContext load_text(const fs::path& dir, const ingest::ManifestIngest& manife
 
   adopt_manifest_period(context, manifest);
 
-  if (const auto jobs_path = dir / "jobs.log"; fs::exists(jobs_path)) {
+  // Claims name the whole dataset: an unclaimed side artifact is another
+  // write's leftover.  With no claims to go by, the directory is probed.
+  const auto side_artifact = [&](std::string_view name) {
+    return manifest.checksums.empty() || manifest.claims(name);
+  };
+
+  if (const auto jobs_path = dir / "jobs.log";
+      side_artifact("jobs.log") && fs::exists(jobs_path)) {
     auto jobs = ingest::ingest_job_text(read_all(jobs_path), "jobs.log", policy, report);
     context.load_stats.job_lines = jobs.lines;
     context.load_stats.malformed_job_lines = jobs.malformed;
     context.job_log = std::move(jobs.records);
   }
 
-  if (const auto sweep_text = read_all(dir / "smi_sweep.txt"); !sweep_text.empty()) {
+  if (const auto sweep_text =
+          side_artifact("smi_sweep.txt") ? read_all(dir / "smi_sweep.txt") : std::string{};
+      !sweep_text.empty()) {
     auto sweep = ingest::ingest_smi_text(sweep_text, "smi_sweep.txt", policy, report);
     context.snapshot.taken_at = sweep.taken_at;
     context.snapshot.records = std::move(sweep.records);
@@ -336,21 +345,16 @@ StudyContext load_text(const fs::path& dir, const ingest::ManifestIngest& manife
 ///     "salvaging" them would silently study a partial campaign.  The
 ///     remedy is resuming the generator, not loading harder.
 void gate_crash_state(const fs::path& dir, IngestPolicy policy, IngestReport& report) {
-  std::vector<fs::path> orphans;
-  std::error_code ec;
-  for (fs::directory_iterator it{dir, ec}, end; !ec && it != end; it.increment(ec)) {
-    if (it->path().extension() == ".tmp") orphans.push_back(it->path());
-  }
-  std::sort(orphans.begin(), orphans.end());  // deterministic report order
-  for (const auto& orphan : orphans) {
-    const auto name = orphan.filename().string();
+  const auto evidence = scan_crash_state(dir);
+  for (const auto& name : evidence.leftovers) {
+    if (fs::path{name}.extension() != ".tmp") continue;  // quarantined already
     triage_file(policy, report, name, TriageCode::kOrphanTmp, SalvageAction::kQuarantined,
                 "leftover tmp file from an interrupted atomic write; quarantined as " +
                     name + ".quarantined");
-    std::error_code rename_ec;
-    fs::rename(orphan, orphan.string() + ".quarantined", rename_ec);
+    std::error_code ec;
+    fs::rename(dir / name, dir / (name + ".quarantined"), ec);
   }
-  if (fs::exists(dir / ckpt::kStudyCheckpointFileName) && !fs::exists(dir / "manifest.txt")) {
+  if (evidence.checkpoint && !evidence.manifest) {
     throw ingest::IngestError{
         std::string{ckpt::kStudyCheckpointFileName}, 0, TriageCode::kCkptIncomplete,
         "generation checkpoint present but no committed manifest: the dataset write "
@@ -423,8 +427,7 @@ DatasetLayout dataset_layout(const fs::path& dir, const ingest::ManifestIngest& 
   DatasetLayout layout;
   if (manifest.have_shards) {
     layout = {LayoutKind::kSharded, static_cast<std::size_t>(manifest.shards)};
-  } else if (std::any_of(manifest.checksums.begin(), manifest.checksums.end(),
-                         [&](const auto& claim) { return claim.first == mono; })) {
+  } else if (manifest.claims(mono)) {
     layout = {LayoutKind::kBinary, 1};
   } else if (!manifest.checksums.empty()) {
     layout.kind = LayoutKind::kText;
@@ -483,24 +486,14 @@ logsim::SmiSnapshot quantized_smi(const logsim::SmiSnapshot& snapshot) {
   return out;
 }
 
-void save_write_intent(const StudyContext& context, const fs::path& dir) {
-  ckpt::StudyCheckpoint intent;
-  intent.seed = 0;
-  intent.profile_name = std::string{context.profile->name};
-  intent.profile_hash = context.profile->content_hash();
-  intent.shard_count = 0;
-  intent.card_fences = {0};
-  ckpt::save_study_checkpoint(intent, dir);
-}
-
-std::vector<std::string> manifest_header(stats::TimeSec begin, stats::TimeSec end,
+std::vector<std::string> manifest_header(const stats::StudyPeriod& period,
                                          stats::TimeSec accounting_from,
                                          const profile::FleetProfile& profile,
                                          std::size_t shard_count) {
   std::vector<std::string> lines = {
       std::string{ingest::kDatasetManifestHeader},
-      "period_begin " + std::to_string(begin),
-      "period_end " + std::to_string(end),
+      "period_begin " + std::to_string(period.begin),
+      "period_end " + std::to_string(period.end),
       "accounting_from " + std::to_string(accounting_from),
       "profile " + std::string{profile.name} + ' ' +
           ingest::checksum_hex(profile.content_hash()),
@@ -509,14 +502,45 @@ std::vector<std::string> manifest_header(stats::TimeSec begin, stats::TimeSec en
   return lines;
 }
 
+std::vector<std::string> begin_write(const StudyContext& context, const fs::path& dir,
+                                     std::size_t shard_count) {
+  fs::create_directories(dir);
+  ckpt::StudyCheckpoint intent;
+  intent.profile_name = std::string{context.profile->name};
+  intent.profile_hash = context.profile->content_hash();
+  intent.card_fences = {0};
+  ckpt::save_study_checkpoint(intent, dir);
+  return manifest_header(context.period, context.accounting_from, *context.profile,
+                         shard_count);
+}
+
+std::string claim_line(std::string_view name, std::uint64_t checksum) {
+  return "checksum " + std::string{name} + ' ' + ingest::checksum_hex(checksum);
+}
+
+void commit_manifest(const fs::path& dir, const std::vector<std::string>& manifest,
+                     std::string_view pre_manifest_site, std::string_view committed_site) {
+  // Manifest last: until it lands (atomically), a crashed writer leaves a
+  // directory without integrity claims rather than one with stale claims.
+  TITAN_PTP(pre_manifest_site);
+  atomic_write_text(dir / "manifest.txt", join_lines(manifest));
+  TITAN_PTP(committed_site);
+  ckpt::remove_study_checkpoint(dir);
+}
+
+void stamp_meta(tdf::TdfDataset& data, const stats::StudyPeriod& period,
+                stats::TimeSec accounting_from, const profile::FleetProfile& profile) {
+  data.period_begin = period.begin;
+  data.period_end = period.end;
+  data.accounting_from = accounting_from;
+  data.profile_name = std::string{profile.name};
+  data.profile_hash = profile.content_hash();
+}
+
 tdf::TdfDataset container_of(const StudyContext& context, std::size_t lo, std::size_t hi,
                              bool side_artifacts) {
   tdf::TdfDataset data;
-  data.period_begin = context.period.begin;
-  data.period_end = context.period.end;
-  data.accounting_from = context.accounting_from;
-  data.profile_name = std::string{context.profile->name};
-  data.profile_hash = context.profile->content_hash();
+  stamp_meta(data, context.period, context.accounting_from, *context.profile);
   const auto slice = [&](auto column) {
     const auto part = column.subspan(lo, hi - lo);
     return std::vector(part.begin(), part.end());
@@ -541,54 +565,22 @@ tdf::TdfDataset container_of(const StudyContext& context, std::size_t lo, std::s
 
 void write_dataset(const StudyContext& context, const std::filesystem::path& dir,
                    DatasetFormat format) {
-  fs::create_directories(dir);
-
-  // Intent first: with the checkpoint marker on disk, a writer killed
-  // between artifacts and the manifest leaves a directory loaders reject
-  // as E_CKPT_INCOMPLETE instead of silently studying a partial dataset
-  // (a console.log alone is a loadable foreign dataset otherwise).
-  // Rerunning write_dataset IS the resume path: every artifact is
-  // rewritten idempotently and the marker removed at commit.
-  detail::save_write_intent(context, dir);
-
-  // Both formats round-trip doubles through the text serialization, so a
-  // text dataset and a binary dataset of the same context load into
-  // byte-identical contexts (the text path quantizes at write time; the
-  // binary path must not keep more precision than that).
-  auto manifest = detail::manifest_header(context.period.begin, context.period.end,
-                                          context.accounting_from, *context.profile, 0);
-  const auto claim = [&](std::string_view name) {
-    const auto sum = ingest::content_checksum(read_all(dir / name));
-    manifest.push_back("checksum " + std::string{name} + ' ' + ingest::checksum_hex(sum));
-  };
-
-  if (format == DatasetFormat::kText) {
-    atomic_write_lines(dir / "console.log", detail::console_lines_of(context));
-    claim("console.log");
-    TITAN_PTP("study/write/artifact");
-    if (has_job_log(context)) {
-      atomic_write_lines(dir / "jobs.log", detail::job_lines_of(context));
-      claim("jobs.log");
-      TITAN_PTP("study/write/artifact");
-    }
-    if (context.has(kSnapshot)) {
-      atomic_write_text(dir / "smi_sweep.txt", logsim::smi_sweep_text(context.snapshot));
-      claim("smi_sweep.txt");
-      TITAN_PTP("study/write/artifact");
-    }
-  } else {
-    tdf::write_tdf(detail::container_of(context, 0, context.frame.size(), true),
-                   dir / std::string{tdf::kTdfFileName});
-    claim(tdf::kTdfFileName);
-    TITAN_PTP("study/write/artifact");
+  if (format == DatasetFormat::kBinary) {
+    detail::write_roster(context, dir, DatasetLayout{LayoutKind::kBinary, 1});
+    return;
   }
+  auto manifest = detail::begin_write(context, dir, 0);
+  // Each artifact is rendered once; its claim hashes the bytes written.
+  const auto artifact = [&](std::string_view name, const std::string& bytes) {
+    atomic_write_text(dir / name, bytes);
+    manifest.push_back(detail::claim_line(name, ingest::content_checksum(bytes)));
+    TITAN_PTP("study/write/artifact");
+  };
+  artifact("console.log", join_lines(detail::console_lines_of(context)));
+  if (has_job_log(context)) artifact("jobs.log", join_lines(detail::job_lines_of(context)));
+  if (context.has(kSnapshot)) artifact("smi_sweep.txt", logsim::smi_sweep_text(context.snapshot));
 
-  // Manifest last: until it lands (atomically), a crashed writer leaves a
-  // directory without integrity claims rather than one with stale claims.
-  TITAN_PTP("study/write/pre-manifest");
-  atomic_write_lines(dir / "manifest.txt", manifest);
-  TITAN_PTP("study/write/committed");
-  ckpt::remove_study_checkpoint(dir);
+  detail::commit_manifest(dir, manifest, "study/write/pre-manifest", "study/write/committed");
 }
 
 }  // namespace titan::study

@@ -58,8 +58,9 @@ class SimulatedSource final : public StudySource {
 /// k-way merged back into the global event order.  The text layout needs
 /// console.log; jobs.log, smi_sweep.txt and manifest.txt are optional
 /// (capabilities shrink accordingly; without a manifest the period is
-/// inferred from the event stream).  Capabilities: events, plus snapshot
-/// when the sweep exists.
+/// inferred from the event stream).  A manifest that claims any artifact
+/// decides which side artifacts load: only claimed ones do.  Capabilities:
+/// events, plus snapshot when the sweep loads.
 ///
 /// Under IngestPolicy::kStrict (the default) structural corruption --
 /// checksum mismatches, manifest damage, NUL/overlong lines, timestamp
@@ -149,9 +150,11 @@ enum class DatasetFormat : std::uint8_t {
 /// to the text serialization's precision in both formats, so text and
 /// binary datasets of one context load byte-identically.
 ///
-/// Every file is written atomically (tmp + fsync + rename) with the
+/// Every file is written atomically (tmp + fsync + rename) and claimed
+/// with the checksum of the bytes written (never a read-back), with the
 /// manifest last, so a crash mid-write can never leave a directory that
-/// passes checksum verification with partial content.
+/// passes checksum verification with partial content.  kBinary goes
+/// through the same container writer as write_sharded_dataset.
 void write_dataset(const StudyContext& context, const std::filesystem::path& dir,
                    DatasetFormat format = DatasetFormat::kText);
 

@@ -3,8 +3,9 @@
 //
 // A TdfDataset is the StudyContext's column view -- the event stream as
 // four parallel columns (ready for EventFrame::from_columns), plus the
-// optional job-accounting and nvidia-smi side artifacts.  write_tdf
-// serializes it atomically (tmp + fsync + rename); decode_tdf decodes a
+// optional job-accounting and nvidia-smi side artifacts.  encode_tdf
+// serializes it to the container bytes (the study layer's one roster
+// writer hashes and writes those atomically); decode_tdf decodes a
 // whole container from its bytes (a MappedFile's, say), validating each
 // segment's FNV-1a checksum right before that segment's first bytes are
 // decoded, and only for segments the load needs.  SegmentReader is the
@@ -106,9 +107,6 @@ class MappedFile {
 /// Serialize to the v1 byte layout (header + aligned segments + table,
 /// header patched with the table location and checksum).
 [[nodiscard]] std::string encode_tdf(const TdfDataset& data);
-
-/// Encode and write atomically: `path.tmp` + fsync + rename.
-void write_tdf(const TdfDataset& data, const std::filesystem::path& path);
 
 /// Decode raw container bytes.  `file` names the source in diagnostics.
 /// See the damage policy above; salvage findings land in `report`.

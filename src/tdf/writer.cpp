@@ -3,15 +3,12 @@
 #include <stdexcept>
 #include <utility>
 
-#include "faulttest/atomic_file.hpp"
 #include "faulttest/faulttest.hpp"
 #include "tdf/tdf.hpp"
 
 namespace titan::tdf {
 
 namespace {
-
-namespace fs = std::filesystem;
 
 /// Pad `out` with zero bytes to the segment alignment.
 void align(std::string& out) {
@@ -217,12 +214,6 @@ std::string encode_tdf(const TdfDataset& data) {
   out += table;
   TITAN_PTP("tdf/footer-encoded");
   return out;
-}
-
-void write_tdf(const TdfDataset& data, const fs::path& path) {
-  const auto encoded = encode_tdf(data);
-  TITAN_PTP("tdf/pre-write");
-  faulttest::atomic_write_file(path, encoded, "write_tdf");
 }
 
 }  // namespace titan::tdf

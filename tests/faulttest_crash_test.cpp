@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "core/facility.hpp"
 #include "faulttest/faulttest.hpp"
@@ -63,20 +66,71 @@ const struct ScratchCleaner {
   fs::path path;
 } scratch_cleaner;
 
-bool site_seen(const study::SweepResult& sweep, std::string_view site) {
-  for (const auto& s : sweep.sites) {
-    if (s.site == site) return true;
-  }
-  return false;
+/// Kill-point site -> hits, as a reference run counts them.
+using Census = std::map<std::string, std::uint64_t>;
+
+Census census_of(const std::vector<faulttest::SiteHits>& sites) {
+  Census census;
+  for (const auto& s : sites) census[s.site] = s.hits;
+  return census;
 }
 
-void expect_census_covers_sweep(const study::SweepResult& sweep) {
+/// Hits of the four atomic-write stages when `writes` atomic writes ran.
+Census atomic_writes(std::uint64_t writes) {
+  return {{"io/atomic/pre-tmp", writes},
+          {"io/atomic/post-tmp", writes},
+          {"io/atomic/pre-rename", writes},
+          {"io/atomic/post-rename", writes}};
+}
+
+Census merged(Census a, const Census& b) {
+  a.insert(b.begin(), b.end());
+  return a;
+}
+
+/// `count` containers through the container writer: encode, seal, write.
+Census containers(std::uint64_t count) {
+  return {{"tdf/segments-encoded", count},
+          {"tdf/footer-encoded", count},
+          {"study/shard/encoded", count},
+          {"study/shard/sealed", count}};
+}
+
+/// generate_sharded_dataset at `shards` shards: the checkpoint is saved
+/// once up front and once per sealed shard.
+Census generator_census(std::uint64_t shards) {
+  auto census = merged(containers(shards), atomic_writes(2 * shards + 2));
+  census.insert({{"ckpt/pre-save", shards + 1},
+                 {"study/shard/checkpoint", shards},
+                 {"study/shard/pre-manifest", 1},
+                 {"study/shard/committed", 1}});
+  return census;
+}
+
+/// The context writers' binary roster (dataset.tdf alone is a roster of
+/// one): intent, `count` containers, manifest.
+Census roster_census(std::uint64_t count) {
+  auto census = merged(containers(count), atomic_writes(count + 2));
+  census.insert({{"ckpt/pre-save", 1},
+                 {"study/write/pre-manifest", 1},
+                 {"study/write/committed", 1}});
+  return census;
+}
+
+/// The reference run's census is exactly `expected`, which totals `hits`
+/// over `sites` sites.
+void expect_census(const study::SweepResult& sweep, const Census& expected,
+                   std::uint64_t hits, std::size_t sites) {
+  std::uint64_t total = 0;
+  for (const auto& [site, n] : expected) total += n;
+  ASSERT_EQ(total, hits);
+  ASSERT_EQ(expected.size(), sites);
   // Sweep count == site census count: every hit the reference run
   // counted was killed exactly once.
   EXPECT_EQ(sweep.kills.size(), sweep.total_points);
-  std::uint64_t census = 0;
-  for (const auto& s : sweep.sites) census += s.hits;
-  EXPECT_EQ(census, sweep.total_points) << "per-site hits must sum to the total";
+  EXPECT_EQ(sweep.total_points, hits) << sweep.summary_text();
+  // The full table: a lost, renamed or doubled kill point shows here.
+  EXPECT_EQ(census_of(sweep.sites), expected) << sweep.summary_text();
 }
 
 TEST(FaultTestCrash, ShardedSweepIsSalvageOrNamedNeverSilent) {
@@ -88,17 +142,18 @@ TEST(FaultTestCrash, ShardedSweepIsSalvageOrNamedNeverSilent) {
       },
       scratch_root() / "sharded_sweep");
   EXPECT_TRUE(sweep.clean()) << sweep.summary_text();
-  expect_census_covers_sweep(sweep);
-  EXPECT_GT(sweep.total_points, 20U) << sweep.summary_text();
+  // Every durable-state transition layer.
+  expect_census(sweep, generator_census(2), 39, 12);
 
-  // The sweep must have walked every durable-state transition layer.
-  for (const auto site :
-       {"ckpt/pre-save", "io/atomic/pre-tmp", "io/atomic/post-tmp",
-        "io/atomic/pre-rename", "io/atomic/post-rename", "study/shard/encoded",
-        "study/shard/sealed", "study/shard/checkpoint", "study/shard/pre-manifest",
-        "study/shard/committed"}) {
-    EXPECT_TRUE(site_seen(sweep, site)) << site << "\n" << sweep.summary_text();
-  }
+  // The census scales with the shard count as the table says: 53 hits at
+  // 3 shards (a plain reference run; the sweep itself stays at 2).
+  FaultTestInit(FaultConfig{});
+  study::generate_sharded_dataset(config, 3, scratch_root() / "sharded_census_3");
+  const auto three = faulttest::fault_test_report();
+  EXPECT_EQ(three.total_hits, 53U);
+  EXPECT_EQ(census_of(three.sites), generator_census(3)) << three.summary_text();
+  EXPECT_EQ(three.sites.size(), 12U);
+
   // And the named-failure taxonomy must actually fire: a mid-write kill
   // leaves ckpt-without-manifest state, a post-tmp kill leaves an orphan.
   EXPECT_GT(sweep.code_counts.count("E_CKPT_INCOMPLETE"), 0U) << sweep.summary_text();
@@ -115,9 +170,13 @@ TEST(FaultTestCrash, MonolithicTextSweepRerunConverges) {
   const auto sweep =
       study::run_runlength_sweep(write, write, scratch_root() / "text_sweep");
   EXPECT_TRUE(sweep.clean()) << sweep.summary_text();
-  expect_census_covers_sweep(sweep);
-  EXPECT_TRUE(site_seen(sweep, "study/write/artifact")) << sweep.summary_text();
-  EXPECT_TRUE(site_seen(sweep, "study/write/committed")) << sweep.summary_text();
+  // Intent, console.log, jobs.log, smi_sweep.txt, manifest.
+  auto expected = atomic_writes(5);
+  expected.insert({{"ckpt/pre-save", 1},
+                   {"study/write/artifact", 3},
+                   {"study/write/pre-manifest", 1},
+                   {"study/write/committed", 1}});
+  expect_census(sweep, expected, 26, 8);
 }
 
 TEST(FaultTestCrash, MonolithicBinarySweepRerunConverges) {
@@ -128,10 +187,24 @@ TEST(FaultTestCrash, MonolithicBinarySweepRerunConverges) {
   const auto sweep =
       study::run_runlength_sweep(write, write, scratch_root() / "binary_sweep");
   EXPECT_TRUE(sweep.clean()) << sweep.summary_text();
-  expect_census_covers_sweep(sweep);
-  // The TDF encode pipeline's own kill points must be on the walked path.
-  EXPECT_TRUE(site_seen(sweep, "tdf/segments-encoded")) << sweep.summary_text();
-  EXPECT_TRUE(site_seen(sweep, "tdf/pre-write")) << sweep.summary_text();
+  // dataset.tdf goes through the container writer: the TDF encode
+  // pipeline's own sites (tdf/segments-encoded, ...) and the container
+  // writer's (study/shard/encoded, ...) are on the walked path.
+  expect_census(sweep, roster_census(1), 19, 11);
+}
+
+TEST(FaultTestCrash, ReshardSweepRerunConverges) {
+  // The re-sharding converter shares the container writer with the
+  // binary path; rerunning it over any crash state converges.
+  const auto context = study::SimulatedSource{core::quick_config(kSeed)}.load();
+  const auto write = [&](const fs::path& dir) {
+    (void)study::write_sharded_dataset(context, dir, 2);
+  };
+  const auto sweep =
+      study::run_runlength_sweep(write, write, scratch_root() / "reshard_sweep");
+  EXPECT_TRUE(sweep.clean()) << sweep.summary_text();
+  expect_census(sweep, roster_census(2), 27, 11);
+  EXPECT_GT(sweep.code_counts.count("E_CKPT_INCOMPLETE"), 0U) << sweep.summary_text();
 }
 
 TEST(FaultTestCrash, InterruptedResumeIsByteIdenticalAcrossShardsAndWidths) {

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/event_frame.hpp"
@@ -124,7 +125,22 @@ TEST(FrameGuard, RegistrySweepAgreesWithDeclaredCapabilities) {
   // their declared masks license.
   const RecordingHandler handler;
   const auto context = study::SimulatedSource{core::quick_config(6)}.load();
-  ASSERT_TRUE(frame_guard::enabled());
+
+  // The sweep's zero below means something only if the registry really
+  // installs a scope per kernel: a kernel whose mask omits kLedger and
+  // reads cards() anyway must be recorded.
+  study::AnalysisRegistry misdeclared;
+  misdeclared.add({"reads_cards", "declares kEvents, reads the ledger join", study::kEvents,
+                   [](const study::StudyContext& ctx) {
+                     (void)ctx.frame.cards();
+                     return study::AnalysisResult{"reads_cards", {}, {}};
+                   }});
+  const std::vector<std::string> selection{"reads_cards"};
+  (void)misdeclared.run(context, selection);
+  ASSERT_EQ(g_violations.load(), 1U);
+  EXPECT_EQ(g_last_column.load(), unsigned{analysis::kColumnCards});
+  g_violations.store(0);
+
   const auto report = study::AnalysisRegistry::standard().run_all(context);
   EXPECT_EQ(report.results.size(), 10U);
   EXPECT_EQ(g_violations.load(), 0U);

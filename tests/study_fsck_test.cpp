@@ -14,6 +14,8 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ckpt/study_ckpt.hpp"
 #include "core/facility.hpp"
@@ -80,14 +82,27 @@ bool has_finding(const study::FsckResult& result, TriageCode code) {
 }
 
 TEST(StudyFsck, CleanDatasetReportsCleanAndByteStable) {
-  const auto dir = damaged_copy("clean");
-  const auto result = study::fsck_dataset(dir);
-  EXPECT_TRUE(result.clean()) << result.report_text();
-  EXPECT_EQ(result.layout, "sharded");
-  EXPECT_EQ(result.report_text(),
-            "titanrel fsck\nlayout: sharded\nfindings: 0\nverdict: clean\n");
-  // Read-only: fsck must not mutate the dataset it inspects.
-  EXPECT_EQ(study::fsck_dataset(dir).report_text(), result.report_text());
+  // Every writer's output, re-hashed from disk: the claims each writer
+  // computed from the bytes it wrote must match the bytes that landed.
+  const auto context = study::SimulatedSource{core::quick_config(kSeed)}.load();
+  const auto text = scratch_root() / "clean_text";
+  study::write_dataset(context, text, study::DatasetFormat::kText);
+  const auto binary = scratch_root() / "clean_binary";
+  study::write_dataset(context, binary, study::DatasetFormat::kBinary);
+  const auto resharded = scratch_root() / "clean_resharded";
+  (void)study::write_sharded_dataset(context, resharded, 2);
+
+  for (const auto& [dir, layout] : {std::pair{text, "text"}, std::pair{binary, "binary"},
+                                    std::pair{resharded, "sharded"},
+                                    std::pair{damaged_copy("clean"), "sharded"}}) {
+    const auto result = study::fsck_dataset(dir);
+    EXPECT_TRUE(result.clean()) << result.report_text();
+    EXPECT_EQ(result.layout, layout);
+    EXPECT_EQ(result.report_text(), "titanrel fsck\nlayout: " + std::string{layout} +
+                                        "\nfindings: 0\nverdict: clean\n");
+    // Read-only: fsck must not mutate the dataset it inspects.
+    EXPECT_EQ(study::fsck_dataset(dir).report_text(), result.report_text());
+  }
 }
 
 TEST(StudyFsck, OrphanTmpIsNamed) {
@@ -249,6 +264,48 @@ TEST(StudyLayout, ManifestPicksTheLayoutOverStaleContainers) {
     EXPECT_EQ(report_bytes(mixed), report_bytes(alone)) << c.name;
     EXPECT_EQ(study::fsck_dataset(mixed).layout, c.layout) << c.name;
     EXPECT_EQ(study::fsck_dataset(alone).layout, c.layout) << c.name;
+  }
+}
+
+TEST(StudyLayout, ManifestPicksTheSideArtifacts) {
+  // A text dataset without some side artifact, written over another
+  // study's complete text dataset: the stale jobs.log / smi_sweep.txt its
+  // manifest does not claim must not load, so the mixed directory reports
+  // exactly what the fresh dataset reports alone.
+  const auto stale = study::SimulatedSource{core::quick_config(kSeed + 2)}.load();
+  const auto full = scratch_root() / "side_full";
+  study::write_dataset(study::SimulatedSource{core::quick_config(kSeed)}.load(), full);
+  using Names = std::vector<std::string>;
+  for (const auto& dropped : {Names{"jobs.log", "smi_sweep.txt"}, Names{"jobs.log"},
+                              Names{"smi_sweep.txt"}}) {
+    // The fresh context: the full dataset, loaded without `dropped` (and
+    // without a manifest, so the missing files are no finding).
+    std::string name = "side";
+    const auto source = scratch_root() / "side_source";
+    fs::remove_all(source);
+    fs::copy(full, source);
+    fs::remove(source / "manifest.txt");
+    for (const auto& file : dropped) {
+      fs::remove(source / file);
+      name += '_' + fs::path{file}.stem().string();
+    }
+    const auto fresh = study::DatasetSource{source}.load();
+
+    const auto alone = scratch_root() / (name + "_alone");
+    const auto mixed = scratch_root() / (name + "_mixed");
+    study::write_dataset(fresh, alone);
+    study::write_dataset(stale, mixed);
+    study::write_dataset(fresh, mixed);
+    ASSERT_TRUE(fs::exists(mixed / "jobs.log")) << name;
+    ASSERT_TRUE(fs::exists(mixed / "smi_sweep.txt")) << name;
+
+    const auto from_alone = study::DatasetSource{alone}.load();
+    const auto from_mixed = study::DatasetSource{mixed}.load();
+    EXPECT_EQ(from_mixed.capabilities, from_alone.capabilities) << name;
+    EXPECT_EQ(from_mixed.job_log.size(), from_alone.job_log.size()) << name;
+    EXPECT_EQ(from_mixed.snapshot.records.size(), from_alone.snapshot.records.size()) << name;
+    EXPECT_EQ(report_bytes(mixed), report_bytes(alone)) << name;
+    EXPECT_TRUE(study::fsck_dataset(mixed).clean()) << name;
   }
 }
 

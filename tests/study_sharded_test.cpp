@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/facility.hpp"
+#include "faulttest/atomic_file.hpp"
 #include "ingest/triage.hpp"
 #include "par/pool.hpp"
 #include "study/registry.hpp"
@@ -185,7 +186,7 @@ TEST(StudySharded, KwayMergeOrdersEqualTimestampsByShardIndex) {
       data.kinds.push_back(xid::ErrorKind::kDoubleBitError);
       data.structures.push_back(xid::MemoryStructure::kDeviceMemory);
     }
-    tdf::write_tdf(data, dir / tdf::shard_file_name(s));
+    faulttest::atomic_write_file(dir / tdf::shard_file_name(s), tdf::encode_tdf(data));
   }
 
   const auto context = study::DatasetSource{dir}.load();
@@ -320,7 +321,7 @@ TEST(StudySharded, MetaWindowDisagreementNamesTheOddShard) {
     data.nodes = {1};
     data.kinds = {xid::ErrorKind::kDoubleBitError};
     data.structures = {xid::MemoryStructure::kDeviceMemory};
-    tdf::write_tdf(data, dir / tdf::shard_file_name(s));
+    faulttest::atomic_write_file(dir / tdf::shard_file_name(s), tdf::encode_tdf(data));
   }
 
   try {
@@ -342,7 +343,7 @@ TEST(StudySharded, EmptyShardedDatasetRejectedWithNoEvents) {
   data.period_begin = 1000;
   data.period_end = 2000;
   data.accounting_from = 1000;
-  tdf::write_tdf(data, dir / tdf::shard_file_name(0));
+  faulttest::atomic_write_file(dir / tdf::shard_file_name(0), tdf::encode_tdf(data));
 
   try {
     (void)study::DatasetSource{dir}.load();
@@ -371,7 +372,7 @@ TEST(StudySharded, EmptyRosterWithTamperedJobsNamesNoEventsFirst) {
       }
       const auto path =
           dir / (containers == 1 ? std::string{tdf::kTdfFileName} : tdf::shard_file_name(s));
-      tdf::write_tdf(data, path);
+      faulttest::atomic_write_file(path, tdf::encode_tdf(data));
       if (!last) continue;
       const auto info = tdf::inspect_tdf(path);
       const auto jobs = std::find_if(info.segments.begin(), info.segments.end(),

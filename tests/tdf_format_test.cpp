@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "faulttest/atomic_file.hpp"
 #include "ingest/triage.hpp"
 #include "tdf/format.hpp"
 #include "tdf/tdf.hpp"
@@ -402,38 +403,14 @@ TEST(TdfDamage, UnknownSegmentKindSkippedUnderBothPolicies) {
 }
 
 // ---------------------------------------------------------------------------
-// File-level API: write_tdf / MappedFile / inspect_tdf.
+// File-level API: MappedFile / inspect_tdf.
 // ---------------------------------------------------------------------------
-
-TEST(TdfFile, WriteReadRoundTripLeavesNoTmpFiles) {
-  const auto dir = fs::path{::testing::TempDir()} / "titanrel_tdf_file";
-  fs::create_directories(dir);
-  const auto path = dir / "dataset.tdf";
-  const auto data = fixture();
-  tdf::write_tdf(data, path);
-  ASSERT_TRUE(fs::exists(path));
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
-  }
-
-  {
-    const tdf::MappedFile mapped{path};
-    EXPECT_EQ(mapped.bytes(), tdf::encode_tdf(data));
-
-    IngestReport report{IngestPolicy::kStrict};
-    const auto out =
-        tdf::decode_tdf(mapped.bytes(), "dataset.tdf", IngestPolicy::kStrict, report);
-    EXPECT_EQ(out.times, data.times);
-    EXPECT_EQ(out.nodes, data.nodes);
-  }
-  fs::remove_all(dir);
-}
 
 TEST(TdfFile, InspectDescribesHeaderAndSegments) {
   const auto dir = fs::path{::testing::TempDir()} / "titanrel_tdf_inspect";
   fs::create_directories(dir);
   const auto path = dir / "dataset.tdf";
-  tdf::write_tdf(fixture(), path);
+  faulttest::atomic_write_file(path, tdf::encode_tdf(fixture()));
 
   const auto info = tdf::inspect_tdf(path);
   EXPECT_EQ(info.version, tdf::kTdfVersion);

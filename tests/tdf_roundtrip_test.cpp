@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -19,6 +20,7 @@
 #include "profile/fleet_profile.hpp"
 #include "study/io.hpp"
 #include "study/registry.hpp"
+#include "study/sharded.hpp"
 #include "study/source.hpp"
 #include "tdf/tdf.hpp"
 
@@ -202,6 +204,44 @@ TEST(TdfRoundTrip, WritesLeaveNoTmpFiles) {
     for (const auto& entry : fs::directory_iterator(dir)) {
       EXPECT_EQ(entry.path().string().find(".tmp"), std::string::npos) << entry.path();
     }
+  }
+}
+
+TEST(TdfFile, WriteReadRoundTripLeavesNoTmpFiles) {
+  // The one container writer, for dataset.tdf and a shard roster alike:
+  // every container lands whole (no tmp left behind), its manifest claim
+  // is the checksum of the bytes on disk, and the mapped containers
+  // decode back to the frame, in roster order.
+  const auto sharded = scratch_root() / "file_sharded";
+  study::write_sharded_dataset(simulated(), sharded, 3);
+  for (const auto& dir : {binary_dir(), sharded}) {
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    }
+    ingest::IngestReport report{ingest::IngestPolicy::kStrict};
+    const auto manifest = study::read_manifest(dir, ingest::IngestPolicy::kStrict, report);
+    const auto layout = study::dataset_layout(dir, manifest);
+    ASSERT_EQ(manifest.checksums.size(), layout.containers) << dir;
+
+    std::vector<stats::TimeSec> times;
+    std::vector<topology::NodeId> nodes;
+    for (std::size_t s = 0; s < layout.containers; ++s) {
+      const auto name = layout.container(s);
+      EXPECT_EQ(manifest.checksums[s].first, name);
+      const tdf::MappedFile mapped{dir / name};
+      EXPECT_EQ(manifest.checksums[s].second, ingest::content_checksum(mapped.bytes()))
+          << name;
+      const auto data =
+          tdf::decode_tdf(mapped.bytes(), name, ingest::IngestPolicy::kStrict, report);
+      times.insert(times.end(), data.times.begin(), data.times.end());
+      nodes.insert(nodes.end(), data.nodes.begin(), data.nodes.end());
+      EXPECT_EQ(data.has_jobs, s + 1 == layout.containers) << name;
+    }
+    const auto& frame = simulated().frame;
+    EXPECT_TRUE(std::equal(times.begin(), times.end(), frame.times().begin(),
+                           frame.times().end()));
+    EXPECT_TRUE(std::equal(nodes.begin(), nodes.end(), frame.nodes().begin(),
+                           frame.nodes().end()));
   }
 }
 
