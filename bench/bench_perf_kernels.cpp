@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "analysis/event_frame.hpp"
 #include "analysis/frequency.hpp"
@@ -18,8 +19,11 @@
 #include "analysis/workload_char.hpp"
 #include "analysis/xid_matrix.hpp"
 #include "core/facility.hpp"
+#include "fault/campaign.hpp"
 #include "gpu/secded.hpp"
 #include "logsim/console.hpp"
+#include "logsim/joblog.hpp"
+#include "logsim/smi_text.hpp"
 #include "par/pool.hpp"
 #include "parse/console.hpp"
 #include "parse/filter.hpp"
@@ -178,6 +182,67 @@ void BM_CampaignThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * simulated_node_hours(core::quick_config(42)));
 }
 BENCHMARK(BM_CampaignThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+/// Phase D and E output of the perf campaign, before phase F orders it.
+struct CampaignStreams {
+  std::vector<fault::CardStream> cards;
+  std::vector<xid::Event> tail;
+};
+
+[[nodiscard]] const CampaignStreams& perf_streams() {
+  static const CampaignStreams streams = [] {
+    const auto& config = perf_dataset().config;
+    const stats::Rng master{config.seed};
+    gpu::Fleet fleet;
+    auto traits = fault::initialize_fleet(fleet, config.period.begin, master.fork("fleet"),
+                                          config.campaign.model);
+    const auto plan = fault::plan_fault_campaign(fleet, std::move(traits), config.campaign,
+                                                 master.fork("faults"));
+    CampaignStreams out;
+    out.cards = fault::run_card_streams(plan, fleet, perf_dataset().trace, 0,
+                                        plan.card_count(), /*collect_sbe=*/false);
+    out.tail = fault::run_campaign_tail(plan, fleet, perf_dataset().trace).events;
+    return out;
+  }();
+  return streams;
+}
+
+void BM_CampaignTimeOrder(benchmark::State& state) {
+  // Phase F's one stable time order over the full campaign's card
+  // streams and tail (the copy of the streams is not timed).
+  const auto& streams = perf_streams();
+  const auto last_time = perf_dataset().config.period.end - 1;
+  std::size_t events = streams.tail.size();
+  for (const auto& card : streams.cards) events += card.events.size();
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto cards = streams.cards;
+    auto tail = streams.tail;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(fault::order_streams(cards, std::move(tail), last_time));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_CampaignTimeOrder)->Unit(benchmark::kMillisecond);
+
+void BM_QuantizeSideArtifacts(benchmark::State& state) {
+  // The side artifacts a binary or sharded write stores: every job record
+  // and the end-of-study smi sweep, quantized in place to the text
+  // serialization's rounding.  Serial here; the writers spread the job
+  // records over the pool.
+  const auto& jobs = perf_dataset().trace.jobs();
+  const auto& snapshot = perf_dataset().final_snapshot;
+  for (auto _ : state) {
+    std::vector<logsim::JobLogRecord> records;
+    records.reserve(jobs.size());
+    for (const auto& job : jobs) records.push_back(logsim::quantized(logsim::job_log_record(job)));
+    benchmark::DoNotOptimize(records);
+    benchmark::DoNotOptimize(logsim::quantized(snapshot));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(jobs.size() + snapshot.records.size()));
+}
+BENCHMARK(BM_QuantizeSideArtifacts)->Unit(benchmark::kMillisecond);
 
 void BM_EventFrameBuild(benchmark::State& state) {
   // Columnar index construction over the full-campaign ground truth (SBEs

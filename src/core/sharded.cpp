@@ -1,21 +1,14 @@
 #include "core/sharded.hpp"
 
-#include <algorithm>
-#include <numeric>
-#include <optional>
 #include <stdexcept>
+#include <utility>
 
-#include "par/parallel.hpp"
 #include "sched/users.hpp"
 #include "stats/rng.hpp"
 
 namespace titan::core {
 
 namespace {
-
-/// Streams per parallel task in the clamp/sort pass (mirrors the
-/// campaign's per-card grain; the value affects scheduling only).
-constexpr std::size_t kStreamGrain = 64;
 
 /// Identical stream derivation to run_study: same master forks, same
 /// order, so the plan (and with it every event) matches the unsharded
@@ -58,54 +51,30 @@ ShardEventColumns ShardedStudy::shard_events(std::size_t shard) {
   const auto [lo, hi] = shard_card_range(shard);
   std::vector<fault::CardStream> streams =
       fault::run_card_streams(plan_, fleet_, workload_.trace, lo, hi, /*collect_sbe=*/false);
-  std::optional<fault::TailStream> tail;
+  std::vector<xid::Event> tail;
   if (shard + 1 == shard_count()) {
-    tail = fault::run_campaign_tail(plan_, fleet_, workload_.trace);
+    tail = fault::run_campaign_tail(plan_, fleet_, workload_.trace).events;
   }
-
-  const std::size_t stream_count = streams.size() + (tail ? 1 : 0);
-  const auto stream_events = [&](std::size_t s) -> std::vector<xid::Event>& {
-    return s < streams.size() ? streams[s].events : tail->events;
-  };
-
-  // The same clamp + per-stream stable time sort phase F applies before
-  // its merge (attribution and parent rebasing are simulator-side fields
-  // that the serialized columns never carry).
-  const stats::TimeSec end_clamp = plan_.params.period.end - 1;
-  std::vector<std::vector<std::uint32_t>> order(stream_count);
-  par::parallel_for(0, stream_count, kStreamGrain, [&](std::size_t s) {
-    auto& stream = stream_events(s);
-    if (stream.empty()) return;
-    for (auto& ev : stream) ev.time = std::min(ev.time, end_clamp);
-    auto& ord = order[s];
-    ord.resize(stream.size());
-    std::iota(ord.begin(), ord.end(), std::uint32_t{0});
-    std::stable_sort(ord.begin(), ord.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return stream[a].time < stream[b].time;
-    });
-  });
-
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < stream_count; ++s) total += stream_events(s).size();
+  // The campaign's own stable time order (attribution and parent links
+  // are simulator-side fields that the serialized columns never carry).
+  const auto ordered =
+      fault::order_streams(streams, std::move(tail), plan_.params.period.end - 1);
 
   ShardEventColumns out;
-  out.times.reserve(total);
-  out.nodes.reserve(total);
-  out.kinds.reserve(total);
-  out.structures.reserve(total);
-  fault::kway_merge(
-      stream_count, [&](std::size_t s) { return order[s].size(); },
-      [&](std::size_t s, std::size_t i) { return stream_events(s)[order[s][i]].time; },
-      [&](std::size_t s, std::size_t i) {
-        const auto& ev = stream_events(s)[order[s][i]];
-        // Console-recoverable view: SBEs never reach the log (the same
-        // downgrade EventFrame::build applies on the unsharded path).
-        if (ev.kind == xid::ErrorKind::kSingleBitError) return;
-        out.times.push_back(ev.time);
-        out.nodes.push_back(ev.node);
-        out.kinds.push_back(ev.kind);
-        out.structures.push_back(ev.structure);
-      });
+  out.times.reserve(ordered.order.size());
+  out.nodes.reserve(ordered.order.size());
+  out.kinds.reserve(ordered.order.size());
+  out.structures.reserve(ordered.order.size());
+  for (const std::uint32_t i : ordered.order) {
+    const auto& ev = ordered[i];
+    // Console-recoverable view: SBEs never reach the log (the same
+    // downgrade EventFrame::build applies on the unsharded path).
+    if (ev.kind == xid::ErrorKind::kSingleBitError) continue;
+    out.times.push_back(ev.time);
+    out.nodes.push_back(ev.node);
+    out.kinds.push_back(ev.kind);
+    out.structures.push_back(ev.structure);
+  }
   return out;
 }
 

@@ -1,8 +1,9 @@
 #include "fault/campaign.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <numeric>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -31,6 +32,8 @@ constexpr std::size_t kCardGrain = 64;
 /// Jobs per parallel task in the software-XID phase (most jobs are not
 /// debug jobs and cost one branch).
 constexpr std::size_t kJobGrain = 256;
+/// Events per parallel task in the phase F gather (two lookups each).
+constexpr std::size_t kEventGrain = 4096;
 
 [[nodiscard]] TimeSec to_timesec(double seconds) {
   return static_cast<TimeSec>(std::llround(seconds));
@@ -79,6 +82,48 @@ constexpr std::size_t kJobGrain = 256;
   const TimeSec lo = stats::month_start(period.begin, month);
   const TimeSec hi = std::min(fix, stats::month_start(period.begin, month + 1));
   return lo + static_cast<TimeSec>(rng.below(static_cast<std::uint64_t>(hi - lo)));
+}
+
+/// Radix digit width of stable_time_order: 2048 buckets, so a counting
+/// array fits in L1 and a 21-month span (26 bits) takes three passes.
+constexpr int kDigitBits = 11;
+constexpr std::size_t kDigitMask = (std::size_t{1} << kDigitBits) - 1;
+
+/// LSD radix sort of (key, index) pairs on `passes` digits of `Key`.
+template <typename Key>
+[[nodiscard]] std::vector<std::uint32_t> radix_time_order(std::span<const TimeSec> times,
+                                                         TimeSec lo, int passes) {
+  const std::size_t n = times.size();
+  std::vector<Key> keys(n);
+  std::vector<std::uint32_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i] = static_cast<Key>(static_cast<std::uint64_t>(times[i]) -
+                               static_cast<std::uint64_t>(lo));
+    order[i] = static_cast<std::uint32_t>(i);
+  }
+  std::vector<Key> next_keys(n);
+  std::vector<std::uint32_t> next_order(n);
+  std::vector<std::size_t> slot(kDigitMask + 1);
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = pass * kDigitBits;
+    const auto digit = [&](Key key) { return static_cast<std::size_t>(key >> shift) & kDigitMask; };
+    std::fill(slot.begin(), slot.end(), 0);
+    for (const Key key : keys) ++slot[digit(key)];
+    std::size_t start = 0;
+    for (auto& count : slot) {
+      const std::size_t bucket = count;
+      count = start;
+      start += bucket;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t to = slot[digit(keys[i])]++;
+      next_keys[to] = keys[i];
+      next_order[to] = order[i];
+    }
+    keys.swap(next_keys);
+    order.swap(next_order);
+  }
+  return order;
 }
 
 }  // namespace
@@ -707,6 +752,47 @@ TailStream run_campaign_tail(const CampaignSchedule& plan, const gpu::Fleet& fle
   return result;
 }
 
+std::vector<std::uint32_t> stable_time_order(std::span<const TimeSec> times) {
+  if (times.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error{"stable_time_order: more than 2^32 entries"};
+  }
+  if (times.empty()) return {};
+  const auto [lo, hi] = std::minmax_element(times.begin(), times.end());
+  const std::uint64_t span = static_cast<std::uint64_t>(*hi) - static_cast<std::uint64_t>(*lo);
+  const int passes = (static_cast<int>(std::bit_width(span)) + kDigitBits - 1) / kDigitBits;
+  return span <= std::numeric_limits<std::uint32_t>::max()
+             ? radix_time_order<std::uint32_t>(times, *lo, passes)
+             : radix_time_order<std::uint64_t>(times, *lo, passes);
+}
+
+OrderedStreams order_streams(std::vector<CardStream>& cards, std::vector<Event> tail,
+                             TimeSec last_time) {
+  OrderedStreams out;
+  for (auto& card : cards) {
+    const auto base = static_cast<std::int64_t>(out.head.size());
+    for (Event ev : card.events) {
+      if (ev.parent >= 0) ev.parent += base;
+      out.head.push_back(ev);
+    }
+    card.events = {};
+  }
+  out.tail = std::move(tail);
+  std::vector<TimeSec> times;
+  times.reserve(out.head.size() + out.tail.size());
+  for (auto& ev : out.head) {
+    ev.time = std::min(ev.time, last_time);
+    times.push_back(ev.time);
+  }
+  const auto base = static_cast<std::int64_t>(out.head.size());
+  for (auto& ev : out.tail) {
+    if (ev.parent >= 0) ev.parent += base;
+    ev.time = std::min(ev.time, last_time);
+    times.push_back(ev.time);
+  }
+  out.order = stable_time_order(times);
+  return out;
+}
+
 CampaignResult run_fault_campaign(gpu::Fleet& fleet, std::vector<CardTraits> traits,
                                   const sched::JobTrace& trace, const CampaignParams& params,
                                   stats::Rng rng) {
@@ -729,78 +815,41 @@ CampaignResult run_fault_campaign(gpu::Fleet& fleet, std::vector<CardTraits> tra
   result.hot_spare_actions = std::move(plan.hot_spare_actions);
 
   // -------------------------------------------------------------------------
-  // Phase F: attribution, per-stream ordering, deterministic k-way merge.
+  // Phase F: one stable time order, then attribution in the gather.
   // -------------------------------------------------------------------------
-  // The provisional index space is the concatenation [card 0 .. card N-1,
-  // tail]: identical to what a serial single-vector build would produce.
-  const std::size_t card_count = per_card.size();
-  const std::size_t stream_count = card_count + 1;
-  const auto stream_events = [&](std::size_t s) -> std::vector<Event>& {
-    return s < card_count ? per_card[s].events : tail.events;
-  };
-  std::vector<std::size_t> offset(stream_count + 1, 0);
-  for (std::size_t s = 0; s < stream_count; ++s) {
-    offset[s + 1] = offset[s] + stream_events(s).size();
+  const auto streams = order_streams(per_card, std::move(tail.events), period.end - 1);
+  const std::size_t total_events = streams.order.size();
+  std::vector<std::uint32_t> new_index(total_events);
+  for (std::size_t i = 0; i < total_events; ++i) {
+    new_index[streams.order[i]] = static_cast<std::uint32_t>(i);
   }
-  const std::size_t total_events = offset[stream_count];
-
-  // Per stream: rebase parents into the provisional space, attribute
-  // job/user/card, clamp to the observation window, and compute the local
-  // time-sorted order (stable, i.e. ties keep provisional order).  All
-  // lookups are read-only, so streams are processed concurrently.
-  std::vector<std::vector<std::uint32_t>> order(stream_count);
-  par::parallel_for(0, stream_count, kCardGrain, [&](std::size_t s) {
-    auto& stream = stream_events(s);
-    if (stream.empty()) return;
-    const auto base = static_cast<std::int64_t>(offset[s]);
-    for (auto& ev : stream) {
-      if (ev.parent >= 0) ev.parent += base;
-      // Child/follow-on jitter can spill past the observation window; the
-      // console log simply stops at the end of the study period.
-      ev.time = std::min(ev.time, period.end - 1);
-      if (ev.job == xid::kNoJob) {
-        ev.job = trace.job_at(ev.node, ev.time);
-        if (ev.job != xid::kNoJob) ev.user = trace.job(ev.job).user;
-      }
-      if (ev.card == xid::kInvalidCard) {
-        ev.card = fleet.ledger().card_at(ev.node, ev.time);
-      }
+  // Both lookups are read-only and each slot is written once, so the
+  // gather runs in parallel chunks.
+  result.events.resize(total_events);
+  par::parallel_for(0, total_events, kEventGrain, [&](std::size_t i) {
+    Event ev = streams[streams.order[i]];
+    if (ev.parent >= 0) ev.parent = new_index[static_cast<std::size_t>(ev.parent)];
+    if (ev.job == xid::kNoJob) {
+      ev.job = trace.job_at(ev.node, ev.time);
+      if (ev.job != xid::kNoJob) ev.user = trace.job(ev.job).user;
     }
-    auto& ord = order[s];
-    ord.resize(stream.size());
-    std::iota(ord.begin(), ord.end(), std::uint32_t{0});
-    std::stable_sort(ord.begin(), ord.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return stream[a].time < stream[b].time;
-    });
+    if (ev.card == xid::kInvalidCard) ev.card = fleet.ledger().card_at(ev.node, ev.time);
+    result.events[i] = ev;
   });
 
-  // Merge the sorted streams; the (time, stream) tie-break reproduces the
-  // global stable sort by (time, provisional index) exactly.
-  result.events.reserve(total_events);
-  std::vector<std::int64_t> new_index(total_events, -1);
-  kway_merge(
-      stream_count, [&](std::size_t s) { return order[s].size(); },
-      [&](std::size_t s, std::size_t i) { return stream_events(s)[order[s][i]].time; },
-      [&](std::size_t s, std::size_t i) {
-        const std::uint32_t local = order[s][i];
-        new_index[offset[s] + local] = static_cast<std::int64_t>(result.events.size());
-        result.events.push_back(stream_events(s)[local]);
-      });
-  for (auto& ev : result.events) {
-    if (ev.parent >= 0) ev.parent = new_index[static_cast<std::size_t>(ev.parent)];
+  // SBE strikes: the same stable time order over the cards' concatenated
+  // strikes is (time, card), each card's strikes being chronological.
+  std::vector<SbeStrike> strikes;
+  std::vector<TimeSec> strike_times;
+  for (const auto& card_out : per_card) {
+    strikes.insert(strikes.end(), card_out.sbe_strikes.begin(), card_out.sbe_strikes.end());
   }
-
-  // SBE strikes: each card's stream is already time-sorted (ops were
-  // processed chronologically), so the merged order is (time, card).
-  std::size_t sbe_total = 0;
-  for (const auto& card_out : per_card) sbe_total += card_out.sbe_strikes.size();
-  result.sbe_strikes.reserve(sbe_total);
-  kway_merge(
-      card_count, [&](std::size_t s) { return per_card[s].sbe_strikes.size(); },
-      [&](std::size_t s, std::size_t i) { return per_card[s].sbe_strikes[i].time; },
-      [&](std::size_t s, std::size_t i) {
-        result.sbe_strikes.push_back(per_card[s].sbe_strikes[i]);
-      });
+  strike_times.reserve(strikes.size());
+  for (const auto& strike : strikes) strike_times.push_back(strike.time);
+  result.sbe_strikes.reserve(strikes.size());
+  for (const std::uint32_t i : stable_time_order(strike_times)) {
+    result.sbe_strikes.push_back(strikes[i]);
+  }
 
   result.traits = std::move(plan.traits);
   return result;

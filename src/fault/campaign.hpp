@@ -32,12 +32,14 @@
 //                         events (one stream, appended after the cards in
 //                         the provisional order).
 //
-// run_fault_campaign composes all three plus the attribution/merge phase
-// (F) and is byte-identical to the pre-split implementation.
+// run_fault_campaign composes all three plus phase F: one stable time
+// order over the provisional concatenation (order_streams), then job,
+// user and card attribution.  It is byte-identical to the pre-split
+// implementation.
 #pragma once
 
 #include <cstdint>
-#include <queue>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -129,8 +131,8 @@ struct CampaignSchedule {
 };
 
 /// Per-card output of phase D.  Event parent links are indices local to
-/// `events`; run_fault_campaign rebases them into the global provisional
-/// index space during phase F stream assembly.
+/// `events`; order_streams rebases them into the global provisional
+/// index space.
 struct CardStream {
   std::vector<xid::Event> events;
   std::vector<SbeStrike> sbe_strikes;  ///< time-sorted (ops run in time order)
@@ -177,48 +179,44 @@ struct TailStream {
                                            const gpu::Fleet& fleet,
                                            const sched::JobTrace& trace);
 
-/// Deterministic k-way merge of per-stream time-sorted sequences.
-/// `size(s)` and `time(s, i)` describe stream s; `emit(s, i)` receives
-/// every element exactly once, ordered by (time, stream index) with
-/// within-stream order preserved.  Because the tie-break is structural
-/// (stream index, i.e. provisional order), the merge output is identical
-/// to a global stable_sort-by-time of the streams' concatenation -- and
-/// independent of how many threads produced the streams.  Shard drivers
-/// reuse it so the sharded stream equals the unsharded one byte for byte.
-template <typename SizeFn, typename TimeFn, typename EmitFn>
-void kway_merge(std::size_t stream_count, const SizeFn& size, const TimeFn& time,
-                const EmitFn& emit) {
-  struct Cursor {
-    stats::TimeSec time = 0;
-    std::uint32_t stream = 0;
-    std::uint32_t pos = 0;
-  };
-  const auto later = [](const Cursor& a, const Cursor& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.stream > b.stream;
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(later)> heap{later};
-  for (std::size_t s = 0; s < stream_count; ++s) {
-    if (size(s) > 0) {
-      heap.push(Cursor{time(s, 0), static_cast<std::uint32_t>(s), 0});
-    }
+/// The stable time order of `times`: the indices 0..n-1 ordered by
+/// (times[i], i).  An LSD radix sort on `time - min` in 11-bit digits,
+/// one counting pass per digit of the span, so the order is structural
+/// (index order breaks every tie) and independent of the thread count.
+[[nodiscard]] std::vector<std::uint32_t> stable_time_order(
+    std::span<const stats::TimeSec> times);
+
+/// A campaign's event streams read as one time-ordered sequence.
+struct OrderedStreams {
+  /// The provisional concatenation is `head` (every card stream's events
+  /// in card order) followed by `tail`; parent links index into it.
+  std::vector<xid::Event> head;
+  std::vector<xid::Event> tail;
+  /// Provisional indices in stable (time, provisional index) order.
+  std::vector<std::uint32_t> order;
+
+  /// Event `i` of the provisional concatenation.
+  [[nodiscard]] const xid::Event& operator[](std::size_t i) const {
+    return i < head.size() ? head[i] : tail[i - head.size()];
   }
-  while (!heap.empty()) {
-    const Cursor top = heap.top();
-    heap.pop();
-    emit(top.stream, top.pos);
-    const std::size_t next = static_cast<std::size_t>(top.pos) + 1;
-    if (next < size(top.stream)) {
-      heap.push(Cursor{time(top.stream, next), top.stream,
-                       static_cast<std::uint32_t>(next)});
-    }
-  }
-}
+};
+
+/// Concatenate the card streams (their events are moved out) and `tail`
+/// in provisional order, rebase every parent link into the
+/// concatenation, clamp every time to at most `last_time` (child and
+/// follow-on jitter can spill past the study window; the console log
+/// stops at its end), and return them with their stable time order.  The
+/// campaign and the shard driver both order their streams here, so the
+/// sharded stream equals the unsharded one byte for byte.
+[[nodiscard]] OrderedStreams order_streams(std::vector<CardStream>& cards,
+                                           std::vector<xid::Event> tail,
+                                           stats::TimeSec last_time);
 
 /// Run the full fault campaign.  `fleet` must have been initialized; its
 /// cards' InfoROMs and retirement engines are mutated to their
 /// end-of-campaign state.  Deterministic in all inputs.  Equivalent to
-/// plan + run_card_streams over all cards + tail + attribution/merge.
+/// plan + run_card_streams over all cards + tail + order_streams +
+/// attribution.
 [[nodiscard]] CampaignResult run_fault_campaign(gpu::Fleet& fleet,
                                                 std::vector<CardTraits> traits,
                                                 const sched::JobTrace& trace,

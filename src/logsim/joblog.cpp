@@ -1,11 +1,22 @@
 #include "logsim/joblog.hpp"
 
 #include <charconv>
-#include <cstdio>
+#include <limits>
 
 namespace titan::logsim {
 
 namespace {
+
+/// Decimals of the line's three double fields.
+constexpr int kDecimals = 4;
+/// The longest double at kDecimals fixed decimals: sign, every integer
+/// digit of the largest double, point, decimals.
+constexpr std::size_t kMaxFixedChars =
+    1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + kDecimals;
+/// The longest integer field (a sign and 19 digits, or 20 unsigned digits).
+constexpr std::size_t kMaxIntChars = 20;
+/// Five integer fields, three doubles and seven separators.
+constexpr std::size_t kMaxLineChars = 5 * kMaxIntChars + 3 * kMaxFixedChars + 7;
 
 /// Split off the next pipe-separated field.
 std::optional<std::string_view> next_field(std::string_view& rest) {
@@ -26,22 +37,54 @@ bool parse_number(std::string_view text, T& out) {
 
 }  // namespace
 
+JobLogRecord job_log_record(const sched::JobRecord& job) {
+  JobLogRecord rec;
+  rec.id = job.id;
+  rec.user = job.user;
+  rec.start = job.start;
+  rec.end = job.end;
+  rec.node_count = job.nodes.size();
+  rec.gpu_core_hours = job.gpu_core_hours;
+  rec.max_memory_gb = job.max_memory_gb;
+  rec.total_memory_gb = job.total_memory_gb;
+  return rec;
+}
+
 std::string job_log_line(const sched::JobRecord& job) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "%lld|%d|%lld|%lld|%zu|%.4f|%.4f|%.4f",
-                static_cast<long long>(job.id), job.user, static_cast<long long>(job.start),
-                static_cast<long long>(job.end), job.nodes.size(), job.gpu_core_hours,
-                job.max_memory_gb, job.total_memory_gb);
-  return buf;
+  return job_log_line(job_log_record(job));
 }
 
 std::string job_log_line(const JobLogRecord& rec) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "%lld|%d|%lld|%lld|%zu|%.4f|%.4f|%.4f",
-                static_cast<long long>(rec.id), rec.user, static_cast<long long>(rec.start),
-                static_cast<long long>(rec.end), rec.node_count, rec.gpu_core_hours,
-                rec.max_memory_gb, rec.total_memory_gb);
-  return buf;
+  char buf[kMaxLineChars];
+  char* const end = buf + sizeof(buf);
+  char* p = buf;
+  const auto put = [&](auto value) {
+    if (p != buf) *p++ = '|';
+    p = std::to_chars(p, end, value).ptr;
+  };
+  const auto put_fixed = [&](double value) {
+    *p++ = '|';
+    p = std::to_chars(p, end, value, std::chars_format::fixed, kDecimals).ptr;
+  };
+  put(rec.id);
+  put(rec.user);
+  put(rec.start);
+  put(rec.end);
+  put(rec.node_count);
+  put_fixed(rec.gpu_core_hours);
+  put_fixed(rec.max_memory_gb);
+  put_fixed(rec.total_memory_gb);
+  return std::string(buf, p);
+}
+
+JobLogRecord quantized(JobLogRecord rec) {
+  for (double* value : {&rec.gpu_core_hours, &rec.max_memory_gb, &rec.total_memory_gb}) {
+    char buf[kMaxFixedChars];
+    const char* const end =
+        std::to_chars(buf, buf + sizeof(buf), *value, std::chars_format::fixed, kDecimals).ptr;
+    (void)std::from_chars(buf, end, *value);
+  }
+  return rec;
 }
 
 std::vector<std::string> emit_job_log(const sched::JobTrace& trace) {

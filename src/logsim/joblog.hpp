@@ -27,11 +27,22 @@ struct JobLogRecord {
   double total_memory_gb = 0.0;
 };
 
+/// The accounting fields of `job`, unrounded.
+[[nodiscard]] JobLogRecord job_log_record(const sched::JobRecord& job);
+
+/// One accounting line: integers in full, doubles at four fixed
+/// decimals (std::to_chars, the rounding of printf's "%.4f").
 [[nodiscard]] std::string job_log_line(const sched::JobRecord& job);
 
 /// Re-serialize an already-parsed record (same field formatting), so a
 /// loaded dataset can be written back without the scheduler-side truth.
 [[nodiscard]] std::string job_log_line(const JobLogRecord& rec);
+
+/// `rec` as its accounting line carries it: each double rounded to four
+/// decimals through to_chars and from_chars, so the result equals
+/// parse_job_log_line(job_log_line(rec)) field for field with no line
+/// rendered.
+[[nodiscard]] JobLogRecord quantized(JobLogRecord rec);
 
 [[nodiscard]] std::vector<std::string> emit_job_log(const sched::JobTrace& trace);
 

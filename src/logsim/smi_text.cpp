@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <limits>
 
 #include "stats/calendar.hpp"
 #include "topology/machine.hpp"
@@ -11,6 +12,16 @@ namespace titan::logsim {
 namespace {
 
 constexpr std::string_view kAttachedHeader = "==============NVSMI LOG==============";
+/// The block text of smi_query_text without its conversions.
+constexpr std::size_t kBlockFixedChars = 403;
+/// The longest cname: five ints and five letters or dashes.
+constexpr std::size_t kMaxCnameChars = 5 * 11 + 5;
+/// The longest serial or counter (a sign and 10 digits, or 20 digits).
+constexpr std::size_t kMaxIntChars = 20;
+/// The longest double at one fixed decimal: sign, every integer digit of
+/// the largest double, point, decimal.
+constexpr std::size_t kMaxTemperatureChars =
+    1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + 1;
 
 /// Find "<key> : " in `text` after `from` and parse the remainder of the
 /// line.  Returns the value text, or std::nullopt.
@@ -37,7 +48,10 @@ bool parse_number_prefix(std::string_view text, T& out) {
 }  // namespace
 
 std::string smi_query_text(const SmiCardRecord& record) {
-  char buf[768];
+  // Every field has a bounded width, so one buffer holds any block
+  // (Quantize.InPlaceMatchesTextRoundTripOnEdgeValues renders the widest
+  // record of a valid node).
+  char buf[kBlockFixedChars + kMaxCnameChars + kMaxTemperatureChars + 7 * kMaxIntChars + 1];
   std::snprintf(buf, sizeof(buf),
                 "GPU %s\n"
                 "    Serial Number                   : %d\n"
@@ -77,6 +91,20 @@ std::string smi_sweep_text(const SmiSnapshot& snapshot) {
     out += '\n';
   }
   return out;
+}
+
+SmiSnapshot quantized(SmiSnapshot snapshot) {
+  stats::TimeSec taken_at = 0;
+  (void)stats::parse_timestamp(stats::format_timestamp(snapshot.taken_at), taken_at);
+  snapshot.taken_at = taken_at;
+  for (auto& record : snapshot.records) {
+    char buf[kMaxTemperatureChars];
+    const char* const end = std::to_chars(buf, buf + sizeof(buf), record.temperature_f,
+                                          std::chars_format::fixed, 1)
+                                .ptr;
+    (void)std::from_chars(buf, end, record.temperature_f);
+  }
+  return snapshot;
 }
 
 std::optional<SmiCardRecord> parse_smi_query_text(std::string_view text) {

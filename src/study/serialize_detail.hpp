@@ -1,9 +1,10 @@
 // Shared serialization internals for the dataset writers (write_dataset
-// and the sharded producers).  Both formats round-trip doubles through
-// the text serialization so text, binary and sharded datasets of one
-// context load byte-identically; these helpers are that quantization
-// rule, the manifest and its commit point, the container builder and the
-// one roster writer in one place.  Not a public API.
+// and the sharded producers).  Both formats quantize doubles to the
+// text serialization's rounding (in place, no text rendered) so text,
+// binary and sharded datasets of one context load byte-identically;
+// these helpers are that quantization rule, the manifest and its commit
+// point, the container builder and the one roster writer in one place.
+// Not a public API.
 //
 // Every writer follows one protocol: intent checkpoint, then each
 // artifact written atomically with a checksum claim hashed from the very
@@ -37,13 +38,13 @@ namespace titan::study::detail {
 /// Job lines of the context (ground-truth trace, else the loaded job log).
 [[nodiscard]] std::vector<std::string> job_lines_of(const StudyContext& context);
 
-/// Job records quantized through the text serialization (what the binary
-/// formats store), parsed back from their job-log lines.
-[[nodiscard]] std::vector<logsim::JobLogRecord> quantized_jobs(
-    const std::vector<std::string>& job_lines);
+/// Job records of `trace` quantized in place to the job log's rounding
+/// (what the binary formats store; see logsim::quantized).
+[[nodiscard]] std::vector<logsim::JobLogRecord> quantized_jobs(const sched::JobTrace& trace);
 
-/// Smi snapshot quantized through the text serialization.
-[[nodiscard]] logsim::SmiSnapshot quantized_smi(const logsim::SmiSnapshot& snapshot);
+/// Job records of the context (ground-truth trace, else the loaded job
+/// log) quantized in place to the job log's rounding.
+[[nodiscard]] std::vector<logsim::JobLogRecord> quantized_jobs(const StudyContext& context);
 
 /// The manifest's header lines: period, accounting cutoff, fleet
 /// profile, and `shards N` for sharded datasets (shard_count > 0 only).

@@ -13,6 +13,7 @@
 #include "faulttest/faulttest.hpp"
 #include "ingest/triage.hpp"
 #include "logsim/joblog.hpp"
+#include "logsim/smi_text.hpp"
 #include "study/fsck.hpp"
 #include "study/io.hpp"
 #include "study/serialize_detail.hpp"
@@ -164,13 +165,13 @@ ShardedWriteStats generate_sharded_dataset(const core::FacilityConfig& config,
       // Side artifacts ride in the last shard: the job trace is resident
       // for the whole campaign anyway, and the smi sweep needs every
       // card's end-of-campaign state (available only after the final
-      // shard ran).  Both round-trip the text serialization, exactly
-      // like write_dataset, so every format of one study quantizes
-      // identically.
+      // shard ran).  Both are quantized to the text serialization's
+      // rounding, exactly like write_dataset, so every format of one
+      // study carries the same values.
       data.has_jobs = true;
-      data.jobs = detail::quantized_jobs(logsim::emit_job_log(sharded.trace()));
+      data.jobs = detail::quantized_jobs(sharded.trace());
       data.has_smi = true;
-      data.snapshot = detail::quantized_smi(sharded.final_snapshot());
+      data.snapshot = logsim::quantized(sharded.final_snapshot());
     }
 
     auto seal = write_shard(dir, tdf::shard_file_name(s), s, data);

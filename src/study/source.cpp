@@ -12,6 +12,7 @@
 #include "faulttest/faulttest.hpp"
 #include "logsim/console.hpp"
 #include "logsim/smi_text.hpp"
+#include "par/parallel.hpp"
 #include "study/fsck.hpp"
 #include "study/io.hpp"
 #include "study/serialize_detail.hpp"
@@ -26,6 +27,10 @@ using ingest::IngestPolicy;
 using ingest::IngestReport;
 using ingest::SalvageAction;
 using ingest::TriageCode;
+
+/// Job records per parallel task when quantizing a job log (a few
+/// hundred nanoseconds each).
+constexpr std::size_t kJobGrain = 4096;
 
 /// Record a whole-file finding; under kStrict a fatal code throws
 /// IngestError naming the file instead.
@@ -470,20 +475,18 @@ std::vector<std::string> job_lines_of(const StudyContext& context) {
   return lines;
 }
 
-std::vector<logsim::JobLogRecord> quantized_jobs(const std::vector<std::string>& job_lines) {
-  std::vector<logsim::JobLogRecord> jobs;
-  for (const auto& line : job_lines) {
-    if (const auto rec = logsim::parse_job_log_line(line)) jobs.push_back(*rec);
-  }
-  return jobs;
+std::vector<logsim::JobLogRecord> quantized_jobs(const sched::JobTrace& trace) {
+  const auto& jobs = trace.jobs();
+  return par::parallel_map(0, jobs.size(), kJobGrain, [&](std::size_t j) {
+    return logsim::quantized(logsim::job_log_record(jobs[j]));
+  });
 }
 
-logsim::SmiSnapshot quantized_smi(const logsim::SmiSnapshot& snapshot) {
-  const auto sweep = logsim::parse_smi_sweep_text(logsim::smi_sweep_text(snapshot));
-  logsim::SmiSnapshot out;
-  out.taken_at = sweep.taken_at;
-  out.records = sweep.records;
-  return out;
+std::vector<logsim::JobLogRecord> quantized_jobs(const StudyContext& context) {
+  if (context.truth) return quantized_jobs(context.truth->trace);
+  const auto& jobs = context.job_log;
+  return par::parallel_map(0, jobs.size(), kJobGrain,
+                           [&](std::size_t j) { return logsim::quantized(jobs[j]); });
 }
 
 std::vector<std::string> manifest_header(const stats::StudyPeriod& period,
@@ -552,11 +555,11 @@ tdf::TdfDataset container_of(const StudyContext& context, std::size_t lo, std::s
   data.structures = slice(frame.structures());
   if (side_artifacts && has_job_log(context)) {
     data.has_jobs = true;
-    data.jobs = quantized_jobs(job_lines_of(context));
+    data.jobs = quantized_jobs(context);
   }
   if (side_artifacts && context.has(kSnapshot)) {
     data.has_smi = true;
-    data.snapshot = quantized_smi(context.snapshot);
+    data.snapshot = logsim::quantized(context.snapshot);
   }
   return data;
 }

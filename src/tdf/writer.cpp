@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -142,16 +144,29 @@ std::string encode_tdf(const TdfDataset& data) {
     throw std::invalid_argument{"encode_tdf: event columns must have equal lengths"};
   }
 
-  // Node dictionary + per-event dictionary indices.  Node ids are dense
-  // and the dictionary sorted, so indices resolve by binary search.
-  std::vector<topology::NodeId> dict = data.nodes;
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-  for (const auto node : dict) {
-    if (node < 0 || node >= topology::kNodeSlots) {
-      throw std::invalid_argument{"encode_tdf: node id out of range: " +
-                                  std::to_string(node)};
+  // Node dictionary + per-event dictionary indices.  The range check runs
+  // before any table index and names the lowest out-of-range id; then
+  // one presence pass over the node slots, an ascending scan that numbers
+  // the present nodes, and a node -> dictionary slot lookup per event.
+  std::optional<topology::NodeId> lowest_bad;
+  for (const auto node : data.nodes) {
+    if ((node < 0 || node >= topology::kNodeSlots) && (!lowest_bad || node < *lowest_bad)) {
+      lowest_bad = node;
     }
+  }
+  if (lowest_bad) {
+    throw std::invalid_argument{"encode_tdf: node id out of range: " +
+                                std::to_string(*lowest_bad)};
+  }
+  constexpr std::uint32_t kAbsent = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> slot_of(static_cast<std::size_t>(topology::kNodeSlots), kAbsent);
+  for (const auto node : data.nodes) slot_of[static_cast<std::size_t>(node)] = 0;
+  std::vector<topology::NodeId> dict;
+  for (topology::NodeId node = 0; node < topology::kNodeSlots; ++node) {
+    auto& slot = slot_of[static_cast<std::size_t>(node)];
+    if (slot == kAbsent) continue;
+    slot = static_cast<std::uint32_t>(dict.size());
+    dict.push_back(node);
   }
 
   std::string out;
@@ -169,8 +184,7 @@ std::string encode_tdf(const TdfDataset& data) {
   {
     std::string body;
     for (const auto node : data.nodes) {
-      const auto slot = std::lower_bound(dict.begin(), dict.end(), node);
-      append_varint(body, static_cast<std::uint64_t>(slot - dict.begin()));
+      append_varint(body, slot_of[static_cast<std::size_t>(node)]);
     }
     builder.add(SegmentKind::kEventNode, std::move(body), n);
   }

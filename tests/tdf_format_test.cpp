@@ -15,6 +15,7 @@
 #include "ingest/triage.hpp"
 #include "tdf/format.hpp"
 #include "tdf/tdf.hpp"
+#include "topology/machine.hpp"
 
 namespace titan {
 namespace {
@@ -205,6 +206,25 @@ TEST(TdfContainer, ColumnLengthMismatchRejectedAtEncode) {
   auto data = fixture();
   data.kinds.pop_back();
   EXPECT_THROW((void)tdf::encode_tdf(data), std::invalid_argument);
+}
+
+TEST(TdfContainer, OutOfRangeNodeNamesTheLowestId) {
+  auto data = fixture();
+  data.nodes = {5, topology::kNodeSlots + 3, -2, 9};
+  try {
+    (void)tdf::encode_tdf(data);
+    FAIL() << "out-of-range node ids must be rejected";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "encode_tdf: node id out of range: -2");
+  }
+  data.nodes = {5, topology::kNodeSlots + 3, topology::kNodeSlots, 9};
+  try {
+    (void)tdf::encode_tdf(data);
+    FAIL() << "out-of-range node ids must be rejected";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string{error.what()},
+              "encode_tdf: node id out of range: " + std::to_string(topology::kNodeSlots));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/event_frame.hpp"
@@ -242,6 +245,144 @@ TEST(TdfFile, WriteReadRoundTripLeavesNoTmpFiles) {
                            frame.times().end()));
     EXPECT_TRUE(std::equal(nodes.begin(), nodes.end(), frame.nodes().begin(),
                            frame.nodes().end()));
+  }
+}
+
+// The manifest.txt of quick_config(7) under two fleet profiles, written
+// four ways.  The manifest claims every artifact's checksum, so this pins
+// the bytes of every artifact each writer produces.
+TEST(DatasetBytes, ManifestsPinned) {
+  struct Pinned {
+    const char* profile;
+    const char* writer;
+    const char* manifest;
+  };
+  const Pinned pinned[] = {
+      {"k20x-titan", "text",
+       R"(titanrel-dataset v1
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile k20x-titan f234fe754224d7fe
+checksum console.log c526b9d4bfd3558c
+checksum jobs.log 5de157b5914d3472
+checksum smi_sweep.txt 0be62ce14b532dd6
+)"},
+      {"k20x-titan", "binary",
+       R"(titanrel-dataset v1
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile k20x-titan f234fe754224d7fe
+checksum dataset.tdf 92a860afd6f876cb
+)"},
+      {"k20x-titan", "resharded",
+       R"(titanrel-dataset v1
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile k20x-titan f234fe754224d7fe
+shards 3
+checksum dataset.shard-0.tdf 19568ac47dc82a5c
+checksum dataset.shard-1.tdf 647225d2746576bf
+checksum dataset.shard-2.tdf d171676a087761ac
+)"},
+      {"k20x-titan", "generated",
+       R"(titanrel-dataset v1
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile k20x-titan f234fe754224d7fe
+shards 3
+checksum dataset.shard-0.tdf 740e845a5ca87f29
+checksum dataset.shard-1.tdf 591e17932a41c443
+checksum dataset.shard-2.tdf ffd28f1205011eb0
+)"},
+      {"a100", "text",
+       R"(titanrel-dataset v1
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile a100 8bf3a717d57a1594
+checksum console.log cd16de60bf35693c
+checksum jobs.log 5de157b5914d3472
+checksum smi_sweep.txt f2993163dfc1ef1d
+)"},
+      {"a100", "binary",
+       R"(titanrel-dataset v1
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile a100 8bf3a717d57a1594
+checksum dataset.tdf cf196ce456ed2a18
+)"},
+      {"a100", "resharded",
+       R"(titanrel-dataset v1
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile a100 8bf3a717d57a1594
+shards 3
+checksum dataset.shard-0.tdf 5cc6b2b788fb9e84
+checksum dataset.shard-1.tdf 772acd33955eb95c
+checksum dataset.shard-2.tdf 59587216c25f496e
+)"},
+      {"a100", "generated",
+       R"(titanrel-dataset v1
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile a100 8bf3a717d57a1594
+shards 3
+checksum dataset.shard-0.tdf 0781fdddd45ceae3
+checksum dataset.shard-1.tdf b4ce829084ec9df4
+checksum dataset.shard-2.tdf 2098c6200e256564
+)"},
+  };
+  for (const auto& [profile_name, writer, manifest] : pinned) {
+    auto config = core::quick_config(7);
+    core::apply_profile(config, *profile::find_profile(profile_name));
+    const auto dir = scratch_root() / "pinned" / profile_name / writer;
+    const std::string_view way = writer;
+    if (way == "generated") {
+      study::generate_sharded_dataset(config, 3, dir);
+    } else {
+      const auto context = study::SimulatedSource{config}.load();
+      if (way == "text") study::write_dataset(context, dir, study::DatasetFormat::kText);
+      if (way == "binary") study::write_dataset(context, dir, study::DatasetFormat::kBinary);
+      if (way == "resharded") study::write_sharded_dataset(context, dir, 3);
+    }
+    EXPECT_EQ(study::read_all(dir / "manifest.txt"), manifest) << profile_name << ' ' << writer;
+  }
+}
+
+// A job whose doubles print hundreds of digits at four decimals, and one
+// with NaN fields, survive every writer: the text line is never cut
+// short, so no format drops the job.
+TEST(TdfRoundTrip, HugeAndNanJobValuesSurviveEveryWriter) {
+  auto context = study::DatasetSource{text_dir()}.load();
+  ASSERT_GE(context.job_log.size(), 4U);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  context.job_log[0].gpu_core_hours = 1e240;
+  context.job_log[1].gpu_core_hours = 1e300;
+  context.job_log[2].max_memory_gb = -std::numeric_limits<double>::max();
+  context.job_log[3].gpu_core_hours = nan;
+  context.job_log[3].max_memory_gb = nan;
+  context.job_log[3].total_memory_gb = nan;
+
+  const auto root = scratch_root() / "huge_jobs";
+  study::write_dataset(context, root / "text", study::DatasetFormat::kText);
+  study::write_dataset(context, root / "binary", study::DatasetFormat::kBinary);
+  study::write_sharded_dataset(context, root / "sharded", 3);
+  for (const char* writer : {"text", "binary", "sharded"}) {
+    const auto loaded = study::DatasetSource{root / writer}.load();
+    ASSERT_EQ(loaded.job_log.size(), context.job_log.size()) << writer;
+    EXPECT_EQ(loaded.job_log[0].gpu_core_hours, 1e240) << writer;
+    EXPECT_EQ(loaded.job_log[1].gpu_core_hours, 1e300) << writer;
+    EXPECT_EQ(loaded.job_log[2].max_memory_gb, -std::numeric_limits<double>::max()) << writer;
+    EXPECT_TRUE(std::isnan(loaded.job_log[3].gpu_core_hours)) << writer;
+    EXPECT_TRUE(std::isnan(loaded.job_log[3].max_memory_gb)) << writer;
+    EXPECT_TRUE(std::isnan(loaded.job_log[3].total_memory_gb)) << writer;
   }
 }
 
