@@ -1,13 +1,18 @@
 // Performance microbenches (google-benchmark) for the framework's hot
 // kernels: SECDED codec, console-line emit/parse, temporal filtering,
-// correlation statistics, topology math, and a small end-to-end study.
+// correlation statistics, topology math, the text dataset load, and a
+// small end-to-end study.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/event_frame.hpp"
@@ -21,6 +26,7 @@
 #include "core/facility.hpp"
 #include "fault/campaign.hpp"
 #include "gpu/secded.hpp"
+#include "ingest/triage.hpp"
 #include "logsim/console.hpp"
 #include "logsim/joblog.hpp"
 #include "logsim/smi_text.hpp"
@@ -29,6 +35,8 @@
 #include "parse/filter.hpp"
 #include "stats/correlation.hpp"
 #include "stats/distributions.hpp"
+#include "study/io.hpp"
+#include "study/source.hpp"
 #include "topology/machine.hpp"
 #include "topology/torus.hpp"
 
@@ -256,6 +264,67 @@ void BM_EventFrameBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(perf_frame().size()));
 }
 BENCHMARK(BM_EventFrameBuild)->Unit(benchmark::kMillisecond);
+
+/// The default-seed study (20151115, the study benchmark's seed) written
+/// as a text dataset once per process (≈51 MB); removed at exit.
+[[nodiscard]] const std::filesystem::path& text_fixture() {
+  static const struct Fixture {
+    Fixture()
+        : dir{std::filesystem::temp_directory_path() /
+              ("titanrel_bench_text_" + std::to_string(::getpid()))} {
+      const auto context = study::SimulatedSource{core::default_config(20151115)}.load();
+      study::write_dataset(context, dir, study::DatasetFormat::kText);
+    }
+    ~Fixture() {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+    std::filesystem::path dir;
+  } fixture;
+  return fixture.dir;
+}
+
+/// Chunks the load cuts `text` into.
+[[nodiscard]] double chunks_of(std::string_view text) {
+  return static_cast<double>(ingest::load_chunks(text).size());
+}
+
+void BM_TextDatasetLoad(benchmark::State& state) {
+  // The strict text load dataset_analyze times: each artifact mapped once,
+  // every claim hashed on its own pool task beside the chunked console and
+  // job parses.  The serial FNV-1a over the console is the floor of the
+  // critical path; compare with BM_IngestConsoleChunks (the parse alone).
+  const auto& dir = text_fixture();
+  ingest::IngestReport scratch{ingest::IngestPolicy::kSalvage};
+  double hashed = 0.0;
+  for (const auto& [name, checksum] :
+       study::read_manifest(dir, ingest::IngestPolicy::kSalvage, scratch).checksums) {
+    hashed += static_cast<double>(std::filesystem::file_size(dir / name));
+  }
+  const double chunks = chunks_of(study::read_all(dir / "console.log")) +
+                        chunks_of(study::read_all(dir / "jobs.log")) + 1.0;  // + the smi sweep
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(study::DatasetSource{dir}.load());
+  }
+  state.counters["bytes_hashed"] = hashed;
+  state.counters["chunks_parsed"] = chunks;
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(hashed));
+}
+BENCHMARK(BM_TextDatasetLoad)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_IngestConsoleChunks(benchmark::State& state) {
+  // The console parse alone, in the load's chunks over the pool: no
+  // hashing, no mapping, no frame build.
+  const auto text = study::read_all(text_fixture() / "console.log");
+  for (auto _ : state) {
+    ingest::IngestReport report{ingest::IngestPolicy::kStrict};
+    benchmark::DoNotOptimize(
+        ingest::ingest_console_text(text, "console.log", ingest::IngestPolicy::kStrict, report));
+  }
+  state.counters["chunks_parsed"] = chunks_of(text);
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_IngestConsoleChunks)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The paper's core analysis battery over a prebuilt frame.
 void run_analysis_suite(const analysis::EventFrame& stream, const core::StudyDataset& data) {

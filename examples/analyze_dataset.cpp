@@ -8,6 +8,9 @@
 //
 //   ./build/examples/analyze_dataset [dataset_dir] [--json] [--profile NAME]
 //
+// --help prints the usage and exits 0; an unknown flag, or --profile
+// without a name, prints it and exits 2.
+//
 // `--profile` asserts which fleet profile the dataset was generated
 // under; a recorded disagreement is E_PROFILE_MISMATCH (fatal under the
 // default strict ingest policy).  Without it the dataset's recorded
@@ -21,13 +24,27 @@
 #include "study/registry.hpp"
 #include "study/source.hpp"
 
+namespace {
+
+int usage(std::FILE* out, int code) {
+  std::fprintf(out,
+               "usage: analyze_dataset [dataset_dir] [--json] [--profile NAME]\n"
+               "profiles: %s\n",
+               titan::profile::profile_names().c_str());
+  return code;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace titan;
   std::filesystem::path dir = "titan_dataset";
   bool json = false;
   const profile::FleetProfile* expected = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
+    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
+      return usage(stdout, 0);
+    } else if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else if (std::strcmp(argv[i], "--profile") == 0 && i + 1 < argc) {
       expected = profile::find_profile(argv[++i]);
@@ -36,8 +53,10 @@ int main(int argc, char** argv) {
                      profile::profile_names().c_str());
         return 2;
       }
-    } else {
+    } else if (argv[i][0] != '-') {
       dir = argv[i];
+    } else {
+      return usage(stderr, 2);
     }
   }
 

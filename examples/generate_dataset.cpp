@@ -17,6 +17,9 @@
 //
 //   ./build/examples/generate_dataset [output_dir] [seed] [--format text|binary]
 //                                     [--shards N] [--resume] [--profile NAME]
+//
+// --help prints the usage and exits 0; an unknown flag, or a flag missing
+// its value, prints it and exits 2 without writing anything.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +31,19 @@
 #include "profile/fleet_profile.hpp"
 #include "study/sharded.hpp"
 #include "study/source.hpp"
+
+namespace {
+
+int usage(std::FILE* out, int code) {
+  std::fprintf(out,
+               "usage: generate_dataset [output_dir] [seed] [--format text|binary] "
+               "[--shards N] [--resume] [--profile NAME]\n"
+               "profiles: %s\n",
+               titan::profile::profile_names().c_str());
+  return code;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace titan;
@@ -44,7 +60,9 @@ int main(int argc, char** argv) {
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--resume") {
+    if (arg == "--help" || arg == "-h") {
+      return usage(stdout, 0);
+    } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--profile" && i + 1 < argc) {
       fleet = profile::find_profile(argv[++i]);
@@ -71,8 +89,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "generate_dataset: --shards needs a positive count\n");
         return 2;
       }
-    } else {
+    } else if (!arg.starts_with("-")) {
       positional.push_back(argv[i]);
+    } else {
+      // An unknown flag, or a known one missing its value: never a
+      // directory name.
+      return usage(stderr, 2);
     }
   }
   if (shards > 0 && have_format && format == study::DatasetFormat::kText) {

@@ -24,8 +24,10 @@
 #                the full ctest under it
 #   --corrupt    run the ingest robustness gate: generate a dataset, apply
 #                every corruption operator, and run the salvage sweep
-#                (bench_ingest_robustness), plus an explicit titanlint
-#                det-* pass over src/ingest and src/tdf
+#                (bench_ingest_robustness); run the corruption and chunked
+#                ingest differential tests at TITANREL_THREADS=1 and at the
+#                default width; plus an explicit titanlint det-* pass over
+#                src/ingest, src/tdf and the loaders
 #   --crash      run the crash-consistency gate: the differential
 #                kill-point sweep over every dataset writer
 #                (bench_faulttest_crash: each kill must end in clean
@@ -89,13 +91,18 @@ git diff --exit-code -- STREAMS.md
 if [[ "$CORRUPT" == 1 ]]; then
   echo "== ingest robustness gate (every corruption operator + salvage sweep) =="
   ./build/bench/bench_ingest_robustness
+  echo "== ingest differential tests at one thread and at the default width =="
+  for threads in 1 ""; do
+    TITANREL_THREADS="$threads" ./build/tests/ingest_corruption_test
+    TITANREL_THREADS="$threads" ./build/tests/ingest_chunked_test
+  done
   echo "== titanlint det-* sweep over src/ingest, src/tdf and the sharding layer =="
   ./build/tools/titanlint --root . src/ingest/triage.hpp src/ingest/triage.cpp \
     src/ingest/corrupt.hpp src/ingest/corrupt.cpp \
     src/tdf/format.hpp src/tdf/tdf.hpp src/tdf/writer.cpp src/tdf/reader.cpp \
     src/core/sharded.hpp src/core/sharded.cpp src/fault/campaign.hpp \
     src/fault/campaign.cpp src/study/sharded.hpp src/study/sharded.cpp \
-    src/study/source.cpp
+    src/study/source.cpp src/study/fsck.cpp
 fi
 
 if [[ "$CRASH" == 1 ]]; then

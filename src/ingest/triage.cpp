@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 
+#include "par/parallel.hpp"
 #include "stats/rng.hpp"
 
 namespace titan::ingest {
@@ -207,6 +208,22 @@ void IngestReport::add(std::string_view file, std::size_t line, TriageCode code,
   }
 }
 
+void IngestReport::append(const IngestReport& other, std::size_t line_offset) {
+  total_ += other.total_;
+  for (std::size_t i = 0; i < kTriageCodeCount; ++i) code_counts_[i] += other.code_counts_[i];
+  for (std::size_t i = 0; i < kSalvageActionCount; ++i) {
+    action_counts_[i] += other.action_counts_[i];
+  }
+  for (const auto& diag : other.retained_) {
+    if (retained_.size() >= kDetailBudget) break;
+    retained_.push_back(diag);
+    if (diag.line != 0) retained_.back().line += line_offset;
+  }
+  duplicates_removed += other.duplicates_removed;
+  events_resorted += other.events_resorted;
+  lines_quarantined += other.lines_quarantined;
+}
+
 std::string IngestReport::summary_text() const {
   std::string out;
   out += "policy      : ";
@@ -260,37 +277,115 @@ std::string checksum_hex(std::uint64_t value) {
   return out;
 }
 
-ConsoleIngest ingest_console_text(std::string_view text, std::string_view file,
-                                  IngestPolicy policy, IngestReport& report) {
-  ConsoleIngest out;
-  out.events.reserve(line_count(text));
-  std::string_view prev_raw;
-  bool prev_was_event = false;
-  bool sorted = true;
-  std::size_t last_line = 0;
+namespace {
 
-  for_each_line(text, [&](std::string_view raw, std::size_t line_no) {
-    ++out.lines;
-    last_line = line_no;
-    const std::string_view line = strip_crlf(raw, file, line_no, report);
+/// The event a raw console line adds to the stream, decided as the line
+/// walk decides it: CRLF stripped, NUL and overlong lines quarantined.
+std::optional<parse::ParsedEvent> stream_event(std::string_view raw) {
+  if (!raw.empty() && raw.back() == '\r') raw.remove_suffix(1);
+  if (raw.find('\0') != std::string_view::npos || raw.size() > parse::kMaxConsoleLineLength) {
+    return std::nullopt;
+  }
+  return parse::parse_console_line(raw);
+}
+
+/// The raw line ending just before `begin`, a line start of `text` ("" at
+/// the start of the text).
+std::string_view line_before(std::string_view text, std::size_t begin) {
+  if (begin == 0) return {};
+  const std::size_t newline = begin - 1;
+  const auto prior = newline == 0 ? std::string_view::npos : text.rfind('\n', newline - 1);
+  const std::size_t start = prior == std::string_view::npos ? 0 : prior + 1;
+  return text.substr(start, newline - start);
+}
+
+/// The out-of-order finding's detail.
+std::string regression_detail(stats::TimeSec time, stats::TimeSec previous) {
+  return "timestamp " + stats::format_timestamp(time) + " precedes the previous event (" +
+         stats::format_timestamp(previous) + ")";
+}
+
+/// Move `part` onto the end of `out`, releasing part's storage.
+template <typename T>
+void append_moved(std::vector<T>& out, std::vector<T>& part) {
+  out.insert(out.end(), part.begin(), part.end());
+  std::vector<T>{}.swap(part);
+}
+
+}  // namespace
+
+std::vector<TextChunk> split_lines(std::string_view text, std::size_t pieces) {
+  std::vector<TextChunk> chunks;
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    std::size_t end = text.size();
+    // Spread what is left evenly over the pieces still to cut, so a line
+    // longer than a chunk costs one piece, not the rest of the split.
+    const std::size_t left = pieces > chunks.size() ? pieces - chunks.size() : 1;
+    if (left > 1) {
+      const std::size_t step = std::max<std::size_t>(1, (text.size() - begin) / left);
+      const auto newline = text.find('\n', begin + step - 1);
+      if (newline != std::string_view::npos) end = newline + 1;
+    }
+    chunks.push_back(TextChunk{begin, end});
+    begin = end;
+  }
+  return chunks;
+}
+
+std::vector<TextChunk> load_chunks(std::string_view text) {
+  return split_lines(text, text.size() / kChunkBytes + 1);
+}
+
+ConsoleChunk ingest_console_chunk(std::string_view text, TextChunk chunk, std::string_view file,
+                                  IngestPolicy policy) {
+  ConsoleChunk out{ConsoleIngest{}, IngestReport{policy}, IngestReport{policy},
+                   std::nullopt,    std::nullopt,         std::nullopt};
+  auto& product = out.product;
+  const auto body = text.substr(chunk.begin, chunk.end - chunk.begin);
+  product.events.reserve(line_count(body));
+  // The duplicate check's seed; the regression check's waits for the merge.
+  std::string_view prev_raw = line_before(text, chunk.begin);
+  bool prev_was_event = chunk.begin > 0 && stream_event(prev_raw).has_value();
+  auto& last_time = out.last_time;
+  IngestReport* report = &out.head;  // `tail` once the check is pending
+
+  // Record a finding; a strict-fatal one stops the chunk instead.
+  const auto stopped = [&](std::size_t line_no, TriageCode code, SalvageAction action,
+                           std::string_view detail) {
+    if (policy == IngestPolicy::kStrict && fatal_in_strict(code)) {
+      out.stop = ChunkStop{line_no, code, std::string{detail}};
+      return true;
+    }
+    report->add(file, line_no, code, action, detail);
+    return false;
+  };
+
+  for_each_line(body, [&](std::string_view raw, std::size_t line_no) {
+    if (out.stop) return;
+    ++product.lines;
+    const std::string_view line = strip_crlf(raw, file, line_no, *report);
     const bool has_marker = line.find(parse::kGpuMarker) != std::string_view::npos;
 
     if (line.find('\0') != std::string_view::npos) {
-      triage(policy, report, file, line_no, TriageCode::kLineNul,
-             SalvageAction::kQuarantined, "embedded NUL byte");
-      ++report.lines_quarantined;
-      ++(has_marker ? out.malformed : out.unrelated);
+      if (stopped(line_no, TriageCode::kLineNul, SalvageAction::kQuarantined,
+                  "embedded NUL byte")) {
+        return;
+      }
+      ++report->lines_quarantined;
+      ++(has_marker ? product.malformed : product.unrelated);
       prev_was_event = false;
       prev_raw = raw;
       return;
     }
     if (line.size() > parse::kMaxConsoleLineLength) {
-      triage(policy, report, file, line_no, TriageCode::kLineOverlong,
-             SalvageAction::kQuarantined,
-             "line of " + std::to_string(line.size()) + " bytes (cap " +
-                 std::to_string(parse::kMaxConsoleLineLength) + ")");
-      ++report.lines_quarantined;
-      ++(has_marker ? out.malformed : out.unrelated);
+      if (stopped(line_no, TriageCode::kLineOverlong, SalvageAction::kQuarantined,
+                  "line of " + std::to_string(line.size()) + " bytes (cap " +
+                      std::to_string(parse::kMaxConsoleLineLength) + ")")) {
+        return;
+      }
+      ++report->lines_quarantined;
+      ++(has_marker ? product.malformed : product.unrelated);
       prev_was_event = false;
       prev_raw = raw;
       return;
@@ -299,11 +394,11 @@ ConsoleIngest ingest_console_text(std::string_view text, std::string_view file,
     const auto event = parse::parse_console_line(line);
     if (!event) {
       if (has_marker) {
-        ++out.malformed;
-        report.add(file, line_no, TriageCode::kConsoleMalformed, SalvageAction::kRejected,
-                   excerpt(line));
+        ++product.malformed;
+        report->add(file, line_no, TriageCode::kConsoleMalformed, SalvageAction::kRejected,
+                    excerpt(line));
       } else {
-        ++out.unrelated;  // ordinary SMW chatter; not an error
+        ++product.unrelated;  // ordinary SMW chatter; not an error
       }
       prev_was_event = false;
       prev_raw = raw;
@@ -312,30 +407,63 @@ ConsoleIngest ingest_console_text(std::string_view text, std::string_view file,
 
     // The paper's double-count pathology: the same event line written
     // twice.  Salvage drops the byte-identical adjacent copy; strict
-    // keeps both (duplicates are data, not structural corruption).
+    // keeps both (duplicates are data, not structural corruption).  The
+    // copy's time is the previous event's.
     if (policy == IngestPolicy::kSalvage && prev_was_event && raw == prev_raw) {
-      report.add(file, line_no, TriageCode::kEventDuplicate, SalvageAction::kRepaired,
-                 "byte-identical adjacent event line");
-      ++report.duplicates_removed;
+      report->add(file, line_no, TriageCode::kEventDuplicate, SalvageAction::kRepaired,
+                  "byte-identical adjacent event line");
+      ++report->duplicates_removed;
+      last_time = event->time;
       return;
     }
 
-    if (!out.events.empty() && event->time < out.events.back().time) {
-      triage(policy, report, file, line_no, TriageCode::kEventOutOfOrder,
-             SalvageAction::kRepaired,
-             "timestamp " + stats::format_timestamp(event->time) +
-                 " precedes the previous event (" +
-                 stats::format_timestamp(out.events.back().time) + ")");
-      ++report.events_resorted;
-      sorted = false;
+    if (!last_time) {
+      out.pending = PendingCheck{line_no, event->time};
+      report = &out.tail;
+    } else if (event->time < *last_time) {
+      if (stopped(line_no, TriageCode::kEventOutOfOrder, SalvageAction::kRepaired,
+                  regression_detail(event->time, *last_time))) {
+        return;
+      }
+      ++report->events_resorted;
     }
-    out.events.push_back(*event);
+    product.events.push_back(*event);
+    last_time = event->time;
     prev_was_event = true;
     prev_raw = raw;
   });
+  return out;
+}
 
-  note_termination(text, file, last_line, report);
-  if (!sorted) {
+ConsoleIngest merge_console_chunks(std::string_view text, std::string_view file,
+                                   IngestPolicy policy, std::span<ConsoleChunk> chunks,
+                                   IngestReport& report) {
+  ConsoleIngest out;
+  std::size_t events = 0;
+  for (const auto& chunk : chunks) events += chunk.product.events.size();
+  out.events.reserve(events);
+  const std::size_t resorted_before = report.events_resorted;
+  std::optional<stats::TimeSec> last_time;  // of the last event line so far
+  for (auto& chunk : chunks) {
+    report.append(chunk.head, out.lines);
+    if (const auto& check = chunk.pending; check && last_time && check->time < *last_time) {
+      triage(policy, report, file, out.lines + check->line, TriageCode::kEventOutOfOrder,
+             SalvageAction::kRepaired, regression_detail(check->time, *last_time));
+      ++report.events_resorted;
+    }
+    report.append(chunk.tail, out.lines);
+    if (chunk.stop) {
+      throw IngestError{std::string{file}, out.lines + chunk.stop->line, chunk.stop->code,
+                        chunk.stop->detail};
+    }
+    append_moved(out.events, chunk.product.events);
+    out.lines += chunk.product.lines;
+    out.malformed += chunk.product.malformed;
+    out.unrelated += chunk.product.unrelated;
+    if (chunk.last_time) last_time = chunk.last_time;
+  }
+  note_termination(text, file, out.lines, report);
+  if (report.events_resorted != resorted_before) {
     // Stable: equal timestamps keep their on-disk order, so the repair is
     // deterministic and minimal.
     std::stable_sort(out.events.begin(), out.events.end(),
@@ -346,26 +474,61 @@ ConsoleIngest ingest_console_text(std::string_view text, std::string_view file,
   return out;
 }
 
-JobIngest ingest_job_text(std::string_view text, std::string_view file, IngestPolicy policy,
-                          IngestReport& report) {
-  (void)policy;  // no job-log finding is fatal in strict mode
-  JobIngest out;
-  out.records.reserve(line_count(text));
-  std::size_t last_line = 0;
-  for_each_line(text, [&](std::string_view raw, std::size_t line_no) {
-    ++out.lines;
-    last_line = line_no;
-    const std::string_view line = strip_crlf(raw, file, line_no, report);
+ConsoleIngest ingest_console_text(std::string_view text, std::string_view file,
+                                  IngestPolicy policy, IngestReport& report, std::size_t chunks) {
+  const auto spans = chunks != 0 ? split_lines(text, chunks) : load_chunks(text);
+  std::vector<ConsoleChunk> parts(spans.size());
+  par::parallel_for(0, spans.size(), 1, [&](std::size_t i) {
+    parts[i] = ingest_console_chunk(text, spans[i], file, policy);
+  });
+  return merge_console_chunks(text, file, policy, parts, report);
+}
+
+JobChunk ingest_job_chunk(std::string_view text, TextChunk chunk, std::string_view file,
+                          IngestPolicy policy) {
+  // No job-log finding is fatal in strict mode: the chunk never stops.
+  JobChunk out{JobIngest{}, IngestReport{policy}};
+  auto& product = out.product;
+  const auto body = text.substr(chunk.begin, chunk.end - chunk.begin);
+  product.records.reserve(line_count(body));
+  for_each_line(body, [&](std::string_view raw, std::size_t line_no) {
+    ++product.lines;
+    const std::string_view line = strip_crlf(raw, file, line_no, out.report);
     if (const auto record = logsim::parse_job_log_line(line)) {
-      out.records.push_back(*record);
+      product.records.push_back(*record);
     } else {
-      ++out.malformed;
-      report.add(file, line_no, TriageCode::kJobMalformed, SalvageAction::kRejected,
-                 excerpt(line));
+      ++product.malformed;
+      out.report.add(file, line_no, TriageCode::kJobMalformed, SalvageAction::kRejected,
+                     excerpt(line));
     }
   });
-  note_termination(text, file, last_line, report);
   return out;
+}
+
+JobIngest merge_job_chunks(std::string_view text, std::string_view file,
+                           std::span<JobChunk> chunks, IngestReport& report) {
+  JobIngest out;
+  std::size_t records = 0;
+  for (const auto& chunk : chunks) records += chunk.product.records.size();
+  out.records.reserve(records);
+  for (auto& chunk : chunks) {
+    report.append(chunk.report, out.lines);
+    append_moved(out.records, chunk.product.records);
+    out.lines += chunk.product.lines;
+    out.malformed += chunk.product.malformed;
+  }
+  note_termination(text, file, out.lines, report);
+  return out;
+}
+
+JobIngest ingest_job_text(std::string_view text, std::string_view file, IngestPolicy policy,
+                          IngestReport& report, std::size_t chunks) {
+  const auto spans = chunks != 0 ? split_lines(text, chunks) : load_chunks(text);
+  std::vector<JobChunk> parts(spans.size());
+  par::parallel_for(0, spans.size(), 1, [&](std::size_t i) {
+    parts[i] = ingest_job_chunk(text, spans[i], file, policy);
+  });
+  return merge_job_chunks(text, file, parts, report);
 }
 
 logsim::SmiSweepParse ingest_smi_text(std::string_view text, std::string_view file,

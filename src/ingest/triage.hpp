@@ -17,6 +17,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -174,6 +176,12 @@ class IngestReport {
   /// first findings).  Deterministic: depends only on the add() sequence.
   [[nodiscard]] std::string summary_text() const;
 
+  /// Add `other`'s findings after this report's own, as if its add()
+  /// calls had come next: tallies and repair counts sum exactly, details
+  /// fill what is left of the budget, and each line-numbered detail moves
+  /// down by `line_offset` (a chunk's lines numbered from its own start).
+  void append(const IngestReport& other, std::size_t line_offset);
+
   /// Repair tallies (salvage mode).
   std::size_t duplicates_removed = 0;  ///< byte-identical adjacent events dropped
   std::size_t events_resorted = 0;     ///< timestamp regressions repaired by re-sort
@@ -211,8 +219,12 @@ struct ConsoleIngest {
   std::size_t unrelated = 0;  ///< well-formed non-GPU chatter
 };
 
+/// Split + parse + merge (see "Chunked text ingestion" below): the same
+/// events, counts, findings and strict error as one serial walk over the
+/// lines.  `chunks` forces the split (tests); 0 takes load_chunks.
 [[nodiscard]] ConsoleIngest ingest_console_text(std::string_view text, std::string_view file,
-                                                IngestPolicy policy, IngestReport& report);
+                                                IngestPolicy policy, IngestReport& report,
+                                                std::size_t chunks = 0);
 
 /// Job-accounting ingestion product.
 struct JobIngest {
@@ -222,7 +234,8 @@ struct JobIngest {
 };
 
 [[nodiscard]] JobIngest ingest_job_text(std::string_view text, std::string_view file,
-                                        IngestPolicy policy, IngestReport& report);
+                                        IngestPolicy policy, IngestReport& report,
+                                        std::size_t chunks = 0);
 
 /// nvidia-smi sweep ingestion: parse_smi_sweep_text plus triage of any
 /// malformed blocks.
@@ -258,5 +271,93 @@ struct ManifestIngest {
                                                   std::string_view file,
                                                   IngestPolicy policy,
                                                   IngestReport& report);
+
+// ---------------------------------------------------------------------------
+// Chunked text ingestion.  A console or job log is split at line
+// boundaries, each chunk is parsed on its own (any thread, any order),
+// and the merge walks the chunks in file order.  A console chunk seeds
+// its adjacent-duplicate check from the raw line just before its first
+// line.  The timestamp-regression check of its first kept event needs
+// the last event before the chunk, which may lie any distance back, so
+// that one check waits for the merge; every later check is the chunk's
+// own.  So every chunk makes exactly the findings the serial walk makes
+// on its lines, and no chunk reads further back than one line.  Chunks
+// never throw: a strict-fatal finding stops the chunk and is recorded,
+// and the merge raises the first one in file order.
+// ---------------------------------------------------------------------------
+
+/// Bytes of text per chunk a load parses.
+inline constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+
+/// A line-aligned slice [begin, end) of one text artifact.
+struct TextChunk {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// Split `text` into at most `pieces` line-aligned chunks of about equal
+/// size (fewer when lines run longer than a chunk; none for empty text).
+/// Each chunk holds at least one whole line; the last takes the rest.
+[[nodiscard]] std::vector<TextChunk> split_lines(std::string_view text, std::size_t pieces);
+
+/// The chunks a load parses `text` in: about kChunkBytes each, a count
+/// fixed by the size alone, so the split never depends on the pool width.
+[[nodiscard]] std::vector<TextChunk> load_chunks(std::string_view text);
+
+/// A strict-fatal finding a chunk stopped at (line numbered from the
+/// chunk's first line).
+struct ChunkStop {
+  std::size_t line = 0;
+  TriageCode code = TriageCode::kLineNul;
+  std::string detail;
+};
+
+/// The regression check of a chunk's first kept event, left to the merge.
+struct PendingCheck {
+  std::size_t line = 0;  ///< numbered from the chunk's first line
+  stats::TimeSec time = 0;
+};
+
+/// One parsed console chunk: its product, its own findings (lines
+/// numbered from the chunk's first line) split around the pending check
+/// -- `head` before it, `tail` after -- and where strict mode stopped it,
+/// if it did.
+struct ConsoleChunk {
+  ConsoleIngest product;
+  IngestReport head;
+  IngestReport tail;
+  std::optional<ChunkStop> stop;
+  std::optional<PendingCheck> pending;
+  std::optional<stats::TimeSec> last_time;  ///< of the chunk's last event line
+};
+
+/// One parsed job-log chunk (no job finding is fatal, so it never stops).
+struct JobChunk {
+  JobIngest product;
+  IngestReport report;
+};
+
+/// Parse the console lines of `chunk`, seeded from the line before it.
+[[nodiscard]] ConsoleChunk ingest_console_chunk(std::string_view text, TextChunk chunk,
+                                                std::string_view file, IngestPolicy policy);
+
+/// Merge console chunks in file order into `report`: line numbers offset,
+/// each chunk's pending check run against the last event before it, the
+/// first stop raised as IngestError at its real line, the missing-newline
+/// note for the whole text, and one stable re-sort when any regression
+/// was found.  Consumes the chunks' event vectors.
+[[nodiscard]] ConsoleIngest merge_console_chunks(std::string_view text, std::string_view file,
+                                                 IngestPolicy policy,
+                                                 std::span<ConsoleChunk> chunks,
+                                                 IngestReport& report);
+
+/// Parse the job-accounting lines of `chunk`.
+[[nodiscard]] JobChunk ingest_job_chunk(std::string_view text, TextChunk chunk,
+                                        std::string_view file, IngestPolicy policy);
+
+/// Merge job chunks in file order into `report`.  Consumes the chunks'
+/// record vectors.
+[[nodiscard]] JobIngest merge_job_chunks(std::string_view text, std::string_view file,
+                                         std::span<JobChunk> chunks, IngestReport& report);
 
 }  // namespace titan::ingest

@@ -50,7 +50,7 @@ void check_manifest(const fs::path& dir, const ingest::ManifestIngest& manifest,
     add_finding(out, diag.file, diag.code, diag.detail);
   }
   for (const auto& [name, expected] : manifest.checksums) {
-    if (auto finding = check_claim(dir, name, expected)) {
+    if (auto finding = claim_verdict(name, expected, claim_checksum(dir, name))) {
       out.findings.push_back(std::move(*finding));
     }
   }
@@ -104,10 +104,17 @@ CrashEvidence scan_crash_state(const fs::path& dir) {
   return evidence;
 }
 
-std::optional<FsckFinding> check_claim(const fs::path& dir, const std::string& name,
-                                       std::uint64_t expected) {
+std::optional<std::uint64_t> claim_checksum(const fs::path& dir, const std::string& name) {
   const auto path = dir / name;
-  if (!fs::exists(path)) {
+  if (!fs::exists(path)) return std::nullopt;
+  (void)checked_file_size(path);
+  const tdf::MappedFile file{path};
+  return ingest::content_checksum(file.bytes());
+}
+
+std::optional<FsckFinding> claim_verdict(const std::string& name, std::uint64_t expected,
+                                         std::optional<std::uint64_t> actual) {
+  if (!actual) {
     // A missing shard container is its own crash-state class: the roster
     // the manifest promised is incomplete, which is what a writer killed
     // between shard commits leaves behind.
@@ -118,11 +125,10 @@ std::optional<FsckFinding> check_claim(const fs::path& dir, const std::string& n
     return FsckFinding{name, TriageCode::kFileMissing,
                        "manifest claims a checksum for this file but it is missing"};
   }
-  const auto actual = ingest::content_checksum(read_all(path));
-  if (actual == expected) return std::nullopt;
+  if (*actual == expected) return std::nullopt;
   return FsckFinding{name, TriageCode::kChecksumMismatch,
                      "manifest records " + ingest::checksum_hex(expected) +
-                         ", content hashes to " + ingest::checksum_hex(actual)};
+                         ", content hashes to " + ingest::checksum_hex(*actual)};
 }
 
 FsckResult fsck_dataset(const fs::path& dir) {

@@ -59,11 +59,18 @@ struct CrashEvidence {
 /// directory yields no evidence.
 [[nodiscard]] CrashEvidence scan_crash_state(const std::filesystem::path& dir);
 
-/// Check one manifest checksum claim against the bytes on disk (the
-/// loader shares it): nullopt when it holds, else the named finding.
-[[nodiscard]] std::optional<FsckFinding> check_claim(const std::filesystem::path& dir,
-                                                     const std::string& name,
-                                                     std::uint64_t expected);
+/// The hash step of a manifest claim: the content checksum of
+/// `dir / name`, read through one mapping of the file, or nullopt when it
+/// is missing.  A file beyond kMaxIngestFileBytes throws E_FILE_TOO_LARGE.
+[[nodiscard]] std::optional<std::uint64_t> claim_checksum(const std::filesystem::path& dir,
+                                                          const std::string& name);
+
+/// The verdict step, shared by fsck and the loaders' claim-order walk:
+/// nullopt when the claim holds, else the finding -- a missing file
+/// (`actual` nullopt) or a content mismatch.
+[[nodiscard]] std::optional<FsckFinding> claim_verdict(const std::string& name,
+                                                       std::uint64_t expected,
+                                                       std::optional<std::uint64_t> actual);
 
 /// Check `dir` for crash state and integrity damage.  Read-only: never
 /// quarantines, repairs or deletes.  Never throws on dataset damage --

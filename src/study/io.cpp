@@ -9,18 +9,13 @@
 
 namespace titan::study {
 
-namespace {
-
-namespace fs = std::filesystem;
-
-/// Size of `path` if it exists as a regular file; 0 otherwise.  Throws
-/// E_FILE_TOO_LARGE beyond the ingest cap -- before any read touches the
-/// bytes, so a 5 GiB log cannot be silently clamped by narrower offsets.
-std::uint64_t checked_file_size(const fs::path& path) {
+std::uint64_t checked_file_size(const std::filesystem::path& path) {
   std::error_code ec;
-  const auto size = fs::file_size(path, ec);
+  const auto size = std::filesystem::file_size(path, ec);
   if (ec) return 0;  // missing/unreadable: the read yields empty
   if (size > kMaxIngestFileBytes) {
+    // Named before any read: a 5 GiB log must not be silently clamped by
+    // narrower offsets.
     throw ingest::IngestError{
         path.filename().string(), 0, ingest::TriageCode::kFileTooLarge,
         "file of " + std::to_string(size) + " bytes exceeds the " +
@@ -28,8 +23,6 @@ std::uint64_t checked_file_size(const fs::path& path) {
   }
   return size;
 }
-
-}  // namespace
 
 std::vector<std::string> read_lines(const std::filesystem::path& path) {
   const auto size = checked_file_size(path);

@@ -21,6 +21,11 @@ namespace titan::study {
 /// (E_FILE_TOO_LARGE) instead of being silently clamped.
 inline constexpr std::uint64_t kMaxIngestFileBytes = 4ULL * 1024 * 1024 * 1024;
 
+/// Size of `path` if it exists as a regular file, else 0.  Throws
+/// IngestError (E_FILE_TOO_LARGE) beyond kMaxIngestFileBytes, before any
+/// read or mapping touches the bytes.
+[[nodiscard]] std::uint64_t checked_file_size(const std::filesystem::path& path);
+
 /// Read a text file line by line (without terminators; a trailing '\r'
 /// from CRLF endings is stripped).  Missing or unreadable files yield an
 /// empty vector; files beyond kMaxIngestFileBytes throw IngestError.

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
+#include <map>
+#include <optional>
 #include <queue>
 #include <span>
 #include <string>
@@ -83,25 +86,26 @@ void resolve_profile(StudyContext& context, std::string_view source_file, bool r
   context.profile = dataset_profile;
 }
 
-/// Ingest manifest.txt when present and verify every checksum it claims
-/// against on-disk bytes: a claimed-but-missing file and a content
-/// mismatch are integrity findings (fatal under kStrict).  `.tdf`
-/// container claims are presence-checked but not hashed: a TDF container
-/// self-validates every byte it decodes (table + per-segment FNV-1a), and
-/// hashing full contents here would read each container twice -- and
-/// force a whole-file read of containers the streaming decode never
-/// materializes.  Only binary manifests claim containers.
-ingest::ManifestIngest load_manifest(const fs::path& dir, IngestPolicy policy,
-                                     IngestReport& report) {
-  auto manifest = read_manifest(dir, policy, report);
-  for (const auto& [name, expected] : manifest.checksums) {
+/// Walk the manifest's checksum claims in claim order and triage each
+/// verdict: a claimed-but-missing file and a content mismatch are
+/// integrity findings (fatal under kStrict).  A present `.tdf` container
+/// claim is presence-checked only: a TDF container self-validates every
+/// byte it decodes (table + per-segment FNV-1a), and hashing it here
+/// would read each container twice -- and force a whole-file read of
+/// containers the streaming decode never materializes.  `checksum(i)`
+/// yields claim i's content checksum (nullopt = missing); the binary
+/// path hashes on demand, the text load hands over what its pool hashed.
+template <typename Checksum>
+void walk_claims(const fs::path& dir, const ingest::ManifestIngest& manifest,
+                 IngestPolicy policy, IngestReport& report, Checksum&& checksum) {
+  for (std::size_t i = 0; i < manifest.checksums.size(); ++i) {
+    const auto& [name, expected] = manifest.checksums[i];
     if (name.ends_with(".tdf") && fs::exists(dir / name)) continue;
-    if (const auto finding = check_claim(dir, name, expected)) {
+    if (const auto finding = claim_verdict(name, expected, checksum(i))) {
       triage_file(policy, report, name, finding->code, SalvageAction::kIgnored,
                   finding->detail);
     }
   }
-  return manifest;
 }
 
 /// Study window from the manifest's claims, else the event stream's span
@@ -278,54 +282,139 @@ StudyContext load_containers(const fs::path& dir, const ingest::ManifestIngest& 
   return context;
 }
 
+/// One text artifact of a load: mapped once, after the ingest size cap.
+/// A failed size check or open waits in `error` until the load reaches
+/// the point where a file-by-file read would have met it.
+struct TextArtifact {
+  std::optional<tdf::MappedFile> map;
+  std::exception_ptr error;
+  bool claimed = false;
+  std::uint64_t checksum = 0;  ///< content_checksum, when claimed and mapped
+
+  void open(const fs::path& path) {
+    if (!fs::exists(path)) return;
+    try {
+      (void)checked_file_size(path);
+      map.emplace(path);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  }
+  /// Whether the file is there to read; a deferred error surfaces here.
+  [[nodiscard]] bool present() const {
+    if (error) std::rethrow_exception(error);
+    return map.has_value();
+  }
+  [[nodiscard]] std::string_view text() const { return map ? map->bytes() : std::string_view{}; }
+};
+
+/// The text load: one mapping per artifact and one pool run that hashes
+/// every claimed file (the lowest task indices, largest first, so the
+/// long serial console hash starts first) beside the smi parse and the
+/// chunked console and job parses.  Then, in the order a file-by-file load
+/// meets them: the manifest verdicts in claim order, the console, the
+/// job log, the smi sweep -- so under strict a checksum mismatch still
+/// wins over any parse error, and under salvage it is reported first.
 StudyContext load_text(const fs::path& dir, const ingest::ManifestIngest& manifest,
                        IngestPolicy policy, IngestReport& report,
                        const profile::FleetProfile* expected) {
-  const auto console_path = dir / "console.log";
-  if (!fs::exists(console_path)) {
-    // Fatal under either policy: with no console log there is nothing to
-    // salvage a study from.
-    throw ingest::IngestError{"console.log", 0, TriageCode::kFileMissing,
-                              "no dataset at " + dir.string()};
-  }
-
-  StudyContext context;
-  {
-    // The ingest's row vector lives only until the frame is built from it.
-    const auto console = ingest::ingest_console_text(read_all(console_path), "console.log",
-                                                     policy, report);
-    context.load_stats.console_lines = console.lines;
-    context.load_stats.malformed_lines = console.malformed;
-    context.load_stats.unrelated_lines = console.unrelated;
-    if (console.events.empty()) {
-      throw ingest::IngestError{"console.log", 0, TriageCode::kNoEvents,
-                                "dataset at " + dir.string() + " contains no console events"};
-    }
-    context.frame =
-        analysis::EventFrame::build(std::span<const parse::ParsedEvent>{console.events});
-  }
-  context.capabilities = kEvents;
-
-  adopt_manifest_period(context, manifest);
-
   // Claims name the whole dataset: an unclaimed side artifact is another
   // write's leftover.  With no claims to go by, the directory is probed.
   const auto side_artifact = [&](std::string_view name) {
     return manifest.checksums.empty() || manifest.claims(name);
   };
+  std::map<std::string, TextArtifact> files;
+  const auto open = [&](const std::string& name) -> TextArtifact& {
+    const auto [it, added] = files.try_emplace(name);
+    if (added) it->second.open(dir / name);
+    return it->second;
+  };
+  for (const auto& [name, checksum] : manifest.checksums) {
+    if (!name.ends_with(".tdf")) open(name).claimed = true;  // .tdf: the walk checks presence
+  }
+  const auto& console = open("console.log");
+  const TextArtifact* jobs = side_artifact("jobs.log") ? &open("jobs.log") : nullptr;
+  const TextArtifact* smi = side_artifact("smi_sweep.txt") ? &open("smi_sweep.txt") : nullptr;
 
-  if (const auto jobs_path = dir / "jobs.log";
-      side_artifact("jobs.log") && fs::exists(jobs_path)) {
-    auto jobs = ingest::ingest_job_text(read_all(jobs_path), "jobs.log", policy, report);
-    context.load_stats.job_lines = jobs.lines;
-    context.load_stats.malformed_job_lines = jobs.malformed;
-    context.job_log = std::move(jobs.records);
+  std::vector<TextArtifact*> hashed;
+  for (auto& [name, file] : files) {
+    if (file.claimed && file.map) hashed.push_back(&file);
+  }
+  std::stable_sort(hashed.begin(), hashed.end(), [](const auto* a, const auto* b) {
+    return a->map->bytes().size() > b->map->bytes().size();
+  });
+  const auto console_text = console.text();
+  const auto jobs_text = jobs ? jobs->text() : std::string_view{};
+  const auto smi_text = smi ? smi->text() : std::string_view{};
+  const auto console_spans = ingest::load_chunks(console_text);
+  const auto job_spans = ingest::load_chunks(jobs_text);
+  const std::size_t smi_tasks = smi_text.empty() ? 0 : 1;
+
+  std::vector<ingest::ConsoleChunk> console_parts(console_spans.size());
+  std::vector<ingest::JobChunk> job_parts(job_spans.size());
+  IngestReport smi_report{policy};
+  logsim::SmiSweepParse sweep;
+  par::ThreadPool::instance().run(
+      hashed.size() + smi_tasks + console_spans.size() + job_spans.size(), [&](std::size_t t) {
+        if (t < hashed.size()) {
+          hashed[t]->checksum = ingest::content_checksum(hashed[t]->map->bytes());
+          return;
+        }
+        t -= hashed.size();
+        if (t < smi_tasks) {
+          sweep = ingest::ingest_smi_text(smi_text, "smi_sweep.txt", policy, smi_report);
+          return;
+        }
+        t -= smi_tasks;
+        if (t < console_spans.size()) {
+          console_parts[t] =
+              ingest::ingest_console_chunk(console_text, console_spans[t], "console.log", policy);
+          return;
+        }
+        t -= console_spans.size();
+        job_parts[t] = ingest::ingest_job_chunk(jobs_text, job_spans[t], "jobs.log", policy);
+      });
+
+  walk_claims(dir, manifest, policy, report, [&](std::size_t i) -> std::optional<std::uint64_t> {
+    const auto it = files.find(manifest.checksums[i].first);
+    if (it == files.end() || !it->second.present()) return std::nullopt;
+    return it->second.checksum;
+  });
+
+  if (!console.present()) {
+    // Fatal under either policy: with no console log there is nothing to
+    // salvage a study from.
+    throw ingest::IngestError{"console.log", 0, TriageCode::kFileMissing,
+                              "no dataset at " + dir.string()};
+  }
+  StudyContext context;
+  {
+    // The merged rows live only until the frame is built from them.
+    const auto events =
+        ingest::merge_console_chunks(console_text, "console.log", policy, console_parts, report);
+    context.load_stats.console_lines = events.lines;
+    context.load_stats.malformed_lines = events.malformed;
+    context.load_stats.unrelated_lines = events.unrelated;
+    if (events.events.empty()) {
+      throw ingest::IngestError{"console.log", 0, TriageCode::kNoEvents,
+                                "dataset at " + dir.string() + " contains no console events"};
+    }
+    context.frame =
+        analysis::EventFrame::build(std::span<const parse::ParsedEvent>{events.events});
+  }
+  context.capabilities = kEvents;
+
+  adopt_manifest_period(context, manifest);
+
+  if (jobs != nullptr && jobs->present()) {
+    auto log = ingest::merge_job_chunks(jobs_text, "jobs.log", job_parts, report);
+    context.load_stats.job_lines = log.lines;
+    context.load_stats.malformed_job_lines = log.malformed;
+    context.job_log = std::move(log.records);
   }
 
-  if (const auto sweep_text =
-          side_artifact("smi_sweep.txt") ? read_all(dir / "smi_sweep.txt") : std::string{};
-      !sweep_text.empty()) {
-    auto sweep = ingest::ingest_smi_text(sweep_text, "smi_sweep.txt", policy, report);
+  if (smi != nullptr && smi->present() && !smi_text.empty()) {
+    report.append(smi_report, 0);
     context.snapshot.taken_at = sweep.taken_at;
     context.snapshot.records = std::move(sweep.records);
     context.load_stats.smi_blocks = context.snapshot.records.size();
@@ -401,9 +490,15 @@ StudyContext DatasetSource::load() const {
   gate_crash_state(dir_, policy_, report);
 
   // Manifest first: the producer's claims (study window, accounting
-  // cutoff, content checksums, layout) gate everything that follows.
-  const auto manifest = load_manifest(dir_, policy_, report);
+  // cutoff, content checksums, layout) gate everything that follows.  The
+  // text load walks the claims itself, once its pool has hashed them.
+  const auto manifest = read_manifest(dir_, policy_, report);
   const auto layout = dataset_layout(dir_, manifest);
+  if (layout.containers != 0) {
+    walk_claims(dir_, manifest, policy_, report, [&](std::size_t i) {
+      return claim_checksum(dir_, manifest.checksums[i].first);
+    });
+  }
   StudyContext context =
       layout.containers == 0
           ? load_text(dir_, manifest, policy_, report, expected_profile_)

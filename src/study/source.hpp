@@ -59,8 +59,11 @@ class SimulatedSource final : public StudySource {
 /// console.log; jobs.log, smi_sweep.txt and manifest.txt are optional
 /// (capabilities shrink accordingly; without a manifest the period is
 /// inferred from the event stream).  A manifest that claims any artifact
-/// decides which side artifacts load: only claimed ones do.  Capabilities:
-/// events, plus snapshot when the sweep loads.
+/// decides which side artifacts load: only claimed ones do.  The text
+/// layout maps each artifact once and runs one pool pass that hashes the
+/// claims beside the chunked parse; the claims' verdicts still surface
+/// first, in claim order.  Capabilities: events, plus snapshot when the
+/// sweep loads.
 ///
 /// Under IngestPolicy::kStrict (the default) structural corruption --
 /// checksum mismatches, manifest damage, NUL/overlong lines, timestamp

@@ -18,7 +18,8 @@
 // directory prints one segment table per shard.  --fsck runs the
 // read-only crash-consistency check (orphan tmp files, checkpoint state,
 // full checksum verification, shard roster) and exits 1 when the
-// directory carries crash state.
+// directory carries crash state.  --help prints the usage and exits 0; an
+// unknown flag prints it and exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -38,15 +39,15 @@ namespace {
 namespace fs = std::filesystem;
 using namespace titan;
 
-int usage() {
-  std::fprintf(stderr,
+int usage(std::FILE* out = stderr, int code = 2) {
+  std::fprintf(out,
                "usage: titan-convert [--salvage] [--to text|binary] [--shards N] "
                "[--profile NAME] <src_dir> <dst_dir>\n"
                "       titan-convert --info <dataset_dir | dataset.tdf>\n"
                "       titan-convert --fsck <dataset_dir>\n"
                "profiles: %s\n",
                profile::profile_names().c_str());
-  return 2;
+  return code;
 }
 
 int info(const fs::path& arg) {
@@ -131,7 +132,9 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--salvage") {
+    if (arg == "--help" || arg == "-h") {
+      return usage(stdout, 0);
+    } else if (arg == "--salvage") {
       salvage = true;
     } else if (arg == "--to" && i + 1 < argc) {
       to = argv[++i];
