@@ -1,7 +1,7 @@
 // Performance microbenches (google-benchmark) for the framework's hot
 // kernels: SECDED codec, console-line emit/parse, temporal filtering,
-// correlation statistics, topology math, the text dataset load, and a
-// small end-to-end study.
+// correlation statistics, topology math, the workload simulator and the
+// study front end, the text dataset load, and a small end-to-end study.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -33,6 +33,8 @@
 #include "par/pool.hpp"
 #include "parse/console.hpp"
 #include "parse/filter.hpp"
+#include "sched/users.hpp"
+#include "sched/workload.hpp"
 #include "stats/correlation.hpp"
 #include "stats/distributions.hpp"
 #include "study/io.hpp"
@@ -190,6 +192,41 @@ void BM_CampaignThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * simulated_node_hours(core::quick_config(42)));
 }
 BENCHMARK(BM_CampaignThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+void BM_SimulateWorkload(benchmark::State& state) {
+  // The default campaign's workload at a fixed pool width: the submission
+  // draw runs ahead of the placement loop at width >= 2.
+  par::set_threads(static_cast<std::size_t>(state.range(0)));
+  const auto config = core::default_config(42);
+  const stats::Rng master{config.seed};
+  const auto users = sched::make_user_population(config.users, master.fork("users"));
+  sched::WorkloadStats stats;
+  std::size_t jobs = 0;
+  for (auto _ : state) {
+    auto result = sched::simulate_workload(config.workload, users, master.fork("workload"));
+    jobs = result.trace.jobs().size();
+    stats = result.stats;
+    benchmark::DoNotOptimize(result);
+  }
+  par::set_threads(par::default_thread_count());
+  state.counters["jobs"] = static_cast<double>(jobs);
+  state.counters["words_per_fit"] =
+      static_cast<double>(stats.fit_words) / static_cast<double>(std::max<std::uint64_t>(1, stats.fits));
+  state.counters["blocks"] = static_cast<double>(stats.blocks);
+  state.counters["blocks_drawn_ahead"] = static_cast<double>(stats.blocks - stats.blocks_waited);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(jobs));
+}
+BENCHMARK(BM_SimulateWorkload)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_StudyFrontEnd(benchmark::State& state) {
+  // What a study needs before phase D: the workload plus, on its draw
+  // side, the fleet and the campaign plan (phases A-C).
+  par::set_threads(static_cast<std::size_t>(state.range(0)));
+  const auto config = core::default_config(42);
+  for (auto _ : state) benchmark::DoNotOptimize(core::build_front_end(config));
+  par::set_threads(par::default_thread_count());
+}
+BENCHMARK(BM_StudyFrontEnd)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Phase D and E output of the perf campaign, before phase F orders it.
 struct CampaignStreams {

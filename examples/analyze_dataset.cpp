@@ -64,7 +64,10 @@ int main(int argc, char** argv) {
   try {
     context = study::DatasetSource{dir, ingest::IngestPolicy::kStrict, expected}.load();
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s (run generate_dataset first)\n", error.what());
+    // Point at generate_dataset only when there is no dataset to blame;
+    // a damaged one prints its triage error alone.
+    const bool missing = study::dataset_layout(dir).kind == study::LayoutKind::kNone;
+    std::fprintf(stderr, "%s%s\n", error.what(), missing ? " (run generate_dataset first)" : "");
     return 2;
   }
 

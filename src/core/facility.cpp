@@ -41,30 +41,42 @@ FacilityConfig quick_config(std::uint64_t seed, const profile::FleetProfile& pro
   return config;
 }
 
-StudyDataset run_study(const FacilityConfig& config) {
+StudyFrontEnd build_front_end(const FacilityConfig& config) {
   const stats::Rng master{config.seed};
 
   // 1. Workload: user population -> 21 months of batch jobs on the torus.
-  const auto users = sched::make_user_population(config.users, master.fork("users"));
-  auto workload = sched::simulate_workload(config.workload, users, master.fork("workload"));
-
   // 2. Fleet: procure + install a card per compute node, sample latents.
+  // 3. Faults, phases A-C: the campaign plan.
+  // 2 and 3 read no trace, so they run on the workload's draw side while
+  // its placement loop runs; each draws only its own named fork.
+  const auto users = sched::make_user_population(config.users, master.fork("users"));
   gpu::Fleet fleet;
-  auto traits = fault::initialize_fleet(fleet, config.period.begin, master.fork("fleet"),
-                                        config.campaign.model);
+  fault::CampaignSchedule plan;
+  auto workload =
+      sched::simulate_workload(config.workload, users, master.fork("workload"), [&] {
+        auto traits = fault::initialize_fleet(fleet, config.period.begin, master.fork("fleet"),
+                                              config.campaign.model);
+        plan = fault::plan_fault_campaign(fleet, std::move(traits), config.campaign,
+                                          master.fork("faults"));
+      });
+  return StudyFrontEnd{std::move(workload), std::move(fleet), std::move(plan)};
+}
 
-  // 3. Faults: the full error campaign over the job trace.
-  auto campaign = fault::run_fault_campaign(fleet, std::move(traits), workload.trace,
-                                            config.campaign, master.fork("faults"));
+StudyDataset run_study(const FacilityConfig& config) {
+  auto front = build_front_end(config);
 
-  // 4. Logging: the end-of-study nvidia-smi sweep (Figs. 14/15).  The
+  // 4. Faults, phases D-F: the full error campaign over the job trace.
+  auto campaign =
+      fault::run_fault_campaign(std::move(front.plan), front.fleet, front.workload.trace);
+
+  // 5. Logging: the end-of-study nvidia-smi sweep (Figs. 14/15).  The
   // console log is rendered from the event stream when a dataset is
   // written (logsim::emit_console_log), never held here.
   StudyDataset dataset{config,
-                       std::move(workload.trace),
-                       std::move(workload.deadlines),
-                       workload.utilization(),
-                       std::move(fleet),
+                       std::move(front.workload.trace),
+                       std::move(front.workload.deadlines),
+                       front.workload.utilization(),
+                       std::move(front.fleet),
                        std::move(campaign.traits),
                        std::move(campaign.events),
                        std::move(campaign.sbe_strikes),

@@ -68,6 +68,21 @@ struct StudyDataset {
   logsim::SmiSnapshot final_snapshot;        ///< end-of-study smi sweep
 };
 
+/// The trace-independent start of a study: the workload (users -> jobs on
+/// the torus), the installed fleet, and the fault campaign plan (phases
+/// A-C).  The fleet and the plan never read the trace, so they are built
+/// on the workload's submission-draw side, beside its placement loop.
+/// run_study and ShardedStudy both start here, so they derive every
+/// stream the same way.
+struct StudyFrontEnd {
+  sched::WorkloadResult workload;
+  gpu::Fleet fleet;
+  fault::CampaignSchedule plan;
+};
+
+/// Build the front end.  Deterministic in `config`.
+[[nodiscard]] StudyFrontEnd build_front_end(const FacilityConfig& config);
+
 /// Run the full simulation pipeline.  Deterministic in `config`.
 [[nodiscard]] StudyDataset run_study(const FacilityConfig& config);
 

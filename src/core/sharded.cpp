@@ -3,36 +3,15 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sched/users.hpp"
-#include "stats/rng.hpp"
 
 namespace titan::core {
 
-namespace {
-
-/// Identical stream derivation to run_study: same master forks, same
-/// order, so the plan (and with it every event) matches the unsharded
-/// path exactly.
-[[nodiscard]] sched::WorkloadResult make_workload(const FacilityConfig& config) {
-  const stats::Rng master{config.seed};
-  const auto users = sched::make_user_population(config.users, master.fork("users"));
-  return sched::simulate_workload(config.workload, users, master.fork("workload"));
-}
-
-}  // namespace
-
 ShardedStudy::ShardedStudy(const FacilityConfig& config, std::size_t shard_count)
-    : config_{config}, workload_{make_workload(config)} {
+    : config_{config}, front_{build_front_end(config)} {
   if (shard_count == 0) {
     throw std::invalid_argument{"ShardedStudy: shard_count must be positive"};
   }
-  const stats::Rng master{config.seed};
-  auto traits = fault::initialize_fleet(fleet_, config.period.begin, master.fork("fleet"),
-                                        config.campaign.model);
-  plan_ = fault::plan_fault_campaign(fleet_, std::move(traits), config.campaign,
-                                     master.fork("faults"));
-
-  const std::size_t cards = plan_.card_count();
+  const std::size_t cards = front_.plan.card_count();
   bounds_.resize(shard_count + 1);
   for (std::size_t s = 0; s <= shard_count; ++s) {
     bounds_[s] = cards * s / shard_count;
@@ -50,15 +29,15 @@ ShardEventColumns ShardedStudy::shard_events(std::size_t shard) {
 
   const auto [lo, hi] = shard_card_range(shard);
   std::vector<fault::CardStream> streams =
-      fault::run_card_streams(plan_, fleet_, workload_.trace, lo, hi, /*collect_sbe=*/false);
+      fault::run_card_streams(front_.plan, front_.fleet, trace(), lo, hi, /*collect_sbe=*/false);
   std::vector<xid::Event> tail;
   if (shard + 1 == shard_count()) {
-    tail = fault::run_campaign_tail(plan_, fleet_, workload_.trace).events;
+    tail = fault::run_campaign_tail(front_.plan, front_.fleet, trace()).events;
   }
   // The campaign's own stable time order (attribution and parent links
   // are simulator-side fields that the serialized columns never carry).
   const auto ordered =
-      fault::order_streams(streams, std::move(tail), plan_.params.period.end - 1);
+      fault::order_streams(streams, std::move(tail), front_.plan.params.period.end - 1);
 
   ShardEventColumns out;
   out.times.reserve(ordered.order.size());
@@ -83,7 +62,7 @@ logsim::SmiSnapshot ShardedStudy::final_snapshot() const {
     throw std::logic_error{
         "ShardedStudy: final_snapshot requires every shard to have been generated"};
   }
-  return logsim::take_snapshot(fleet_, config_.period.end - 1, config_.campaign.thermal);
+  return logsim::take_snapshot(front_.fleet, config_.period.end - 1, config_.campaign.thermal);
 }
 
 double ShardedStudy::node_hours() const noexcept {

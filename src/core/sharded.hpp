@@ -5,8 +5,9 @@
 // the ROADMAP targets.  ShardedStudy partitions the campaign by card
 // range into S independent shards and generates them one at a time:
 //
-//   * phases A-C (planning) run once, up front -- the plan plus the job
-//     trace is the resident floor;
+//   * phases A-C (planning) run once, up front, in the front end that
+//     run_study also starts from -- the plan plus the job trace is the
+//     resident floor;
 //   * phase D runs per shard over [bounds[k], bounds[k+1]) card serials,
 //     so at most one shard's events are in memory at a time;
 //   * phase E (the tail stream) rides with the LAST shard, because the
@@ -53,9 +54,9 @@ class ShardedStudy {
   ShardedStudy(const FacilityConfig& config, std::size_t shard_count);
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return bounds_.size() - 1; }
-  [[nodiscard]] std::size_t card_count() const noexcept { return plan_.card_count(); }
+  [[nodiscard]] std::size_t card_count() const noexcept { return front_.plan.card_count(); }
   [[nodiscard]] const FacilityConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const sched::JobTrace& trace() const noexcept { return workload_.trace; }
+  [[nodiscard]] const sched::JobTrace& trace() const noexcept { return front_.workload.trace; }
 
   /// Card-serial range [first, last) owned by `shard`.
   [[nodiscard]] std::pair<std::size_t, std::size_t> shard_card_range(
@@ -79,9 +80,7 @@ class ShardedStudy {
 
  private:
   FacilityConfig config_;
-  sched::WorkloadResult workload_;
-  gpu::Fleet fleet_;
-  fault::CampaignSchedule plan_;
+  StudyFrontEnd front_;
   std::vector<std::size_t> bounds_;  ///< shard_count()+1 card-serial fences
   std::size_t next_shard_ = 0;
 };

@@ -84,9 +84,10 @@ constexpr std::size_t kEventGrain = 4096;
   return lo + static_cast<TimeSec>(rng.below(static_cast<std::uint64_t>(hi - lo)));
 }
 
-/// Radix digit width of stable_time_order: 2048 buckets, so a counting
-/// array fits in L1 and a 21-month span (26 bits) takes three passes.
-constexpr int kDigitBits = 11;
+/// Radix digit width of stable_time_order: 8192 buckets of 4-byte
+/// counts, so a counting array fits in L1 and a 21-month span (26 bits)
+/// takes two passes.
+constexpr int kDigitBits = 13;
 constexpr std::size_t kDigitMask = (std::size_t{1} << kDigitBits) - 1;
 
 /// LSD radix sort of (key, index) pairs on `passes` digits of `Key`.
@@ -103,15 +104,16 @@ template <typename Key>
   }
   std::vector<Key> next_keys(n);
   std::vector<std::uint32_t> next_order(n);
-  std::vector<std::size_t> slot(kDigitMask + 1);
+  // n < 2^32 (stable_time_order checks), so 4-byte counts suffice.
+  std::vector<std::uint32_t> slot(kDigitMask + 1);
   for (int pass = 0; pass < passes; ++pass) {
     const int shift = pass * kDigitBits;
     const auto digit = [&](Key key) { return static_cast<std::size_t>(key >> shift) & kDigitMask; };
     std::fill(slot.begin(), slot.end(), 0);
     for (const Key key : keys) ++slot[digit(key)];
-    std::size_t start = 0;
+    std::uint32_t start = 0;
     for (auto& count : slot) {
-      const std::size_t bucket = count;
+      const std::uint32_t bucket = count;
       count = start;
       start += bucket;
     }
@@ -799,11 +801,15 @@ CampaignResult run_fault_campaign(gpu::Fleet& fleet, std::vector<CardTraits> tra
   if (fleet.card_count() != traits.size()) {
     throw std::invalid_argument{"run_fault_campaign: traits must match fleet size"};
   }
-  const auto& period = params.period;
-
   // Phases A-C: resolve the plan (named forks make phase streams
   // independent of each other and of the partitioning below).
-  CampaignSchedule plan = plan_fault_campaign(fleet, std::move(traits), params, rng);
+  return run_fault_campaign(plan_fault_campaign(fleet, std::move(traits), params, rng), fleet,
+                            trace);
+}
+
+CampaignResult run_fault_campaign(CampaignSchedule plan, gpu::Fleet& fleet,
+                                  const sched::JobTrace& trace) {
+  const auto& period = plan.params.period;
 
   // Phase D over the whole fleet, phase E once.
   std::vector<CardStream> per_card =

@@ -180,7 +180,7 @@ struct TailStream {
                                            const sched::JobTrace& trace);
 
 /// The stable time order of `times`: the indices 0..n-1 ordered by
-/// (times[i], i).  An LSD radix sort on `time - min` in 11-bit digits,
+/// (times[i], i).  An LSD radix sort on `time - min` in 13-bit digits,
 /// one counting pass per digit of the span, so the order is structural
 /// (index order breaks every tie) and independent of the thread count.
 [[nodiscard]] std::vector<std::uint32_t> stable_time_order(
@@ -221,5 +221,10 @@ struct OrderedStreams {
                                                 std::vector<CardTraits> traits,
                                                 const sched::JobTrace& trace,
                                                 const CampaignParams& params, stats::Rng rng);
+
+/// The same campaign from a plan already built by plan_fault_campaign on
+/// `fleet` (phases D-F).
+[[nodiscard]] CampaignResult run_fault_campaign(CampaignSchedule plan, gpu::Fleet& fleet,
+                                                const sched::JobTrace& trace);
 
 }  // namespace titan::fault

@@ -142,6 +142,8 @@ void ThreadPool::run(std::size_t tasks, const std::function<void(std::size_t)>& 
   if (error) std::rethrow_exception(error);
 }
 
+bool ThreadPool::in_task() noexcept { return tl_in_parallel; }
+
 void set_threads(std::size_t threads) { ThreadPool::instance().resize(threads); }
 
 std::size_t thread_count() { return ThreadPool::instance().threads(); }

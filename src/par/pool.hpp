@@ -61,6 +61,10 @@ class ThreadPool {
   /// inline and serial (no nested fan-out, no deadlock).
   void run(std::size_t tasks, const std::function<void(std::size_t)>& body);
 
+  /// True on a pool worker and on a caller while it executes tasks: the
+  /// threads where run() executes inline.
+  [[nodiscard]] static bool in_task() noexcept;
+
  private:
   explicit ThreadPool(std::size_t threads);
 

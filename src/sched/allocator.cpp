@@ -98,18 +98,23 @@ void TorusAllocator::set_free(std::size_t pos, bool free) noexcept {
   }
 }
 
-std::optional<std::size_t> TorusAllocator::find_contiguous(std::size_t count) const {
+std::optional<std::size_t> TorusAllocator::find_contiguous(std::size_t count) {
   // A "contiguous" block is a run of consecutive search positions, all
   // currently free; busy routers break a run.  Walk the bitmap one block
   // of equal bits at a time, carrying the run across word boundaries; the
-  // first run to reach `count` is the leftmost fit.
+  // first run to reach `count` is the leftmost fit.  Every word below the
+  // hint is busy, so no run starts there.
+  ++scan_.fits;
   std::size_t run = 0;  // free positions immediately before `bit`
-  for (std::size_t w = 0; w < free_words_.size(); ++w) {
+  for (std::size_t w = first_free_word_; w < free_words_.size(); ++w) {
     const std::uint64_t word = free_words_[w];
     std::size_t bit = 0;
     while (bit < kWordBits) {
       const auto ones = static_cast<std::size_t>(std::countr_one(word >> bit));
-      if (run + ones >= count) return w * kWordBits + bit - run;
+      if (run + ones >= count) {
+        scan_.words += w - first_free_word_ + 1;
+        return w * kWordBits + bit - run;
+      }
       run += ones;
       bit += ones;
       if (bit == kWordBits) break;
@@ -117,6 +122,7 @@ std::optional<std::size_t> TorusAllocator::find_contiguous(std::size_t count) co
       bit += static_cast<std::size_t>(std::countr_zero(word >> bit));
     }
   }
+  scan_.words += free_words_.size() - first_free_word_;
   return std::nullopt;
 }
 
@@ -183,6 +189,9 @@ void TorusAllocator::fill_from(std::size_t pos, NodeList& out, std::size_t& rema
     }
     ++pos;
   }
+  while (first_free_word_ < free_words_.size() && free_words_[first_free_word_] == 0) {
+    ++first_free_word_;
+  }
 }
 
 std::optional<NodeList> TorusAllocator::allocate(std::size_t node_count) {
@@ -198,8 +207,9 @@ std::optional<NodeList> TorusAllocator::allocate(std::size_t node_count) {
   // The found window is free by construction; the fill continues past it
   // only if holds made some routers yield fewer nodes than expected.
   if (const auto start = find_contiguous(gemini_demand)) fill_from(*start, out, remaining);
-  // Scattered fill (fallback, or tail after an under-yielding window).
-  fill_from(0, out, remaining);
+  // Scattered fill (fallback, or tail after an under-yielding window)
+  // from the lowest free word.
+  if (remaining > 0) fill_from(first_free_word_ * kWordBits, out, remaining);
   if (remaining > 0) {
     // Could not satisfy after all (holds shrank effective capacity):
     // roll back.
@@ -218,6 +228,7 @@ void TorusAllocator::free_routers(std::size_t first, std::size_t last) noexcept 
     const std::uint64_t mask = (~std::uint64_t{0} >> (kWordBits - span)) << bit;
     const std::uint64_t newly = mask & ~free_words_[w];
     free_words_[w] |= mask;
+    first_free_word_ = std::min(first_free_word_, w);
     // Full routers yield two nodes; the rest are looked up one by one.
     free_node_count_ += 2 * static_cast<std::size_t>(std::popcount(newly & full_words_[w]));
     for (std::uint64_t partial = newly & ~full_words_[w]; partial != 0; partial &= partial - 1) {

@@ -18,7 +18,9 @@
 // `yield_` keeps each router's count of usable, unheld nodes, refreshed
 // on every hold and unhold.  A contiguous first fit hops the free bitmap
 // a word at a time (countr_one / countr_zero), so it costs
-// O(routers / 64 + free runs passed).  The fill then takes each run of
+// O(routers / 64 + free runs passed).  Both the fit and the scattered
+// fill start at a hint, the lowest word with a free router: reserves
+// advance it past words they empty and releases lower it.  The fill then takes each run of
 // free-and-full routers within a word with one mask clear and appends it
 // as one run; only a free router that yields fewer than two nodes is
 // visited on its own, as a one-entry run.  `release` sets a run's free
@@ -81,10 +83,17 @@ class TorusAllocator {
   void hold_node(topology::NodeId node);
   void unhold_node(topology::NodeId node);
 
+  /// Work of the contiguous first fit so far (bench counters).
+  struct ScanCounters {
+    std::uint64_t fits = 0;   ///< first-fit searches
+    std::uint64_t words = 0;  ///< bitmap words those searches visited
+  };
+  [[nodiscard]] const ScanCounters& scan_counters() const noexcept { return scan_; }
+
  private:
   /// Leftmost start (a search position) of `count` >= 1 consecutive free
   /// routers: the first fit of a linear scan in search order.
-  [[nodiscard]] std::optional<std::size_t> find_contiguous(std::size_t count) const;
+  [[nodiscard]] std::optional<std::size_t> find_contiguous(std::size_t count);
   /// First free search position at or after `pos`; router_count() if none.
   [[nodiscard]] std::size_t next_free(std::size_t pos) const;
   [[nodiscard]] bool is_free(std::size_t pos) const noexcept;
@@ -108,6 +117,10 @@ class TorusAllocator {
   std::vector<std::uint64_t> free_words_;
   /// Bit p of word p / 64 is set while yield_[p] == 2.
   std::vector<std::uint64_t> full_words_;
+  /// Lowest word of free_words_ with a bit set (free_words_.size() if
+  /// none): every word below it is zero.
+  std::size_t first_free_word_ = 0;
+  ScanCounters scan_;
   std::vector<bool> node_usable_;  ///< indexed by NodeId
   std::vector<bool> node_held_;    ///< operator holds
   std::size_t free_node_count_ = 0;

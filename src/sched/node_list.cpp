@@ -37,21 +37,25 @@ NodeList::NodeList(std::initializer_list<topology::NodeId> nodes)
 
 void NodeList::append(std::uint32_t first, std::uint32_t length) {
   if (length == 0) return;
-  const std::uint32_t size_before = static_cast<std::uint32_t>(size());
-  if (!runs_.empty()) {
-    const Run last = run(runs_.size() - 1);
-    if (std::uint64_t{last.first} + last.length == first) {
-      runs_.back().end += length;
-      return;
-    }
+  const auto size_before = static_cast<std::uint32_t>(size());
+  if (empty()) {
+    first_ = {first, length};
+    return;
   }
-  runs_.push_back({first, size_before + length});
+  Stored& last = rest_.empty() ? first_ : rest_.back();
+  const Run tail = run(run_count() - 1);
+  if (std::uint64_t{tail.first} + tail.length == first) {
+    last.end += length;
+    return;
+  }
+  rest_.push_back({first, size_before + length});
 }
 
 topology::NodeId NodeList::operator[](std::size_t i) const noexcept {
-  const auto it = std::upper_bound(runs_.begin(), runs_.end(), i,
+  if (i < first_.end) return node_of(first_.first + static_cast<std::uint32_t>(i));
+  const auto it = std::upper_bound(rest_.begin(), rest_.end(), i,
                                    [](std::size_t pos, const Stored& s) { return pos < s.end; });
-  const std::size_t run_begin = it == runs_.begin() ? 0 : (it - 1)->end;
+  const std::size_t run_begin = it == rest_.begin() ? first_.end : (it - 1)->end;
   return node_of(it->first + static_cast<std::uint32_t>(i - run_begin));
 }
 

@@ -3,9 +3,10 @@
 // A job's allocation is a list of nodes.  The torus allocator hands out
 // whole stretches of its search order, so a list is stored as runs of
 // consecutive entries of a `NodeOrder` -- a numbering of node slots -- not
-// one NodeId at a time.  Most jobs are a single run.  A list without an
-// order numbers nodes by NodeId itself, which is how hand-built lists
-// (tests, small fixtures) are written.
+// one NodeId at a time.  Most jobs are a single run, so the first run is
+// stored inline and only the runs after it go to the heap.  A list
+// without an order numbers nodes by NodeId itself, which is how hand-built
+// lists (tests, small fixtures) are written.
 #pragma once
 
 #include <cstddef>
@@ -105,19 +106,24 @@ class NodeList {
 
   /// The order the runs index; null means NodeId order.
   [[nodiscard]] const std::shared_ptr<const NodeOrder>& order() const noexcept { return order_; }
-  [[nodiscard]] std::size_t run_count() const noexcept { return runs_.size(); }
+  [[nodiscard]] std::size_t run_count() const noexcept {
+    return empty() ? 0 : 1 + rest_.size();
+  }
   [[nodiscard]] Run run(std::size_t r) const noexcept {
-    return {runs_[r].first, runs_[r].end - (r == 0 ? 0 : runs_[r - 1].end)};
+    if (r == 0) return {first_.first, first_.end};
+    return {rest_[r - 1].first, rest_[r - 1].end - stored(r - 1).end};
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return runs_.empty() ? 0 : runs_.back().end; }
-  [[nodiscard]] bool empty() const noexcept { return runs_.empty(); }
-  [[nodiscard]] topology::NodeId front() const noexcept { return node_of(runs_.front().first); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return rest_.empty() ? first_.end : rest_.back().end;
+  }
+  [[nodiscard]] bool empty() const noexcept { return first_.end == 0; }
+  [[nodiscard]] topology::NodeId front() const noexcept { return node_of(first_.first); }
   /// The i-th node, i < size(): a binary search over the runs.
   [[nodiscard]] topology::NodeId operator[](std::size_t i) const noexcept;
 
   [[nodiscard]] Iterator begin() const noexcept { return Iterator{this, 0}; }
-  [[nodiscard]] Iterator end() const noexcept { return Iterator{this, runs_.size()}; }
+  [[nodiscard]] Iterator end() const noexcept { return Iterator{this, run_count()}; }
 
   /// Same nodes in the same order, whatever orders the two lists use.
   friend bool operator==(const NodeList& a, const NodeList& b);
@@ -133,9 +139,15 @@ class NodeList {
   [[nodiscard]] topology::NodeId node_of(std::uint32_t entry) const noexcept {
     return order_ ? order_->node(entry) : static_cast<topology::NodeId>(entry);
   }
+  /// Run r as stored, r < run_count().
+  [[nodiscard]] const Stored& stored(std::size_t r) const noexcept {
+    return r == 0 ? first_ : rest_[r - 1];
+  }
 
   std::shared_ptr<const NodeOrder> order_;
-  std::vector<Stored> runs_;
+  Stored first_;              ///< run 0; end == 0 while the list is empty
+  std::vector<Stored> rest_;  ///< runs 1..
+
 };
 
 }  // namespace titan::sched

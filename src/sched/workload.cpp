@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <queue>
 #include <stdexcept>
 
+#include "par/run_ahead.hpp"
 #include "stats/distributions.hpp"
 
 namespace titan::sched {
@@ -57,6 +59,27 @@ JobSpec sample_spec(const UserProfile& user, bool deadline_week, double max_node
   return spec;
 }
 
+/// A timestamped submission, as the draw hands it to placement.
+struct Submission {
+  stats::TimeSec time = 0;
+  JobSpec spec;
+};
+using SubmissionBlock = std::vector<Submission>;
+
+/// Submissions per block the draw publishes: big enough that the
+/// hand-off lock is rare, small enough that placement starts early.
+constexpr std::size_t kSubmissionBlock = 2048;
+
+/// The job vector's reservation: the arrivals the period sees at the
+/// mean gap plus four standard deviations, capped so that an odd gap
+/// cannot reserve for millions of jobs that the queue cap would shed.
+std::size_t expected_submissions(const WorkloadParams& params) {
+  const double mean = static_cast<double>(params.period.duration()) /
+                      std::max(1.0, params.mean_arrival_gap_s);
+  return std::min<std::size_t>(static_cast<std::size_t>(mean + 4.0 * std::sqrt(mean)) + 64,
+                               std::size_t{1} << 18);
+}
+
 }  // namespace
 
 DeadlineCalendar::DeadlineCalendar(const stats::StudyPeriod& period, double week_probability,
@@ -79,7 +102,8 @@ std::size_t DeadlineCalendar::deadline_week_count() const noexcept {
 }
 
 WorkloadResult simulate_workload(const WorkloadParams& params,
-                                 std::span<const UserProfile> users, stats::Rng rng) {
+                                 std::span<const UserProfile> users, stats::Rng rng,
+                                 const std::function<void()>& beside) {
   if (users.empty()) throw std::invalid_argument{"simulate_workload: no users"};
 
   auto arrival_rng = rng.fork("arrivals");
@@ -88,84 +112,117 @@ WorkloadResult simulate_workload(const WorkloadParams& params,
   DeadlineCalendar deadlines{params.period, params.deadline_week_probability,
                              rng.fork("deadlines")};
   TorusAllocator allocator = TorusAllocator::production(params.policy);
-
-  std::vector<double> weights;
-  weights.reserve(users.size());
-  for (const auto& u : users) weights.push_back(u.activity_weight);
-  const stats::DiscreteSampler pick_user{weights};
-
-  // Completion min-heap: (end time, job index).
-  using Completion = std::pair<stats::TimeSec, std::size_t>;
-  std::priority_queue<Completion, std::vector<Completion>, std::greater<>> running;
-
-  std::vector<JobRecord> jobs;
-  std::deque<JobSpec> waiting;
-  std::size_t shed = 0;
-  double busy_node_hours = 0.0;
-
   const double max_nodes =
       params.max_job_fraction * static_cast<double>(allocator.total_nodes());
 
-  const auto start_job = [&](const JobSpec& spec, stats::TimeSec now) -> bool {
-    if (now >= params.period.end) return false;  // campaign over: nothing starts
-    auto nodes = allocator.allocate(spec.node_count);
-    if (!nodes) return false;
-    JobRecord job;
-    job.id = static_cast<xid::JobId>(jobs.size());
-    job.user = spec.user;
-    job.start = now;
-    job.end = std::min(params.period.end, now + spec.wall);
-    job.nodes = std::move(*nodes);
-    job.debug = spec.debug;
-    const double wall_hours = static_cast<double>(job.end - job.start) / 3600.0;
-    const auto nodes_d = static_cast<double>(job.nodes.size());
-    job.gpu_core_hours = nodes_d * wall_hours * spec.gpu_duty * spec.core_hour_jitter;
-    // RUR-style accounting, both per-node quantities: maximum is the peak
-    // (maxrss analogue); total integrates the footprint over the job's
-    // lifetime (GB x hours).
-    job.max_memory_gb = spec.mem_per_node_gb;
-    job.total_memory_gb = spec.mem_per_node_gb * wall_hours;
-    busy_node_hours += nodes_d * wall_hours;
-    running.emplace(job.end, jobs.size());
-    jobs.push_back(std::move(job));
-    return true;
-  };
+  // Stage 1, the submission draw: arrivals and sampled specs.  It reads
+  // no placement state, so it runs ahead of stage 2 in fixed blocks.
+  const auto draw = [&](par::Handoff<SubmissionBlock>& handoff) {
+    std::vector<double> weights;
+    weights.reserve(users.size());
+    for (const auto& u : users) weights.push_back(u.activity_weight);
+    const stats::DiscreteSampler pick_user{weights};
 
-  const auto drain_completions = [&](stats::TimeSec now) {
-    while (!running.empty() && running.top().first <= now) {
-      const std::size_t idx = running.top().second;
-      running.pop();
-      allocator.release(jobs[idx].nodes);
-      // FIFO backfill: start as many queued jobs as now fit, head first,
-      // timestamped at the completion that freed the nodes.
-      while (!waiting.empty() && start_job(waiting.front(), jobs[idx].end)) {
-        waiting.pop_front();
+    SubmissionBlock block;
+    block.reserve(kSubmissionBlock);
+    stats::TimeSec t = params.period.begin;
+    while (true) {
+      t += static_cast<stats::TimeSec>(std::max(
+          1.0, stats::sample_exponential(arrival_rng, 1.0 / params.mean_arrival_gap_s)));
+      if (t >= params.period.end) break;
+      const auto& user = users[pick_user(spec_rng)];
+      block.push_back({t, sample_spec(user, deadlines.is_deadline(t), max_nodes,
+                                      params.wall_cap_hours, spec_rng)});
+      if (block.size() == kSubmissionBlock) {
+        handoff.push(std::move(block));
+        block = {};
+        block.reserve(kSubmissionBlock);
       }
     }
+    if (!block.empty()) handoff.push(std::move(block));
+    handoff.close();
+    if (beside) beside();
   };
 
-  stats::TimeSec t = params.period.begin;
-  while (true) {
-    t += static_cast<stats::TimeSec>(
-        std::max(1.0, stats::sample_exponential(arrival_rng, 1.0 / params.mean_arrival_gap_s)));
-    if (t >= params.period.end) break;
-    drain_completions(t);
-    const auto& user = users[pick_user(spec_rng)];
-    const JobSpec spec =
-        sample_spec(user, deadlines.is_deadline(t), max_nodes, params.wall_cap_hours, spec_rng);
-    if (!waiting.empty() || !start_job(spec, t)) {
-      if (waiting.size() < params.max_queue) {
-        waiting.push_back(spec);
-      } else {
-        ++shed;
+  // Stage 2, the placement loop: completions, FIFO backfill, allocate
+  // and release.
+  std::vector<JobRecord> jobs;
+  jobs.reserve(expected_submissions(params));
+  std::size_t shed = 0;
+  double busy_node_hours = 0.0;
+  WorkloadStats stats;
+  const auto place = [&](par::Handoff<SubmissionBlock>& handoff) {
+    // Completion min-heap: (end time, job index).
+    using Completion = std::pair<stats::TimeSec, std::size_t>;
+    std::priority_queue<Completion, std::vector<Completion>, std::greater<>> running;
+    std::deque<JobSpec> waiting;
+
+    const auto start_job = [&](const JobSpec& spec, stats::TimeSec now) -> bool {
+      if (now >= params.period.end) return false;  // campaign over: nothing starts
+      auto nodes = allocator.allocate(spec.node_count);
+      if (!nodes) return false;
+      JobRecord job;
+      job.id = static_cast<xid::JobId>(jobs.size());
+      job.user = spec.user;
+      job.start = now;
+      job.end = std::min(params.period.end, now + spec.wall);
+      job.nodes = std::move(*nodes);
+      job.debug = spec.debug;
+      const double wall_hours = static_cast<double>(job.end - job.start) / 3600.0;
+      const auto nodes_d = static_cast<double>(job.nodes.size());
+      job.gpu_core_hours = nodes_d * wall_hours * spec.gpu_duty * spec.core_hour_jitter;
+      // RUR-style accounting, both per-node quantities: maximum is the
+      // peak (maxrss analogue); total integrates the footprint over the
+      // job's lifetime (GB x hours).
+      job.max_memory_gb = spec.mem_per_node_gb;
+      job.total_memory_gb = spec.mem_per_node_gb * wall_hours;
+      busy_node_hours += nodes_d * wall_hours;
+      running.emplace(job.end, jobs.size());
+      jobs.push_back(std::move(job));
+      return true;
+    };
+
+    const auto drain_completions = [&](stats::TimeSec now) {
+      while (!running.empty() && running.top().first <= now) {
+        const std::size_t idx = running.top().second;
+        running.pop();
+        allocator.release(jobs[idx].nodes);
+        // FIFO backfill: start as many queued jobs as now fit, head
+        // first, timestamped at the completion that freed the nodes.
+        while (!waiting.empty() && start_job(waiting.front(), jobs[idx].end)) {
+          waiting.pop_front();
+        }
+      }
+    };
+
+    while (const auto block = handoff.pop()) {
+      ++stats.blocks;
+      for (const auto& [t, spec] : *block) {
+        drain_completions(t);
+        if (!waiting.empty() || !start_job(spec, t)) {
+          if (waiting.size() < params.max_queue) {
+            waiting.push_back(spec);
+          } else {
+            ++shed;
+          }
+        }
       }
     }
-  }
-  drain_completions(params.period.end);
+    stats.blocks_waited = handoff.waits();
+    drain_completions(params.period.end);
+  };
+  par::run_ahead<SubmissionBlock>(draw, place);
+  // The occupancy index is built here, on the calling thread, once every
+  // job is placed: its slots are one exact-size allocation that lives as
+  // long as the study.
+  JobTrace trace{std::move(jobs)};
 
-  WorkloadResult result{JobTrace{std::move(jobs)}, std::move(deadlines), shed, busy_node_hours,
-                        static_cast<double>(allocator.total_nodes()) * params.period.hours()};
-  return result;
+  stats.fits = allocator.scan_counters().fits;
+  stats.fit_words = allocator.scan_counters().words;
+  const double capacity =
+      static_cast<double>(allocator.total_nodes()) * params.period.hours();
+  return WorkloadResult{std::move(trace), std::move(deadlines), shed, busy_node_hours, capacity,
+                        stats};
 }
 
 }  // namespace titan::sched

@@ -468,10 +468,14 @@ void expect_stable_order(const std::vector<TimeSec>& times) {
 TEST(CampaignTimeOrder, RadixOrderMatchesStableSortAtEverySpan) {
   constexpr auto kMaxSpan = std::numeric_limits<std::uint64_t>::max();
   stats::Rng rng{20151115};
-  // Spans of one, two and three 11-bit digits, one past 32 bits, and the
-  // full 64-bit range; offsets on a coarse grid so ties are common.
-  for (const std::uint64_t span : {std::uint64_t{1}, std::uint64_t{2047}, std::uint64_t{1} << 20,
-                                   std::uint64_t{1} << 26, std::uint64_t{1} << 40, kMaxSpan}) {
+  // Spans on both sides of each 13-bit digit edge (8191 and 8192; 2^26 - 1
+  // is the largest two-pass span, 2^26 the smallest three-pass one), 2^39
+  // (three digits plus one bit), past 32 bits, and the full 64-bit range;
+  // offsets on a coarse grid so ties are common.
+  for (const std::uint64_t span :
+       {std::uint64_t{1}, std::uint64_t{2047}, std::uint64_t{8191}, std::uint64_t{8192},
+        std::uint64_t{1} << 20, (std::uint64_t{1} << 26) - 1, std::uint64_t{1} << 26,
+        std::uint64_t{1} << 39, std::uint64_t{1} << 40, kMaxSpan}) {
     const TimeSec base = span == kMaxSpan ? std::numeric_limits<TimeSec>::min() : -1000;
     const auto at = [&](std::uint64_t offset) {
       return static_cast<TimeSec>(static_cast<std::uint64_t>(base) + offset);

@@ -1,12 +1,15 @@
 #include "par/parallel.hpp"
 #include "par/pool.hpp"
+#include "par/run_ahead.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace titan::par {
@@ -162,6 +165,175 @@ TEST(ParallelMapReduce, SumMatchesSerial) {
       [](std::size_t i) { return static_cast<std::uint64_t>(i); },
       [](std::uint64_t acc, std::uint64_t x) { return acc + x; });
   EXPECT_EQ(sum, 49995000U);
+}
+
+using Block = std::vector<std::uint64_t>;
+
+/// The sequence the run-ahead tests stream: block b holds b*kBlock ..
+/// (b+1)*kBlock - 1, squared.
+constexpr std::size_t kBlock = 64;
+
+Block make_block(std::size_t b) {
+  Block block(kBlock);
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    const std::uint64_t v = b * kBlock + i;
+    block[i] = v * v;
+  }
+  return block;
+}
+
+Block serial_sequence(std::size_t blocks) {
+  Block out;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const Block block = make_block(b);
+    out.insert(out.end(), block.begin(), block.end());
+  }
+  return out;
+}
+
+/// Stream `blocks` blocks through run_ahead and return what the consumer
+/// saw, in order.  `producer_pause` slows the producer down, so the
+/// consumer outpaces it and waits on the handoff.
+Block run_pipeline(std::size_t blocks, std::chrono::microseconds producer_pause) {
+  Block seen;
+  run_ahead<Block>(
+      [&](Handoff<Block>& out) {
+        for (std::size_t b = 0; b < blocks; ++b) {
+          if (producer_pause.count() > 0) std::this_thread::sleep_for(producer_pause);
+          out.push(make_block(b));
+        }
+      },
+      [&](Handoff<Block>& in) {
+        while (const auto block = in.pop()) seen.insert(seen.end(), block->begin(), block->end());
+      });
+  return seen;
+}
+
+TEST(RunAhead, MatchesSerialAtWidthsOneTwoFour) {
+  ThreadsGuard guard;
+  const Block expected = serial_sequence(200);
+  for (const std::size_t width : {1U, 2U, 4U}) {
+    set_threads(width);
+    EXPECT_EQ(run_pipeline(200, std::chrono::microseconds{0}), expected) << "width " << width;
+    EXPECT_EQ(run_pipeline(0, std::chrono::microseconds{0}), Block{}) << "width " << width;
+  }
+}
+
+TEST(RunAhead, ConsumerOutpacingTheProducerWaits) {
+  ThreadsGuard guard;
+  const Block expected = serial_sequence(40);
+  for (const std::size_t width : {1U, 2U, 4U}) {
+    set_threads(width);
+    EXPECT_EQ(run_pipeline(40, std::chrono::microseconds{200}), expected) << "width " << width;
+  }
+}
+
+TEST(RunAhead, ProducerFinishesFirstAtWidthOneAndNested) {
+  ThreadsGuard guard;
+  const Block expected = serial_sequence(30);
+  // Each pipeline notes whether its producer had returned before the
+  // consumer's first pop: it must have, at width 1 and inside a task.
+  const auto pipeline = [&](bool& producer_first) {
+    bool produced = false;
+    Block seen;
+    run_ahead<Block>(
+        [&](Handoff<Block>& out) {
+          for (std::size_t b = 0; b < 30; ++b) out.push(make_block(b));
+          produced = true;
+        },
+        [&](Handoff<Block>& in) {
+          producer_first = produced;
+          while (const auto block = in.pop()) {
+            seen.insert(seen.end(), block->begin(), block->end());
+          }
+        });
+    return seen;
+  };
+  set_threads(1);
+  bool first = false;
+  EXPECT_EQ(pipeline(first), expected);
+  EXPECT_TRUE(first);
+
+  set_threads(4);
+  std::vector<Block> results(8);
+  std::vector<char> firsts(8, 0);
+  parallel_for(0, 8, 1, [&](std::size_t task) {
+    bool task_first = false;
+    results[task] = pipeline(task_first);
+    firsts[task] = task_first ? 1 : 0;
+  });
+  for (std::size_t task = 0; task < 8; ++task) {
+    EXPECT_EQ(results[task], expected) << "task " << task;
+    EXPECT_EQ(firsts[task], 1) << "task " << task;
+  }
+}
+
+TEST(RunAhead, ProducerExceptionPropagatesAndClosesTheHandoff) {
+  ThreadsGuard guard;
+  for (const std::size_t width : {1U, 2U, 4U}) {
+    set_threads(width);
+    std::size_t consumed = 0;
+    try {
+      run_ahead<Block>(
+          [](Handoff<Block>& out) {
+            for (std::size_t b = 0; b < 3; ++b) out.push(make_block(b));
+            throw std::runtime_error{"producer"};
+          },
+          [&](Handoff<Block>& in) {
+            while (in.pop()) ++consumed;
+          });
+      FAIL() << "expected an exception at width " << width;
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "producer") << "width " << width;
+    }
+    // The consumer either never started (width 1) or drained what was
+    // published and returned.
+    EXPECT_TRUE(consumed == 0 || consumed == 3) << "width " << width;
+  }
+  // The pool survives.
+  std::atomic<std::uint64_t> sum{0};
+  parallel_for(0, 100, 4, [&](std::size_t i) { sum += i; });
+  EXPECT_EQ(sum.load(), 4950U);
+}
+
+TEST(RunAhead, ConsumerExceptionPropagatesAfterTheProducerFinishes) {
+  ThreadsGuard guard;
+  for (const std::size_t width : {1U, 2U, 4U}) {
+    set_threads(width);
+    std::size_t produced = 0;
+    try {
+      run_ahead<Block>(
+          [&](Handoff<Block>& out) {
+            for (std::size_t b = 0; b < 50; ++b, ++produced) out.push(make_block(b));
+          },
+          [](Handoff<Block>& in) {
+            (void)in.pop();
+            throw std::logic_error{"consumer"};
+          });
+      FAIL() << "expected an exception at width " << width;
+    } catch (const std::logic_error& error) {
+      EXPECT_STREQ(error.what(), "consumer") << "width " << width;
+    }
+    // The producer never waits on the consumer, so it ran to the end.
+    EXPECT_EQ(produced, 50U) << "width " << width;
+  }
+}
+
+TEST(RunAhead, ProducerExceptionWinsOverTheConsumers) {
+  ThreadsGuard guard;
+  for (const std::size_t width : {1U, 2U, 4U}) {
+    set_threads(width);
+    try {
+      run_ahead<Block>([](Handoff<Block>&) { throw std::runtime_error{"producer"}; },
+                       [](Handoff<Block>& in) {
+                         (void)in.pop();
+                         throw std::runtime_error{"consumer"};
+                       });
+      FAIL() << "expected an exception at width " << width;
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "producer") << "width " << width;
+    }
+  }
 }
 
 }  // namespace

@@ -437,6 +437,87 @@ TEST(AllocatorProperty, WordBoundaryRunsMatchReference) {
   }
 }
 
+// A NodeList reads the same through its runs, its iterator and
+// operator[], whether it is one inline run or spills past it.
+void expect_consistent_runs(const NodeList& nodes) {
+  std::size_t total = 0;
+  for (std::size_t r = 0; r < nodes.run_count(); ++r) {
+    ASSERT_GT(nodes.run(r).length, 0U);
+    total += nodes.run(r).length;
+  }
+  ASSERT_EQ(total, nodes.size());
+  ASSERT_EQ(nodes.empty(), nodes.run_count() == 0);
+  const auto expanded = expand(nodes);
+  ASSERT_EQ(expanded.size(), nodes.size());
+  for (std::size_t i = 0; i < expanded.size(); ++i) {
+    ASSERT_EQ(nodes[i], expanded[i]) << i;
+  }
+  if (!nodes.empty()) {
+    ASSERT_EQ(nodes.front(), expanded.front());
+  }
+}
+
+class AllocatorHint
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, PlacementPolicy>> {};
+
+// Churn on a nearly full machine: the lowest free word, where the first
+// fit and the scattered fill start, moves on almost every step.  Releases
+// below it lower it, reserves that empty it raise it, and holds on freed
+// nodes make the hint word's routers yield one node or none.  Lists are
+// a mix of one inline run and many runs.
+TEST_P(AllocatorHint, NearlyFullChurnMatchesReference) {
+  const auto [seed, policy] = GetParam();
+  stats::Rng rng{seed};
+  Lockstep both{usable_mask(rng, seed % 2 == 1), policy};
+  std::vector<NodeList> live;
+  while (both.free_nodes() > 600) live.push_back(both.allocate(1 + rng.below(300)));
+
+  std::vector<topology::NodeId> held;
+  std::size_t single_run = 0;
+  std::size_t multi_run = 0;
+  for (int step = 0; step < 1200 && !::testing::Test::HasFailure(); ++step) {
+    const double action = rng.uniform();
+    if (action < 0.4 && !live.empty()) {
+      // Mostly the oldest jobs, which sit in the lowest words.
+      const std::size_t idx = rng.bernoulli(0.7) ? rng.below(std::min<std::size_t>(live.size(), 8))
+                                                 : rng.below(live.size());
+      const NodeList freed = live[idx];
+      both.release(freed);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+      if (!freed.empty() && rng.bernoulli(0.3)) {
+        held.push_back(freed[rng.below(freed.size())]);
+        both.hold(held.back());
+      }
+    } else if (action < 0.85) {
+      const std::size_t request =
+          rng.bernoulli(0.1) ? 1 + rng.below(3000) : 1 + rng.below(120);
+      NodeList got = both.allocate(request);
+      expect_consistent_runs(got);
+      if (got.run_count() == 1) ++single_run;
+      if (got.run_count() > 1) ++multi_run;
+      if (!got.empty()) live.push_back(std::move(got));
+    } else if (!held.empty()) {
+      const std::size_t idx = rng.below(held.size());
+      both.unhold(held[idx]);
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(idx));
+    }
+  }
+  EXPECT_GT(single_run, 50U);
+  EXPECT_GT(multi_run, 50U);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndPolicies, AllocatorHint,
+    ::testing::Combine(::testing::Values(21u, 22u),
+                       ::testing::Values(PlacementPolicy::kTorusOrder,
+                                         PlacementPolicy::kCoolCageFirst)),
+    [](const ::testing::TestParamInfo<AllocatorHint::ParamType>& param_info) {
+      return "seed" + std::to_string(std::get<0>(param_info.param)) +
+             (std::get<1>(param_info.param) == PlacementPolicy::kTorusOrder
+                  ? "_torus_order"
+                  : "_cool_cage_first");
+    });
+
 TEST(AllocatorProperty, RepeatedFillDrainIsStable) {
   auto alloc = TorusAllocator::production();
   const std::size_t total = alloc.total_nodes();

@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <numeric>
 #include <queue>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/facility.hpp"
+#include "par/pool.hpp"
 #include "topology/torus.hpp"
 
 namespace titan::sched {
@@ -163,6 +166,45 @@ TEST(Workload, PlacementDigestPinned) {
     EXPECT_EQ(placement_digest(result.trace), expected)
         << (policy == PlacementPolicy::kTorusOrder ? "kTorusOrder" : "kCoolCageFirst");
   }
+}
+
+// The submission draw runs ahead of the placement loop at width >= 2 and
+// before it at width 1; the trace must not tell them apart.
+TEST(Workload, SameTraceAtEveryWidth) {
+  auto config = core::quick_config(7);
+  const stats::Rng master{config.seed};
+  const auto users = make_user_population(config.users, master.fork("users"));
+  std::size_t blocks = 0;
+  for (const std::size_t width : {1U, 2U, 4U}) {
+    par::set_threads(width);
+    const auto result = simulate_workload(config.workload, users, master.fork("workload"));
+    EXPECT_EQ(placement_digest(result.trace), 5394664623269190232ULL) << "width " << width;
+    if (width == 1) blocks = result.stats.blocks;
+    EXPECT_GT(result.stats.blocks, 1U) << "width " << width;
+    EXPECT_EQ(result.stats.blocks, blocks) << "width " << width;
+  }
+  par::set_threads(par::default_thread_count());
+}
+
+// `beside` runs once, on the draw's side, before simulate_workload
+// returns; its exception propagates; the trace does not depend on it.
+TEST(Workload, BesideRunsOnceAndPropagates) {
+  auto config = core::quick_config(7);
+  const stats::Rng master{config.seed};
+  const auto users = make_user_population(config.users, master.fork("users"));
+  for (const std::size_t width : {1U, 4U}) {
+    par::set_threads(width);
+    std::atomic<int> calls{0};
+    const auto result = simulate_workload(config.workload, users, master.fork("workload"),
+                                          [&] { ++calls; });
+    EXPECT_EQ(calls.load(), 1) << "width " << width;
+    EXPECT_EQ(placement_digest(result.trace), 5394664623269190232ULL) << "width " << width;
+    EXPECT_THROW((void)simulate_workload(config.workload, users, master.fork("workload"),
+                                         [] { throw std::runtime_error{"beside"}; }),
+                 std::runtime_error)
+        << "width " << width;
+  }
+  par::set_threads(par::default_thread_count());
 }
 
 TEST(Workload, DeadlineCalendarFlagsWeeks) {

@@ -15,7 +15,8 @@
 // IngestPolicy::kSalvage (repair/quarantine with a triage report)
 // instead of strict.  --profile NAME asserts the source's recorded fleet
 // profile (a disagreement is E_PROFILE_MISMATCH).  --info on a sharded
-// directory prints one segment table per shard.  --fsck runs the
+// directory prints one segment table per shard; on a text dataset it
+// names the layout, points to --fsck and exits 1.  --fsck runs the
 // read-only crash-consistency check (orphan tmp files, checkpoint state,
 // full checksum verification, shard roster) and exits 1 when the
 // directory carries crash state.  --help prints the usage and exits 0; an
@@ -54,6 +55,18 @@ int info(const fs::path& arg) {
   fs::path path = arg;
   if (fs::is_directory(path)) {
     const auto layout = study::dataset_layout(path);
+    // --info reads TDF containers; a text dataset has none to show.
+    if (layout.kind == study::LayoutKind::kText) {
+      std::fprintf(stderr,
+                   "titan-convert: %s holds a text dataset, which has no TDF container; "
+                   "check it with titan-convert --fsck %s\n",
+                   path.c_str(), path.c_str());
+      return 1;
+    }
+    if (layout.kind == study::LayoutKind::kNone) {
+      std::fprintf(stderr, "titan-convert: %s holds no dataset\n", path.c_str());
+      return 1;
+    }
     if (layout.kind == study::LayoutKind::kSharded) {
       // Sharded layout: one segment table per shard, in shard order.
       for (std::size_t s = 0; s < layout.containers; ++s) {
