@@ -24,6 +24,7 @@
 #include "analysis/workload_char.hpp"
 #include "analysis/xid_matrix.hpp"
 #include "core/facility.hpp"
+#include "core/sharded.hpp"
 #include "fault/campaign.hpp"
 #include "gpu/secded.hpp"
 #include "ingest/triage.hpp"
@@ -38,7 +39,9 @@
 #include "stats/correlation.hpp"
 #include "stats/distributions.hpp"
 #include "study/io.hpp"
+#include "study/serialize_detail.hpp"
 #include "study/source.hpp"
+#include "tdf/tdf.hpp"
 #include "topology/machine.hpp"
 #include "topology/torus.hpp"
 
@@ -288,6 +291,51 @@ void BM_QuantizeSideArtifacts(benchmark::State& state) {
                           static_cast<std::int64_t>(jobs.size() + snapshot.records.size()));
 }
 BENCHMARK(BM_QuantizeSideArtifacts)->Unit(benchmark::kMillisecond);
+
+/// The default study's last-shard container in the 8-shard write the
+/// study benchmark's sharded round trip makes: that shard's events (all
+/// but a few hundred of the study's) plus the quantized job table and smi
+/// sweep.  Built once on first use.
+[[nodiscard]] const tdf::TdfDataset& last_shard_container() {
+  static const tdf::TdfDataset data = [] {
+    const auto config = core::default_config(20151115);
+    core::ShardedStudy sharded{config, 8};
+    core::ShardEventColumns columns;
+    for (std::size_t s = 0; s < sharded.shard_count(); ++s) columns = sharded.shard_events(s);
+    tdf::TdfDataset out;
+    study::detail::stamp_meta(out, config.period, config.campaign.timeline.new_driver,
+                              *config.profile);
+    out.times = std::move(columns.times);
+    out.nodes = std::move(columns.nodes);
+    out.kinds = std::move(columns.kinds);
+    out.structures = std::move(columns.structures);
+    out.has_jobs = true;
+    out.jobs = study::detail::quantized_jobs(sharded.trace());
+    out.has_smi = true;
+    out.snapshot = logsim::quantized(sharded.final_snapshot());
+    return out;
+  }();
+  return data;
+}
+
+void BM_EncodeContainer(benchmark::State& state) {
+  // tdf::encode_tdf of the last shard's container at pool width
+  // state.range(0): the write's serial tail before the container hash.
+  const auto& data = last_shard_container();
+  par::set_threads(static_cast<std::size_t>(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const auto encoded = tdf::encode_tdf(data);
+    bytes = encoded.size();
+    benchmark::DoNotOptimize(encoded.data());
+    benchmark::ClobberMemory();
+  }
+  par::set_threads(par::default_thread_count());
+  state.counters["events"] = static_cast<double>(data.event_count());
+  state.counters["jobs"] = static_cast<double>(data.jobs.size());
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_EncodeContainer)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_EventFrameBuild(benchmark::State& state) {
   // Columnar index construction over the full-campaign ground truth (SBEs

@@ -18,10 +18,16 @@
 #                and JobTrace index, the allocator's shared node order, the
 #                fault campaign's pool workers reading shared job node
 #                lists, the study pipeline, the sharded out-of-core
-#                driver, and the determinism gates) under it
+#                generator, the tdf encoder's side-by-side segment tasks,
+#                and the determinism gates) under it
 #   --asan       add a whole-tree build under TITANREL_SANITIZE=address
 #                with -D_GLIBCXX_ASSERTIONS (checked operator[]) and run
 #                the full ctest under it
+#   --release    add a whole-tree Release build (-O3, warnings fatal) in
+#                build-release and run the full ctest under it: studybench
+#                measures Release code, and -O3 inlining raises warnings
+#                (-Wstringop-overflow, say) the default RelWithDebInfo
+#                build never sees
 #   --corrupt    run the ingest robustness gate: generate a dataset, apply
 #                every corruption operator, and run the salvage sweep
 #                (bench_ingest_robustness); run the corruption and chunked
@@ -55,6 +61,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 UBSAN=0
 TSAN=0
 ASAN=0
+RELEASE=0
 CORRUPT=0
 CRASH=0
 PROFILES=0
@@ -64,12 +71,13 @@ while [[ $# -gt 0 ]]; do
     --ubsan) UBSAN=1 ;;
     --tsan) TSAN=1 ;;
     --asan) ASAN=1 ;;
+    --release) RELEASE=1 ;;
     --corrupt) CORRUPT=1 ;;
     --crash) CRASH=1 ;;
     --profiles) PROFILES=1 ;;
     --bench-json) BENCH_JSON=1 ;;
     --jobs) JOBS="$2"; shift ;;
-    *) echo "usage: scripts/check.sh [--ubsan] [--tsan] [--asan] [--corrupt] [--crash] [--profiles] [--bench-json] [--jobs N]" >&2; exit 2 ;;
+    *) echo "usage: scripts/check.sh [--ubsan] [--tsan] [--asan] [--release] [--corrupt] [--crash] [--profiles] [--bench-json] [--jobs N]" >&2; exit 2 ;;
   esac
   shift
 done
@@ -160,7 +168,8 @@ if [[ "$TSAN" == 1 ]]; then
   cmake -B build-tsan -S . -DTITANREL_SANITIZE=thread -DTITANREL_WERROR=ON
   cmake --build build-tsan -j "$JOBS" --target \
     par_pool_test sched_workload_test sched_allocator_property_test fault_campaign_test \
-    study_pipeline_test study_sharded_test determinism_test profile_determinism_test
+    study_pipeline_test study_sharded_test determinism_test profile_determinism_test \
+    tdf_encoder_test
   ./build-tsan/tests/par_pool_test
   ./build-tsan/tests/sched_workload_test
   ./build-tsan/tests/sched_allocator_property_test
@@ -169,6 +178,7 @@ if [[ "$TSAN" == 1 ]]; then
   ./build-tsan/tests/study_sharded_test
   ./build-tsan/tests/determinism_test
   ./build-tsan/tests/profile_determinism_test
+  ./build-tsan/tests/tdf_encoder_test
 fi
 
 if [[ "$ASAN" == 1 ]]; then
@@ -177,6 +187,13 @@ if [[ "$ASAN" == 1 ]]; then
     -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
   cmake --build build-asan -j "$JOBS"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+fi
+
+if [[ "$RELEASE" == 1 ]]; then
+  echo "== Release build (WERROR) + ctest =="
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DTITANREL_WERROR=ON
+  cmake --build build-release -j "$JOBS"
+  ctest --test-dir build-release --output-on-failure -j "$JOBS"
 fi
 
 if [[ "$UBSAN" == 1 ]]; then

@@ -2,6 +2,9 @@
 
 #include <charconv>
 #include <limits>
+#include <stdexcept>
+
+#include "logsim/quantize.hpp"
 
 namespace titan::logsim {
 
@@ -58,13 +61,19 @@ std::string job_log_line(const JobLogRecord& rec) {
   char buf[kMaxLineChars];
   char* const end = buf + sizeof(buf);
   char* p = buf;
+  // `buf` holds the longest line, so no conversion fails; checking each
+  // one keeps every separator write provably inside `buf`.
+  const auto advance = [&](std::to_chars_result converted) {
+    if (converted.ec != std::errc{}) throw std::length_error{"job_log_line: field overflow"};
+    p = converted.ptr;
+  };
   const auto put = [&](auto value) {
     if (p != buf) *p++ = '|';
-    p = std::to_chars(p, end, value).ptr;
+    advance(std::to_chars(p, end, value));
   };
   const auto put_fixed = [&](double value) {
     *p++ = '|';
-    p = std::to_chars(p, end, value, std::chars_format::fixed, kDecimals).ptr;
+    advance(std::to_chars(p, end, value, std::chars_format::fixed, kDecimals));
   };
   put(rec.id);
   put(rec.user);
@@ -79,10 +88,7 @@ std::string job_log_line(const JobLogRecord& rec) {
 
 JobLogRecord quantized(JobLogRecord rec) {
   for (double* value : {&rec.gpu_core_hours, &rec.max_memory_gb, &rec.total_memory_gb}) {
-    char buf[kMaxFixedChars];
-    const char* const end =
-        std::to_chars(buf, buf + sizeof(buf), *value, std::chars_format::fixed, kDecimals).ptr;
-    (void)std::from_chars(buf, end, *value);
+    *value = quantized(*value, kDecimals);
   }
   return rec;
 }

@@ -38,8 +38,8 @@ struct JobLogRecord {
 /// loaded dataset can be written back without the scheduler-side truth.
 [[nodiscard]] std::string job_log_line(const JobLogRecord& rec);
 
-/// `rec` as its accounting line carries it: each double rounded to four
-/// decimals through to_chars and from_chars, so the result equals
+/// `rec` as its accounting line carries it: each double through
+/// quantized(value, 4) (logsim/quantize.hpp), so the result equals
 /// parse_job_log_line(job_log_line(rec)) field for field with no line
 /// rendered.
 [[nodiscard]] JobLogRecord quantized(JobLogRecord rec);

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "logsim/quantize.hpp"
 #include "stats/calendar.hpp"
 #include "topology/machine.hpp"
 
@@ -97,13 +98,7 @@ SmiSnapshot quantized(SmiSnapshot snapshot) {
   stats::TimeSec taken_at = 0;
   (void)stats::parse_timestamp(stats::format_timestamp(snapshot.taken_at), taken_at);
   snapshot.taken_at = taken_at;
-  for (auto& record : snapshot.records) {
-    char buf[kMaxTemperatureChars];
-    const char* const end = std::to_chars(buf, buf + sizeof(buf), record.temperature_f,
-                                          std::chars_format::fixed, 1)
-                                .ptr;
-    (void)std::from_chars(buf, end, record.temperature_f);
-  }
+  for (auto& record : snapshot.records) record.temperature_f = quantized(record.temperature_f, 1);
   return snapshot;
 }
 

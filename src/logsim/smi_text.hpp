@@ -33,8 +33,8 @@ struct SmiSweepParse {
 [[nodiscard]] SmiSweepParse parse_smi_sweep_text(std::string_view text);
 
 /// `snapshot` as its sweep text carries it: taken_at through
-/// format_timestamp and parse_timestamp, each temperature rounded to one
-/// decimal through to_chars and from_chars (the rounding of "%.1f").
+/// format_timestamp and parse_timestamp, each temperature through
+/// quantized(value, 1) (logsim/quantize.hpp; the rounding of "%.1f").
 /// Field for field this is what parse_smi_sweep_text(smi_sweep_text())
 /// returns for records of valid nodes, with no text rendered.
 [[nodiscard]] SmiSnapshot quantized(SmiSnapshot snapshot);

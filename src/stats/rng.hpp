@@ -24,15 +24,25 @@ namespace titan::stats {
   return z ^ (z >> 31);
 }
 
-/// FNV-1a over a label, used to derive named sub-streams so that adding a
-/// new consumer of randomness never perturbs the draws of existing ones.
-[[nodiscard]] constexpr std::uint64_t hash_label(std::string_view label) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : label) {
+/// FNV-1a 64 offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a 64 carried on from state `h` over `bytes`, so a body hashed in
+/// pieces hashes as a whole: hash_extend(hash_label(a), b) ==
+/// hash_label(a + b).
+[[nodiscard]] constexpr std::uint64_t hash_extend(std::uint64_t h,
+                                                  std::string_view bytes) noexcept {
+  for (char c : bytes) {
     h ^= static_cast<std::uint8_t>(c);
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+/// FNV-1a over a label, used to derive named sub-streams so that adding a
+/// new consumer of randomness never perturbs the draws of existing ones.
+[[nodiscard]] constexpr std::uint64_t hash_label(std::string_view label) noexcept {
+  return hash_extend(kFnv1aBasis, label);
 }
 
 /// xoshiro256** 1.0 (Blackman & Vigna).  Small, fast, and with known-good

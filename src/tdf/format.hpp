@@ -42,6 +42,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -121,14 +122,73 @@ struct SegmentEntry {
   std::uint64_t checksum = 0;
 };
 
-// -- Little-endian primitives (byte-wise, host-order independent) -------
+// -- The byte writer ----------------------------------------------------
+
+/// Longest LEB128 varint of a 64-bit value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Pointer-cursor byte writer: the one encoder of TDF integers.  It writes
+/// at a raw position and never checks capacity -- callers size the buffer
+/// to the encoding's upper bound first (a varint is at most
+/// kMaxVarintBytes, a u64 8 bytes).  Integers are stored little-endian
+/// byte by byte, independent of host order.  Each put works on a local
+/// copy of the position: a char store may alias the cursor itself, so
+/// writing through pos_ would reload it after every byte.
+class ByteCursor {
+ public:
+  explicit ByteCursor(char* pos) noexcept : pos_{pos} {}
+
+  /// One past the last byte written.
+  [[nodiscard]] char* pos() const noexcept { return pos_; }
+
+  void put_u8(std::uint8_t v) noexcept { *pos_++ = static_cast<char>(v); }
+
+  void put_u32(std::uint32_t v) noexcept {
+    char* p = pos_;
+    for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xffU);
+    pos_ = p + 4;
+  }
+
+  void put_u64(std::uint64_t v) noexcept {
+    char* p = pos_;
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xffU);
+    pos_ = p + 8;
+  }
+
+  void put_i64(std::int64_t v) noexcept { put_u64(static_cast<std::uint64_t>(v)); }
+
+  /// LEB128 unsigned varint (7 bits per byte, high bit = more).
+  void put_varint(std::uint64_t v) noexcept {
+    char* p = pos_;
+    while (v >= 0x80U) {
+      *p++ = static_cast<char>((v & 0x7fU) | 0x80U);
+      v >>= 7;
+    }
+    *p++ = static_cast<char>(v);
+    pos_ = p;
+  }
+
+  void put_bytes(std::string_view bytes) noexcept {
+    std::memcpy(pos_, bytes.data(), bytes.size());
+    pos_ += bytes.size();
+  }
+
+ private:
+  char* pos_;
+};
+
+// -- std::string appenders (thin wrappers of ByteCursor) ---------------
 
 inline void store_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out += static_cast<char>((v >> (8 * i)) & 0xffU);
+  char buf[4];
+  ByteCursor{buf}.put_u32(v);
+  out.append(buf, sizeof(buf));
 }
 
 inline void store_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out += static_cast<char>((v >> (8 * i)) & 0xffU);
+  char buf[8];
+  ByteCursor{buf}.put_u64(v);
+  out.append(buf, sizeof(buf));
 }
 
 inline void store_i64(std::string& out, std::int64_t v) {
@@ -137,10 +197,18 @@ inline void store_i64(std::string& out, std::int64_t v) {
 
 /// Overwrite 8 bytes at `pos` (header patching after the body is built).
 inline void patch_u64(std::string& buf, std::size_t pos, std::uint64_t v) {
-  for (std::size_t i = 0; i < 8; ++i) {
-    buf[pos + i] = static_cast<char>((v >> (8 * i)) & 0xffU);
-  }
+  ByteCursor{buf.data() + pos}.put_u64(v);
 }
+
+/// LEB128 unsigned varint append.
+inline void append_varint(std::string& out, std::uint64_t v) {
+  char buf[kMaxVarintBytes];
+  ByteCursor cursor{buf};
+  cursor.put_varint(v);
+  out.append(buf, cursor.pos());
+}
+
+// -- Little-endian loads, varint decode, zigzag --------------------------
 
 [[nodiscard]] inline std::uint32_t load_u32(const unsigned char* p) noexcept {
   std::uint32_t v = 0;
@@ -156,17 +224,6 @@ inline void patch_u64(std::string& buf, std::size_t pos, std::uint64_t v) {
 
 [[nodiscard]] inline std::int64_t load_i64(const unsigned char* p) noexcept {
   return static_cast<std::int64_t>(load_u64(p));
-}
-
-// -- Varint / zigzag ----------------------------------------------------
-
-/// LEB128 unsigned varint append (7 bits per byte, high bit = more).
-inline void append_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80U) {
-    out += static_cast<char>((v & 0x7fU) | 0x80U);
-    v >>= 7;
-  }
-  out += static_cast<char>(v);
 }
 
 /// Decode one varint from [p, end).  Returns bytes consumed; 0 on

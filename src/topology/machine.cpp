@@ -36,7 +36,7 @@ int compute_node_count() noexcept {
 }
 
 void append_cname(std::string& out, const NodeLocation& loc) {
-  char buf[32];
+  char buf[kMaxCnameChars + 1];
   std::snprintf(buf, sizeof(buf), "c%d-%dc%ds%dn%d", loc.cab_x, loc.cab_y, loc.cage, loc.slot,
                 loc.node);
   out += buf;

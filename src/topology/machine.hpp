@@ -15,6 +15,7 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -110,6 +111,10 @@ struct NodeLocation {
 /// Number of GPU compute nodes (counts non-service slots; equals
 /// kComputeNodes by construction, verified in tests).
 [[nodiscard]] int compute_node_count() noexcept;
+
+/// Longest cname append_cname writes (it formats into a buffer of
+/// kMaxCnameChars + 1 bytes); a valid location's cname is far shorter.
+inline constexpr std::size_t kMaxCnameChars = 31;
 
 /// Format a Cray cname, e.g. "c12-3c1s4n2".
 [[nodiscard]] std::string cname(NodeId id);

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
 #include <vector>
 
 namespace titan::stats {
 namespace {
+
+using namespace std::string_view_literals;
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a{42};
@@ -132,6 +135,18 @@ TEST(HashLabel, DistinctLabelsDistinctHashes) {
   EXPECT_NE(hash_label("dbe"), hash_label("otb"));
   EXPECT_NE(hash_label(""), hash_label("a"));
   EXPECT_EQ(hash_label("same"), hash_label("same"));
+}
+
+TEST(HashLabel, ExtendHashesPiecesAsAWhole) {
+  // The published FNV-1a 64 vectors, then every split of one string.
+  EXPECT_EQ(hash_label(""), kFnv1aBasis);
+  EXPECT_EQ(hash_label("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(hash_label("foobar"), 0x85944171f73967e8ULL);
+  const std::string_view text = "titan\0tdf segment"sv;
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    EXPECT_EQ(hash_extend(hash_label(text.substr(0, cut)), text.substr(cut)), hash_label(text))
+        << cut;
+  }
 }
 
 class RngSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
