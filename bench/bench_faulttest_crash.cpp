@@ -8,8 +8,9 @@
 // byte-identically to the uninterrupted reference) or a named triage
 // failure (E_ORPHAN_TMP, E_CKPT_INCOMPLETE, E_PARTIAL_SHARD_SET, ...).
 // Anything else is silent corruption and fails the bench.  After
-// classification the writer is resumed (or rerun) over the crash state
-// and must converge to the reference bytes, file for file.
+// classification the writer is rerun over the crash state (a rerun is
+// every writer's resume) and must converge to the reference bytes, file
+// for file.
 #include <cstdio>
 #include <filesystem>
 #include <unistd.h>
@@ -30,10 +31,9 @@ void print_header(const char* title) {
   std::printf("\n==== %s ====\n", title);
 }
 
-bool run(const char* title, const study::WriteFn& write, const study::WriteFn& resume,
-         const fs::path& scratch) {
+bool run(const char* title, const study::WriteFn& write, const fs::path& scratch) {
   print_header(title);
-  const auto sweep = study::run_runlength_sweep(write, resume, scratch);
+  const auto sweep = study::run_runlength_sweep(write, scratch);
   std::printf("%s", sweep.summary_text().c_str());
   std::error_code ec;
   fs::remove_all(scratch, ec);
@@ -52,35 +52,29 @@ int main() {
   const auto config = core::quick_config(kSeed);
 
   ok &= run(
-      "sharded generator (3 shards, out-of-core, --resume)",
+      "sharded generator (3 shards, out-of-core, rerun-to-resume)",
       [&](const fs::path& dir) { study::generate_sharded_dataset(config, 3, dir); },
-      [&](const fs::path& dir) {
-        study::generate_sharded_dataset(config, 3, dir, /*resume=*/true);
-      },
       root / "sharded");
 
   const auto context = study::SimulatedSource{config}.load();
   const auto write_text_fn = [&](const fs::path& dir) {
     study::write_dataset(context, dir, study::DatasetFormat::kText);
   };
-  ok &= run("monolithic text writer (rerun-to-resume)", write_text_fn, write_text_fn,
-            root / "text");
+  ok &= run("monolithic text writer (rerun-to-resume)", write_text_fn, root / "text");
 
   const auto write_binary_fn = [&](const fs::path& dir) {
     study::write_dataset(context, dir, study::DatasetFormat::kBinary);
   };
-  ok &= run("monolithic binary writer (rerun-to-resume)", write_binary_fn,
-            write_binary_fn, root / "binary");
+  ok &= run("monolithic binary writer (rerun-to-resume)", write_binary_fn, root / "binary");
 
   const auto reshard_fn = [&](const fs::path& dir) {
     study::write_sharded_dataset(context, dir, 2);
   };
-  ok &= run("re-sharding converter (2 shards, rerun-to-resume)", reshard_fn, reshard_fn,
-            root / "reshard");
+  ok &= run("re-sharding converter (2 shards, rerun-to-resume)", reshard_fn, root / "reshard");
 
   std::error_code ec;
   fs::remove_all(root, ec);
-  std::printf("\n%s\n", ok ? "CRASH SWEEP: no silent corruption, all resumes converged"
+  std::printf("\n%s\n", ok ? "CRASH SWEEP: no silent corruption, all reruns converged"
                            : "CRASH SWEEP: FAILURES (see above)");
   return ok ? 0 : 1;
 }

@@ -103,8 +103,9 @@ void BM_ConsoleLineEmit(benchmark::State& state) {
   e.node = 12345;
   e.kind = xid::ErrorKind::kDoubleBitError;
   e.structure = xid::MemoryStructure::kDeviceMemory;
+  const auto& fleet = profile::k20x_titan();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(logsim::console_line(e));
+    benchmark::DoNotOptimize(logsim::console_line(e, fleet));
   }
 }
 BENCHMARK(BM_ConsoleLineEmit);
@@ -115,7 +116,7 @@ void BM_ConsoleLineParse(benchmark::State& state) {
   e.node = 12345;
   e.kind = xid::ErrorKind::kDoubleBitError;
   e.structure = xid::MemoryStructure::kDeviceMemory;
-  const std::string line = logsim::console_line(e);
+  const std::string line = logsim::console_line(e, profile::k20x_titan());
   for (auto _ : state) {
     benchmark::DoNotOptimize(parse::parse_console_line(line));
   }

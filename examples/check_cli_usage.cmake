@@ -1,8 +1,9 @@
 # Usage-error check for one example CLI, run by ctest as
 #   cmake -DCLI=<binary> -DWORK_DIR=<dir> -DBAD_ARGS=<a|b|...> -P check_cli_usage.cmake
-# In an empty working directory: --help and -h must exit 0, and --bogus
-# plus every BAD_ARGS case (arguments separated by '|') must exit 2.  No
-# run may write anything there -- in particular no `--help/` dataset.
+# In an empty working directory: --help and -h must exit 0, and --bogus,
+# the retired --resume, and every BAD_ARGS case (arguments separated by
+# '|') must exit 2.  No run may write anything there -- in particular no
+# `--help/` dataset.
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
@@ -20,6 +21,8 @@ endfunction()
 expect_exit(0 --help)
 expect_exit(0 -h)
 expect_exit(2 --bogus)
+# Rerunning a writer is its resume: --resume is an unknown flag.
+expect_exit(2 out --resume)
 foreach(case IN LISTS BAD_ARGS)
   string(REPLACE "|" ";" args "${case}")
   expect_exit(2 ${args})

@@ -9,14 +9,15 @@
 // simulator -- the same arms-length position the paper's analysts were
 // in.
 //
-// With --resume, a sharded generation interrupted mid-write (the
-// study.ckpt checkpoint is still in the directory) picks up after its
-// last sealed shard and finishes byte-identically to an uninterrupted
-// run.  Setting TITANREL_FAULTTEST (e.g. `runlength,n=7,hard`) arms the
-// crash kill points for fault-injection runs.
+// The writer owns its output directory: it clears the files of any
+// earlier dataset there, so a generation interrupted mid-write (the
+// study.ckpt checkpoint is still in the directory) is finished by
+// running the same command again.  Setting TITANREL_FAULTTEST (e.g.
+// `runlength,n=7,hard`) arms the crash kill points for fault-injection
+// runs.
 //
 //   ./build/examples/generate_dataset [output_dir] [seed] [--format text|binary]
-//                                     [--shards N] [--resume] [--profile NAME]
+//                                     [--shards N] [--profile NAME]
 //
 // --help prints the usage and exits 0; an unknown flag, or a flag missing
 // its value, prints it and exits 2 without writing anything.
@@ -37,7 +38,7 @@ namespace {
 int usage(std::FILE* out, int code) {
   std::fprintf(out,
                "usage: generate_dataset [output_dir] [seed] [--format text|binary] "
-               "[--shards N] [--resume] [--profile NAME]\n"
+               "[--shards N] [--profile NAME]\n"
                "profiles: %s\n",
                titan::profile::profile_names().c_str());
   return code;
@@ -54,7 +55,6 @@ int main(int argc, char** argv) {
   }
   auto format = study::DatasetFormat::kText;
   bool have_format = false;
-  bool resume = false;
   std::size_t shards = 0;
   const profile::FleetProfile* fleet = &profile::k20x_titan();
   std::vector<const char*> positional;
@@ -62,8 +62,6 @@ int main(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       return usage(stdout, 0);
-    } else if (arg == "--resume") {
-      resume = true;
     } else if (arg == "--profile" && i + 1 < argc) {
       fleet = profile::find_profile(argv[++i]);
       if (fleet == nullptr) {
@@ -106,19 +104,13 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       positional.size() > 1 ? std::strtoull(positional[1], nullptr, 10) : 29;
 
-  if (resume && shards == 0) {
-    std::fprintf(stderr, "generate_dataset: --resume needs --shards N (the monolithic "
-                         "writer resumes by rerunning)\n");
-    return 2;
-  }
-
   if (shards > 0) {
     std::printf("Simulating a quick campaign (seed %llu, profile %s), %zu shards "
-                "out-of-core%s...\n",
+                "out-of-core...\n",
                 static_cast<unsigned long long>(seed), std::string{fleet->name}.c_str(),
-                shards, resume ? ", resuming" : "");
-    const auto stats = study::generate_sharded_dataset(core::quick_config(seed, *fleet),
-                                                       shards, dir, resume);
+                shards);
+    const auto stats =
+        study::generate_sharded_dataset(core::quick_config(seed, *fleet), shards, dir);
     std::printf("\nWrote sharded dataset to %s/\n", dir.string().c_str());
     std::printf("  dataset.shard-{0..%zu}.tdf  %zu events total, %zu in the largest shard\n",
                 stats.shards - 1, stats.events, stats.peak_shard_events);

@@ -37,11 +37,16 @@
 #   --crash      run the crash-consistency gate: the differential
 #                kill-point sweep over every dataset writer
 #                (bench_faulttest_crash: each kill must end in clean
-#                salvage or a named failure, each resume byte-identical),
+#                salvage or a named failure, each rerun byte-identical),
 #                an fsck of every layout the shipped CLIs write (text,
-#                binary, 3 shards, re-sharded 3 -> 2: each must report
-#                `verdict: clean`), plus an explicit titanlint io-atomic
-#                pass over the durable-write layers
+#                binary, 3 shards, 2 shards, re-sharded 3 -> 2: each must
+#                report `verdict: clean`), the overwrite matrix (each of
+#                those layouts written over each other one in one
+#                directory, plus a text conversion over a richer text
+#                dataset: each result must fsck clean, hold only the
+#                artifacts its manifest claims, and equal a fresh write),
+#                plus an explicit titanlint io-atomic pass over the
+#                durable-write layers
 #   --profiles   run the cross-fleet profile sweep: the profile unit /
 #                golden-equivalence / determinism / mismatch test
 #                binaries, the profile-matrix bench (full registry under
@@ -119,19 +124,72 @@ if [[ "$CRASH" == 1 ]]; then
   echo "== fsck of every layout the CLIs write (claims re-hashed from disk) =="
   FSCK_DIR="$(mktemp -d)"
   trap 'rm -rf "$FSCK_DIR"' EXIT
-  ./build/examples/generate_dataset "$FSCK_DIR/text" 29 --format text > /dev/null
-  ./build/examples/generate_dataset "$FSCK_DIR/binary" 29 --format binary > /dev/null
-  ./build/examples/generate_dataset "$FSCK_DIR/shards3" 29 --shards 3 > /dev/null
-  ./build/tools/titan-convert --shards 2 "$FSCK_DIR/shards3" "$FSCK_DIR/shards2" > /dev/null
-  for layout in text binary shards3 shards2; do
-    report="$(./build/tools/titan-convert --fsck "$FSCK_DIR/$layout")" || true
+  LAYOUTS=(text binary shards3 shards2 resharded)
+  # write_layout LAYOUT SEED DIR: one CLI write; `resharded` converts the
+  # committed 3-shard dataset of SEED to 2 shards.
+  write_layout() {
+    case "$1" in
+      text) ./build/examples/generate_dataset "$3" "$2" --format text ;;
+      binary) ./build/examples/generate_dataset "$3" "$2" --format binary ;;
+      shards3) ./build/examples/generate_dataset "$3" "$2" --shards 3 ;;
+      shards2) ./build/examples/generate_dataset "$3" "$2" --shards 2 ;;
+      resharded) ./build/tools/titan-convert --shards 2 "$FSCK_DIR/shards3-$2" "$3" ;;
+    esac > /dev/null
+  }
+  # check_dataset DIR LABEL: fsck says clean, and every file but the
+  # manifest is one of its checksum claims.
+  check_dataset() {
+    local report name
+    report="$(./build/tools/titan-convert --fsck "$1")" || true
     if ! grep -qx 'verdict: clean' <<<"$report"; then
-      echo "fsck of the $layout dataset is not clean:" >&2
+      echo "fsck of $2 is not clean:" >&2
       echo "$report" >&2
       exit 1
     fi
+    for name in $(ls -A "$1"); do
+      if [[ "$name" != manifest.txt ]] &&
+         ! grep -q "^checksum $name " "$1/manifest.txt"; then
+        echo "$2 holds $name, which its manifest does not claim" >&2
+        exit 1
+      fi
+    done
+  }
+  for seed in 29 31; do
+    for layout in "${LAYOUTS[@]}"; do
+      write_layout "$layout" "$seed" "$FSCK_DIR/$layout-$seed"
+    done
+  done
+  for layout in "${LAYOUTS[@]}"; do
+    check_dataset "$FSCK_DIR/$layout-29" "the $layout dataset"
     echo "  $layout: clean"
   done
+  echo "== every CLI layout over every other in one directory =="
+  for old in "${LAYOUTS[@]}"; do
+    for new in "${LAYOUTS[@]}"; do
+      [[ "$old" == "$new" ]] && continue
+      dir="$FSCK_DIR/$new-over-$old"
+      cp -r "$FSCK_DIR/$old-29" "$dir"
+      write_layout "$new" 31 "$dir"
+      check_dataset "$dir" "$new over $old"
+      if ! diff -r "$dir" "$FSCK_DIR/$new-31" > /dev/null; then
+        echo "$new over $old differs from a fresh $new write" >&2
+        exit 1
+      fi
+    done
+    echo "  every layout over $old: clean, fresh-write bytes"
+  done
+  echo "== text conversion over a richer text dataset =="
+  cp -r "$FSCK_DIR/text-31" "$FSCK_DIR/console-only"
+  rm "$FSCK_DIR/console-only/"{jobs.log,smi_sweep.txt,manifest.txt}
+  cp -r "$FSCK_DIR/text-29" "$FSCK_DIR/converted"
+  ./build/tools/titan-convert --to text "$FSCK_DIR/console-only" "$FSCK_DIR/converted" > /dev/null
+  check_dataset "$FSCK_DIR/converted" "the converted text dataset"
+  if [[ "$(ls -A "$FSCK_DIR/converted" | tr '\n' ' ')" != "console.log manifest.txt " ]]; then
+    echo "the converted text dataset kept another study's artifacts:" >&2
+    ls -A "$FSCK_DIR/converted" >&2
+    exit 1
+  fi
+  echo "  console.log alone: clean"
   echo "== titanlint io-atomic sweep over the durable-write layers =="
   ./build/tools/titanlint --root . src/faulttest/atomic_file.hpp \
     src/faulttest/atomic_file.cpp src/faulttest/faulttest.hpp \

@@ -5,7 +5,7 @@
 #include <iterator>
 #include <string_view>
 #include <system_error>
-#include <utility>
+#include <vector>
 
 #include "faulttest/atomic_file.hpp"
 #include "faulttest/faulttest.hpp"
@@ -63,18 +63,8 @@ std::string_view next_token(std::string_view& rest) {
 std::string StudyCheckpoint::encode() const {
   std::string body{kStudyCheckpointHeader};
   body += '\n';
-  body += "seed " + std::to_string(seed) + '\n';
   body += "profile " + profile_name + ' ' + ingest::checksum_hex(profile_hash) + '\n';
   body += "shards " + std::to_string(shard_count) + '\n';
-  body += "fences";
-  for (const auto fence : card_fences) body += ' ' + std::to_string(fence);
-  body += '\n';
-  for (const auto& seal : sealed) {
-    body += "shard " + std::to_string(seal.shard) + ' ' + seal.file + ' ' +
-            ingest::checksum_hex(seal.checksum) + ' ' + std::to_string(seal.events) +
-            ' ' + std::to_string(seal.bytes) + ' ' + std::to_string(seal.jobs) + ' ' +
-            std::to_string(seal.smi_blocks) + '\n';
-  }
   // Self-checksum over every preceding byte: a checkpoint torn by the
   // very crash it guards against must not decode as a shorter-but-valid
   // record.
@@ -126,20 +116,18 @@ std::optional<StudyCheckpoint> decode_study_checkpoint(std::string_view text,
                   "expected header '" + std::string{kStudyCheckpointHeader} + "'", policy,
                   report);
   }
-  if (lines.size() < 5) {
+  if (lines.size() != 3) {
     return reject(file, lines.size(), TriageCode::kCkptField,
-                  "checkpoint truncated: seed/profile/shards/fences lines missing",
+                  "expected exactly a profile and a shards line, found " +
+                      std::to_string(lines.size() - 1) + " lines",
                   policy, report);
   }
 
   StudyCheckpoint out;
-  if (!lines[1].starts_with("seed ") || !parse_u64(lines[1].substr(5), out.seed)) {
-    return reject(file, 2, TriageCode::kCkptField, "malformed seed line", policy, report);
-  }
   {
-    std::string_view rest = lines[2];
+    std::string_view rest = lines[1];
     if (!rest.starts_with("profile ")) {
-      return reject(file, 3, TriageCode::kCkptField, "malformed profile line", policy,
+      return reject(file, 2, TriageCode::kCkptField, "malformed profile line", policy,
                     report);
     }
     rest.remove_prefix(8);
@@ -147,80 +135,17 @@ std::optional<StudyCheckpoint> decode_study_checkpoint(std::string_view text,
     const auto hash = next_token(rest);
     if (name.empty() || !parse_hex64(hash, out.profile_hash) ||
         !next_token(rest).empty()) {
-      return reject(file, 3, TriageCode::kCkptField, "malformed profile line", policy,
+      return reject(file, 2, TriageCode::kCkptField, "malformed profile line", policy,
                     report);
     }
     out.profile_name = std::string{name};
   }
   std::uint64_t shards = 0;
-  if (!lines[3].starts_with("shards ") || !parse_u64(lines[3].substr(7), shards)) {
-    return reject(file, 4, TriageCode::kCkptField, "malformed shards line", policy,
+  if (!lines[2].starts_with("shards ") || !parse_u64(lines[2].substr(7), shards)) {
+    return reject(file, 3, TriageCode::kCkptField, "malformed shards line", policy,
                   report);
   }
   out.shard_count = static_cast<std::size_t>(shards);
-  {
-    std::string_view rest = lines[4];
-    if (!rest.starts_with("fences")) {
-      return reject(file, 5, TriageCode::kCkptField, "malformed fences line", policy,
-                    report);
-    }
-    rest.remove_prefix(6);
-    for (auto token = next_token(rest); !token.empty(); token = next_token(rest)) {
-      std::uint64_t fence = 0;
-      if (!parse_u64(token, fence)) {
-        return reject(file, 5, TriageCode::kCkptField, "non-numeric fence value", policy,
-                      report);
-      }
-      out.card_fences.push_back(static_cast<std::size_t>(fence));
-    }
-    if (out.card_fences.size() != out.shard_count + 1) {
-      return reject(file, 5, TriageCode::kCkptField,
-                    "fence count " + std::to_string(out.card_fences.size()) +
-                        " does not match shards+1 = " +
-                        std::to_string(out.shard_count + 1),
-                    policy, report);
-    }
-  }
-  for (std::size_t i = 5; i < lines.size(); ++i) {
-    std::string_view rest = lines[i];
-    if (!rest.starts_with("shard ")) {
-      return reject(file, i + 1, TriageCode::kCkptField,
-                    "unexpected line (want 'shard ...')", policy, report);
-    }
-    rest.remove_prefix(6);
-    ShardSeal seal;
-    std::uint64_t shard = 0;
-    std::uint64_t events = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t jobs = 0;
-    std::uint64_t smi = 0;
-    const auto shard_tok = next_token(rest);
-    const auto file_tok = next_token(rest);
-    const auto sum_tok = next_token(rest);
-    const bool ok = parse_u64(shard_tok, shard) && !file_tok.empty() &&
-                    parse_hex64(sum_tok, seal.checksum) &&
-                    parse_u64(next_token(rest), events) &&
-                    parse_u64(next_token(rest), bytes) &&
-                    parse_u64(next_token(rest), jobs) &&
-                    parse_u64(next_token(rest), smi) && next_token(rest).empty();
-    if (!ok) {
-      return reject(file, i + 1, TriageCode::kCkptField, "malformed shard seal line",
-                    policy, report);
-    }
-    seal.shard = static_cast<std::size_t>(shard);
-    seal.file = std::string{file_tok};
-    seal.events = static_cast<std::size_t>(events);
-    seal.bytes = static_cast<std::size_t>(bytes);
-    seal.jobs = static_cast<std::size_t>(jobs);
-    seal.smi_blocks = static_cast<std::size_t>(smi);
-    // Seals must arrive in ascending shard order with no gaps -- the
-    // writer appends them that way, so anything else is damage.
-    if (seal.shard != out.sealed.size() || seal.shard >= out.shard_count) {
-      return reject(file, i + 1, TriageCode::kCkptField,
-                    "shard seal out of order or beyond the shard plan", policy, report);
-    }
-    out.sealed.push_back(std::move(seal));
-  }
   return out;
 }
 

@@ -1,20 +1,16 @@
-// Durable study-generation checkpoint: the resume record a sharded (or
-// monolithic) dataset writer leaves next to its artifacts while the
-// write is in flight.
+// Durable study-generation checkpoint: the intent record a dataset
+// writer leaves next to its artifacts while the write is in flight.
 //
-// The paper's operational lesson is that multi-hour work must survive
-// interruption (Sec. V's checkpoint/restart analysis); this module
-// applies the same discipline to our own dataset generation.  A
-// generator saves `study.ckpt` before the first shard and re-saves it
-// after each shard seals, so a process killed at any kill point can be
-// restarted with --resume and finish byte-identically: the checkpoint
-// pins the seed, the fleet-profile identity hash, the shard plan (the
-// card-serial fences that ARE the named-RNG stream cursors -- shard k
-// replays exactly the per-card forks in [fence[k], fence[k+1])), and the
-// seal record of every shard already committed.  The committed manifest
-// is the commit point: once `manifest.txt` exists the checkpoint is
-// garbage; a checkpoint WITHOUT a manifest means generation died
-// mid-write (E_CKPT_INCOMPLETE when loaded as a dataset).
+// The paper's operational lesson is that interrupted work must finish
+// correctly (Sec. V's checkpoint/restart analysis); this module applies
+// the same discipline to our own dataset writes.  Every writer saves
+// `study.ckpt` in its begin step, before it touches anything else, and
+// removes it after the manifest commits.  The committed manifest is the
+// commit point: once `manifest.txt` exists the checkpoint is garbage; a
+// checkpoint WITHOUT a manifest means a write died mid-flight
+// (E_CKPT_INCOMPLETE when loaded as a dataset), and rerunning the writer
+// is the remedy.  The record itself carries only the write's fleet
+// profile and shard count: nothing resumes from it.
 //
 // The file is plain text with a trailing FNV-1a self-checksum line, so a
 // checkpoint torn by the very crash it guards against is detected --
@@ -27,49 +23,25 @@
 #include <filesystem>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "ingest/triage.hpp"
 
 namespace titan::ckpt {
 
 /// First line of every study checkpoint.
-inline constexpr std::string_view kStudyCheckpointHeader = "titanrel-ckpt v1";
+inline constexpr std::string_view kStudyCheckpointHeader = "titanrel-ckpt v2";
 
 /// File name within the dataset directory.
 inline constexpr std::string_view kStudyCheckpointFileName = "study.ckpt";
 
-/// The durable record of one committed shard container.
-struct ShardSeal {
-  std::size_t shard = 0;
-  std::string file;               ///< container file name ("dataset.shard-0.tdf")
-  std::uint64_t checksum = 0;     ///< FNV-1a of the encoded container bytes
-  std::size_t events = 0;
-  std::size_t bytes = 0;
-  std::size_t jobs = 0;           ///< nonzero only for the last shard
-  std::size_t smi_blocks = 0;     ///< nonzero only for the last shard
-
-  friend bool operator==(const ShardSeal& a, const ShardSeal& b) = default;
-};
-
-/// Resume state of an interrupted dataset write.  `shard_count == 0` is
-/// the monolithic-writer intent marker: no shard plan, just "a write was
-/// in flight here".
+/// Intent record of an in-flight dataset write.  `shard_count == 0`
+/// marks a text or dataset.tdf write.
 struct StudyCheckpoint {
-  std::uint64_t seed = 0;
   std::string profile_name;
   std::uint64_t profile_hash = 0;
   std::size_t shard_count = 0;
-  /// shard_count + 1 card-serial fences (the per-shard named-RNG stream
-  /// cursors); {0} for the monolithic intent marker.
-  std::vector<std::size_t> card_fences;
-  std::vector<ShardSeal> sealed;  ///< ascending shard order
 
-  [[nodiscard]] bool complete() const noexcept {
-    return shard_count > 0 && sealed.size() == shard_count;
-  }
-
-  /// Byte-stable text encoding (header, fields, seals, self-checksum).
+  /// Byte-stable text encoding (header, fields, self-checksum).
   [[nodiscard]] std::string encode() const;
 
   friend bool operator==(const StudyCheckpoint& a, const StudyCheckpoint& b) = default;

@@ -27,9 +27,9 @@ ShardEventColumns ShardedStudy::shard_events(std::size_t shard) {
   }
   ++next_shard_;
 
-  const auto [lo, hi] = shard_card_range(shard);
   std::vector<fault::CardStream> streams =
-      fault::run_card_streams(front_.plan, front_.fleet, trace(), lo, hi, /*collect_sbe=*/false);
+      fault::run_card_streams(front_.plan, front_.fleet, trace(), bounds_[shard],
+                              bounds_[shard + 1], /*collect_sbe=*/false);
   std::vector<xid::Event> tail;
   if (shard + 1 == shard_count()) {
     tail = fault::run_campaign_tail(front_.plan, front_.fleet, trace()).events;

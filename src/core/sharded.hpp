@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "core/facility.hpp"
@@ -57,12 +56,6 @@ class ShardedStudy {
   [[nodiscard]] std::size_t card_count() const noexcept { return front_.plan.card_count(); }
   [[nodiscard]] const FacilityConfig& config() const noexcept { return config_; }
   [[nodiscard]] const sched::JobTrace& trace() const noexcept { return front_.workload.trace; }
-
-  /// Card-serial range [first, last) owned by `shard`.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> shard_card_range(
-      std::size_t shard) const {
-    return {bounds_[shard], bounds_[shard + 1]};
-  }
 
   /// Generate shard `shard`'s time-ordered event columns.  Shards must be
   /// generated exactly once each, in ascending order (the contract that

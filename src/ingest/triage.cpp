@@ -20,8 +20,8 @@ constexpr std::string_view kCodeNames[kTriageCodeCount] = {
     "E_TDF_FOOTER",        "E_TDF_SEGMENT_CHECKSUM", "E_TDF_SEGMENT_CORRUPT",
     "E_TDF_UNKNOWN_SEGMENT", "E_FILE_TOO_LARGE",  "E_TDF_MMAP_UNAVAILABLE",
     "E_PROFILE_MISMATCH",  "E_ORPHAN_TMP",       "E_PARTIAL_SHARD_SET",
-    "E_CKPT_HEADER",       "E_CKPT_FIELD",       "E_CKPT_CHECKSUM",
-    "E_CKPT_MISMATCH",     "E_CKPT_INCOMPLETE",
+    "E_UNCLAIMED_ARTIFACT", "E_CKPT_HEADER",     "E_CKPT_FIELD",
+    "E_CKPT_CHECKSUM",     "E_CKPT_INCOMPLETE",
 };
 
 constexpr std::string_view kActionNames[kSalvageActionCount] = {
@@ -150,7 +150,6 @@ bool fatal_in_strict(TriageCode code) noexcept {
     case TriageCode::kCkptHeader:
     case TriageCode::kCkptField:
     case TriageCode::kCkptChecksum:
-    case TriageCode::kCkptMismatch:
     case TriageCode::kCkptIncomplete:
       return true;
     case TriageCode::kLineCrlf:
@@ -161,6 +160,7 @@ bool fatal_in_strict(TriageCode code) noexcept {
     case TriageCode::kSmiMalformed:
     case TriageCode::kManifestUnknown:
     case TriageCode::kTdfUnknownSegment:
+    case TriageCode::kUnclaimedArtifact:
     case TriageCode::kCount_:
       return false;
   }

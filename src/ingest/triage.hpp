@@ -76,15 +76,15 @@ enum class TriageCode : std::uint8_t {
                         ///< for (salvage adopts the dataset's profile)
   // Crash-state classes: what a writer killed mid-flight leaves behind
   // (see src/faulttest and DESIGN.md "Crash consistency").
-  kOrphanTmp,        ///< leftover *.tmp from a crashed atomic write
-  kPartialShardSet,  ///< sharded roster incomplete (a shard container missing)
-  kCkptHeader,       ///< study checkpoint header line wrong
-  kCkptField,        ///< study checkpoint field/structure malformed
-  kCkptChecksum,     ///< study checkpoint self-checksum missing or wrong
-  kCkptMismatch,     ///< checkpoint disagrees with the resume config
-                     ///< (seed, profile hash, shard plan)
-  kCkptIncomplete,   ///< checkpoint present but no committed manifest:
-                     ///< generation was interrupted mid-write
+  kOrphanTmp,          ///< leftover *.tmp from a crashed atomic write
+  kPartialShardSet,    ///< sharded roster incomplete (a shard container missing)
+  kUnclaimedArtifact,  ///< dataset artifact beside a manifest that does not
+                       ///< claim it (loads ignore it; fsck names it)
+  kCkptHeader,         ///< study checkpoint header line wrong
+  kCkptField,          ///< study checkpoint field/structure malformed
+  kCkptChecksum,       ///< study checkpoint self-checksum missing or wrong
+  kCkptIncomplete,     ///< checkpoint present but no committed manifest:
+                       ///< a dataset write was interrupted
   kCount_,
 };
 

@@ -13,23 +13,6 @@ namespace titan::logsim {
 
 namespace {
 
-void line_into(const xid::Event& event, std::string_view description, std::string& buffer) {
-  buffer.clear();
-  buffer += '[';
-  stats::append_timestamp(buffer, event.time);
-  buffer += "] ";
-  topology::append_cname(buffer, topology::locate(event.node));
-  buffer += " GPU ";
-  buffer += xid::token(event.kind);
-  buffer += ": ";
-  buffer += description;
-  if (event.structure != xid::MemoryStructure::kNone) {
-    buffer += " (";
-    buffer += xid::structure_token(event.structure);
-    buffer += ')';
-  }
-}
-
 /// Serialize `n` lines concurrently: lines are independent and land in
 /// their own slot, so the log is identical at any thread count.  Each
 /// worker chunk formats into one reused buffer and copies the bytes out,
@@ -54,19 +37,28 @@ std::vector<std::string> render_lines(std::size_t n, const EventAt& event_at,
 
 }  // namespace
 
-void console_line_into(const xid::Event& event, std::string& buffer) {
-  line_into(event, xid::info(event.kind).name, buffer);
-}
-
 void console_line_into(const xid::Event& event, const profile::FleetProfile& profile,
                        std::string& buffer) {
-  line_into(event, profile.description(event.kind), buffer);
+  buffer.clear();
+  buffer += '[';
+  stats::append_timestamp(buffer, event.time);
+  buffer += "] ";
+  topology::append_cname(buffer, topology::locate(event.node));
+  buffer += " GPU ";
+  buffer += xid::token(event.kind);
+  buffer += ": ";
+  buffer += profile.description(event.kind);
+  if (event.structure != xid::MemoryStructure::kNone) {
+    buffer += " (";
+    buffer += xid::structure_token(event.structure);
+    buffer += ')';
+  }
 }
 
-std::string console_line(const xid::Event& event) {
+std::string console_line(const xid::Event& event, const profile::FleetProfile& profile) {
   std::string line;
   line.reserve(96);
-  console_line_into(event, line);
+  console_line_into(event, profile, line);
   return line;
 }
 
@@ -104,10 +96,6 @@ std::vector<std::string> emit_console_log(std::span<const stats::TimeSec> times,
         return event;
       },
       profile);
-}
-
-std::vector<std::string> emit_console_log(const std::vector<xid::Event>& events) {
-  return emit_console_log(events, profile::k20x_titan());
 }
 
 }  // namespace titan::logsim

@@ -25,21 +25,19 @@
 
 namespace titan::logsim {
 
-/// Serialize one event to its console line.  The profile overloads below
-/// use the fleet's own description wording (for k20x-titan this is
-/// byte-identical to the global taxonomy wording); the profile-free forms
-/// keep the historical Titan behaviour.
-[[nodiscard]] std::string console_line(const xid::Event& event);
+/// Serialize one event to its console line, in the fleet's own
+/// description wording (for k20x-titan this is the global taxonomy
+/// wording).
+[[nodiscard]] std::string console_line(const xid::Event& event,
+                                       const profile::FleetProfile& profile);
 
 /// Serialize into `buffer` (cleared first) instead of allocating a fresh
 /// string -- the emitter reuses one buffer per worker chunk.
-void console_line_into(const xid::Event& event, std::string& buffer);
 void console_line_into(const xid::Event& event, const profile::FleetProfile& profile,
                        std::string& buffer);
 
 /// Serialize a whole (time-sorted) event stream.  SBE events are skipped,
 /// mirroring the real console log's blindness to corrected errors.
-[[nodiscard]] std::vector<std::string> emit_console_log(const std::vector<xid::Event>& events);
 [[nodiscard]] std::vector<std::string> emit_console_log(const std::vector<xid::Event>& events,
                                                         const profile::FleetProfile& profile);
 

@@ -105,7 +105,7 @@ bool dirs_identical(const fs::path& a, const fs::path& b) {
 
 bool SweepResult::clean() const noexcept {
   for (const auto& kill : kills) {
-    if (kill.outcome == CrashOutcome::kSilentCorruption || !kill.resume_identical) {
+    if (kill.outcome == CrashOutcome::kSilentCorruption || !kill.rerun_identical) {
       return false;
     }
   }
@@ -114,17 +114,17 @@ bool SweepResult::clean() const noexcept {
 
 std::string SweepResult::summary_text() const {
   std::size_t counts[3] = {0, 0, 0};
-  std::size_t resumed = 0;
+  std::size_t rerun = 0;
   for (const auto& kill : kills) {
     ++counts[static_cast<std::size_t>(kill.outcome)];
-    if (kill.resume_identical) ++resumed;
+    if (kill.rerun_identical) ++rerun;
   }
   std::string text = "crash sweep: " + std::to_string(total_points) +
                      " kill points across " + std::to_string(sites.size()) + " sites\n";
   text += "outcomes: clean-salvage " + std::to_string(counts[0]) + ", named-failure " +
           std::to_string(counts[1]) + ", silent-corruption " + std::to_string(counts[2]) +
           '\n';
-  text += "resume: " + std::to_string(resumed) + '/' + std::to_string(kills.size()) +
+  text += "rerun: " + std::to_string(rerun) + '/' + std::to_string(kills.size()) +
           " byte-identical\n";
   text += "codes:\n";
   for (const auto& [code, count] : code_counts) {
@@ -135,7 +135,7 @@ std::string SweepResult::summary_text() const {
     text += "  " + site + ' ' + std::to_string(count) + '\n';
   }
   for (const auto& kill : kills) {
-    if (kill.outcome == CrashOutcome::kSilentCorruption || !kill.resume_identical) {
+    if (kill.outcome == CrashOutcome::kSilentCorruption || !kill.rerun_identical) {
       text += "FAIL kill " + std::to_string(kill.kill_point) + " at " + kill.site + " [" +
               std::string{crash_outcome_name(kill.outcome)} + "]: " + kill.detail + '\n';
     }
@@ -145,8 +145,7 @@ std::string SweepResult::summary_text() const {
   return text;
 }
 
-SweepResult run_runlength_sweep(const WriteFn& write, const WriteFn& resume,
-                                const fs::path& scratch) {
+SweepResult run_runlength_sweep(const WriteFn& write, const fs::path& scratch) {
   fs::remove_all(scratch);
   fs::create_directories(scratch);
 
@@ -181,13 +180,13 @@ SweepResult run_runlength_sweep(const WriteFn& write, const WriteFn& resume,
     } catch (const faulttest::KillPointError& error) {
       kill.site = error.site();
     }
-    // Disarm before touching the directory again: loads and resume must
-    // run kill-free.
+    // Disarm before touching the directory again: loads and the rerun
+    // must run kill-free.
     faulttest::FaultTestInit(faulttest::FaultConfig{});
     ++out.sites_killed[kill.site];
 
     // Classify a COPY, so salvage-side quarantining cannot leak into the
-    // resume the original directory sees.
+    // rerun the original directory sees.
     if (!fs::exists(dir)) fs::create_directories(dir);  // killed before mkdir
     const auto probe = scratch / "probe";
     fs::remove_all(probe);
@@ -212,16 +211,16 @@ SweepResult run_runlength_sweep(const WriteFn& write, const WriteFn& resume,
     }
 
     try {
-      resume(dir);
+      write(dir);
       if (const auto diff = first_dir_difference(dir, reference)) {
         kill.detail += (kill.detail.empty() ? "" : "; ");
-        kill.detail += "resume not byte-identical: " + *diff;
+        kill.detail += "rerun not byte-identical: " + *diff;
       } else {
-        kill.resume_identical = true;
+        kill.rerun_identical = true;
       }
     } catch (const std::exception& error) {
       kill.detail += (kill.detail.empty() ? "" : "; ");
-      kill.detail += std::string{"resume failed: "} + error.what();
+      kill.detail += std::string{"rerun failed: "} + error.what();
     }
     out.kills.push_back(std::move(kill));
   }

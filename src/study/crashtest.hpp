@@ -18,12 +18,13 @@
 //
 // Anything else -- a load that succeeds with different bytes, or an
 // unnamed exception -- is kSilentCorruption, the outcome the whole
-// subsystem exists to make impossible.  After classification the
-// caller's resume function runs against the killed directory and the
-// result must be byte-identical, file for file, to the reference.
+// subsystem exists to make impossible.  After classification the writer
+// is rerun over the killed directory (a rerun is every writer's resume)
+// and the result must be byte-identical, file for file, to the
+// reference.
 //
 // Classification happens on a scratch COPY of each killed directory, so
-// salvage-side quarantining never pollutes what resume sees.
+// salvage-side quarantining never pollutes what the rerun sees.
 #pragma once
 
 #include <cstddef>
@@ -54,7 +55,7 @@ struct KillOutcome {
   std::string site;            ///< kill-point site name that fired
   CrashOutcome outcome = CrashOutcome::kSilentCorruption;
   std::optional<ingest::TriageCode> code;  ///< set for kNamedFailure
-  bool resume_identical = false;
+  bool rerun_identical = false;
   std::string detail;  ///< difference / error context when not clean
 };
 
@@ -66,7 +67,7 @@ struct SweepResult {
   std::map<std::string, std::size_t> sites_killed;  ///< site -> kill count
   std::map<std::string, std::size_t> code_counts;   ///< code name -> named failures
 
-  /// True when no kill produced silent corruption and every resume was
+  /// True when no kill produced silent corruption and every rerun was
   /// byte-identical to the reference.
   [[nodiscard]] bool clean() const noexcept;
 
@@ -74,8 +75,7 @@ struct SweepResult {
   [[nodiscard]] std::string summary_text() const;
 };
 
-/// A dataset producer under test: writes (or resumes) into the given
-/// directory.
+/// A dataset producer under test: writes into the given directory.
 using WriteFn = std::function<void(const std::filesystem::path&)>;
 
 /// First difference between two directories' regular files (names
@@ -87,10 +87,10 @@ using WriteFn = std::function<void(const std::filesystem::path&)>;
 [[nodiscard]] bool dirs_identical(const std::filesystem::path& a,
                                   const std::filesystem::path& b);
 
-/// Run the full RunLength sweep for `write`, resuming each killed
-/// directory with `resume`, under `scratch` (created; contents clobbered).
+/// Run the full RunLength sweep for `write`, rerunning it over each
+/// killed directory, under `scratch` (created; contents clobbered).
 /// Leaves the fault-test subsystem disarmed (FaultMode::kNone) on return.
-[[nodiscard]] SweepResult run_runlength_sweep(const WriteFn& write, const WriteFn& resume,
+[[nodiscard]] SweepResult run_runlength_sweep(const WriteFn& write,
                                               const std::filesystem::path& scratch);
 
 }  // namespace titan::study

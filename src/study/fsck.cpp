@@ -1,6 +1,8 @@
 #include "study/fsck.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 #include <string_view>
 #include <system_error>
 #include <utility>
@@ -21,6 +23,28 @@ void add_finding(FsckResult& out, std::string file, TriageCode code, std::string
   out.findings.push_back(FsckFinding{std::move(file), code, std::move(detail)});
 }
 
+/// The roster index K of a `dataset.shard-K.tdf` name (K as
+/// tdf::shard_file_name spells it), else nullopt.
+std::optional<std::uint64_t> shard_index(std::string_view name) {
+  constexpr std::string_view kPrefix = "dataset.shard-";
+  if (!name.starts_with(kPrefix)) return std::nullopt;
+  std::uint64_t index = 0;
+  const auto parsed =
+      std::from_chars(name.data() + kPrefix.size(), name.data() + name.size(), index);
+  if (parsed.ec != std::errc{} || tdf::shard_file_name(static_cast<std::size_t>(index)) != name) {
+    return std::nullopt;
+  }
+  return index;
+}
+
+/// Whether `name` is one the dataset format gives an artifact.
+bool is_artifact_name(std::string_view name) {
+  constexpr std::string_view kNamed[] = {"console.log", "jobs.log", "smi_sweep.txt",
+                                         tdf::kTdfFileName};
+  return std::find(std::begin(kNamed), std::end(kNamed), name) != std::end(kNamed) ||
+         shard_index(name).has_value();
+}
+
 /// Checkpoint state: a study.ckpt must decode, and must not outlive its
 /// run (present without a manifest = generation died mid-write).
 void check_checkpoint(const fs::path& dir, const CrashEvidence& evidence, FsckResult& out) {
@@ -34,11 +58,11 @@ void check_checkpoint(const fs::path& dir, const CrashEvidence& evidence, FsckRe
   if (!evidence.manifest) {
     add_finding(out, std::string{ckpt::kStudyCheckpointFileName},
                 TriageCode::kCkptIncomplete,
-                "generation checkpoint present but no committed manifest");
+                "write checkpoint present but no committed manifest; rerun the writer");
   } else if (decoded) {
     add_finding(out, std::string{ckpt::kStudyCheckpointFileName}, TriageCode::kCkptIncomplete,
-                "checkpoint lingers beside a committed manifest (harmless; a resumed "
-                "or rerun writer removes it)");
+                "checkpoint lingers beside a committed manifest (harmless; rerunning the "
+                "writer removes it)");
   }
 }
 
@@ -55,7 +79,7 @@ void check_manifest(const fs::path& dir, const ingest::ManifestIngest& manifest,
     }
   }
   // Shard roster vs the `shards N` claim: every shard in [0, N) must be
-  // claimed AND present; extra shard files beyond N are orphaned slices.
+  // claimed AND present (shards beyond N are unclaimed artifacts).
   if (manifest.have_shards) {
     const auto shard_count = static_cast<std::size_t>(manifest.shards);
     for (std::size_t s = 0; s < shard_count; ++s) {
@@ -68,11 +92,22 @@ void check_manifest(const fs::path& dir, const ingest::ManifestIngest& manifest,
                         " shards but carries no checksum claim for this one");
       }
     }
-    for (std::size_t s = shard_count; fs::exists(dir / tdf::shard_file_name(s)); ++s) {
-      add_finding(out, tdf::shard_file_name(s), TriageCode::kPartialShardSet,
-                  "shard container beyond the manifest's declared count of " +
-                      std::to_string(shard_count));
-    }
+  }
+}
+
+/// Dataset artifacts beside a manifest that decides the layout but does
+/// not claim them.  Loads ignore them, but they are another study's
+/// bytes: once the manifest is lost, a probe would load them again.
+void check_unclaimed(const CrashEvidence& evidence, const ingest::ManifestIngest& manifest,
+                     FsckResult& out) {
+  if (!manifest.have_shards && manifest.checksums.empty()) return;  // probed
+  for (const auto& name : evidence.artifacts) {
+    const auto shard = shard_index(name);
+    const bool in_roster = manifest.have_shards && shard && *shard < manifest.shards;
+    if (manifest.claims(name) || in_roster) continue;
+    add_finding(out, name, TriageCode::kUnclaimedArtifact,
+                "dataset artifact the manifest does not claim (loads ignore it; "
+                "rerunning the writer removes it)");
   }
 }
 
@@ -94,11 +129,16 @@ CrashEvidence scan_crash_state(const fs::path& dir) {
   std::error_code ec;
   for (fs::directory_iterator it{dir, ec}, end; !ec && it != end; it.increment(ec)) {
     const auto ext = it->path().extension();
+    auto name = it->path().filename().string();
+    std::error_code type_ec;
     if (ext == ".tmp" || ext == ".quarantined") {
-      evidence.leftovers.push_back(it->path().filename().string());
+      evidence.leftovers.push_back(std::move(name));
+    } else if (is_artifact_name(name) && it->is_regular_file(type_ec)) {
+      evidence.artifacts.push_back(std::move(name));
     }
   }
   std::sort(evidence.leftovers.begin(), evidence.leftovers.end());
+  std::sort(evidence.artifacts.begin(), evidence.artifacts.end());
   evidence.checkpoint = fs::exists(dir / ckpt::kStudyCheckpointFileName);
   evidence.manifest = fs::exists(dir / "manifest.txt");
   return evidence;
@@ -146,6 +186,7 @@ FsckResult fsck_dataset(const fs::path& dir) {
   }
   check_checkpoint(dir, evidence, out);
   check_manifest(dir, manifest, report, out);
+  check_unclaimed(evidence, manifest, out);
   return out;
 }
 

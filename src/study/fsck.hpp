@@ -4,11 +4,12 @@
 // fsck_dataset answers one question without mutating anything: is this
 // directory a cleanly committed dataset, or does it carry crash state a
 // loader would reject?  It reads the same evidence the loaders do (one
-// scan_crash_state serves the loader, fsck and resume) --
-// orphan *.tmp files, a study.ckpt with no committed manifest, manifest
-// checksum claims (hashing the TDF containers too, which the load fast
-// path deliberately skips), the shard roster against the `shards N`
-// claim -- and reports every finding with its triage code.  The report
+// scan_crash_state serves the loader, fsck and every writer's begin
+// step) -- orphan *.tmp files, a study.ckpt with no committed manifest,
+// manifest checksum claims (hashing the TDF containers too, which the
+// load fast path deliberately skips), the shard roster against the
+// `shards N` claim, dataset artifacts the manifest does not claim -- and
+// reports every finding with its triage code.  The report
 // text is byte-stable for a given directory state (no absolute paths,
 // deterministic ordering), so it can be golden-tested and diffed across
 // runs.
@@ -45,12 +46,18 @@ struct FsckResult {
 };
 
 /// The crash evidence a dataset directory carries, as one read-only scan
-/// sees it.  The loader, fsck and the sharded generator's resume each
-/// apply their own policy to it.
+/// sees it.  The loader, fsck and the writers' begin step each apply
+/// their own policy to it.
 struct CrashEvidence {
   /// Sorted names of the *.tmp files interrupted atomic writes left and
   /// the *.quarantined copies salvage loads set aside.
   std::vector<std::string> leftovers;
+  /// Sorted names of the regular files that carry a dataset artifact
+  /// name: console.log, jobs.log, smi_sweep.txt, dataset.tdf and
+  /// dataset.shard-K.tdf.  The one list of those names: fsck reports the
+  /// ones a manifest does not claim, and a writer's begin step removes
+  /// the ones its write will not write.
+  std::vector<std::string> artifacts;
   bool checkpoint = false;  ///< study.ckpt present
   bool manifest = false;    ///< manifest.txt present
 };

@@ -6,15 +6,18 @@
 // point, the container builder and the one roster writer in one place.
 // Not a public API.
 //
-// Every writer follows one protocol: intent checkpoint, then each
-// artifact written atomically with a checksum claim hashed from the very
-// bytes handed to the write (never a read-back), then the manifest last
-// as the commit point, then the checkpoint removed.
+// Every writer follows one protocol: the begin step (intent checkpoint,
+// the previous manifest removed, then every crash leftover and dataset
+// artifact this write will not write), then each artifact written
+// atomically with a checksum claim hashed from the very bytes handed to
+// the write (never a read-back), then the manifest last as the commit
+// point, then the checkpoint removed.  Rerunning a writer is its resume.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,22 +49,24 @@ namespace titan::study::detail {
 /// log) quantized in place to the job log's rounding.
 [[nodiscard]] std::vector<logsim::JobLogRecord> quantized_jobs(const StudyContext& context);
 
-/// The manifest's header lines: period, accounting cutoff, fleet
+/// The begin step every writer runs before its first artifact:
+///   1. create `dir` and save the intent checkpoint (fleet profile and
+///      `shard_count`);
+///   2. remove the previous manifest.txt -- from here on a crash leaves a
+///      checkpoint without a manifest, E_CKPT_INCOMPLETE under both
+///      policies, so no removal below can expose a mix of two datasets;
+///   3. remove the crash leftovers and every dataset artifact name not in
+///      `artifacts` (scan_crash_state lists both; files the dataset format
+///      does not name are never touched);
+///   4. hit the kill point "study/begin/cleared".
+/// Returns the manifest's header lines: period, accounting cutoff, fleet
 /// profile, and `shards N` for sharded datasets (shard_count > 0 only).
-[[nodiscard]] std::vector<std::string> manifest_header(const stats::StudyPeriod& period,
-                                                       stats::TimeSec accounting_from,
-                                                       const profile::FleetProfile& profile,
-                                                       std::size_t shard_count);
-
-/// Start a write that reruns from a context: create `dir`, save the
-/// intent checkpoint (no shard plan), and return the context's manifest
-/// header.  Until the manifest commits, loaders reject the directory as
-/// E_CKPT_INCOMPLETE instead of silently studying a partial dataset (a
-/// console.log or a short shard roster alone would load otherwise);
-/// rerunning the writer is the resume path.
-[[nodiscard]] std::vector<std::string> begin_write(const StudyContext& context,
-                                                   const std::filesystem::path& dir,
-                                                   std::size_t shard_count);
+[[nodiscard]] std::vector<std::string> begin_write(const std::filesystem::path& dir,
+                                                   const stats::StudyPeriod& period,
+                                                   stats::TimeSec accounting_from,
+                                                   const profile::FleetProfile& profile,
+                                                   std::size_t shard_count,
+                                                   std::span<const std::string> artifacts);
 
 /// The manifest line claiming `name`'s content checksum.
 [[nodiscard]] std::string claim_line(std::string_view name, std::uint64_t checksum);

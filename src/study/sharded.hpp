@@ -48,20 +48,17 @@ struct ShardedWriteStats {
 /// shard count.  Throws std::invalid_argument when
 /// `shard_count` is zero.
 ///
-/// Crash consistency: a `study.ckpt` checkpoint is saved before the
-/// first shard and re-saved after each shard commits, and the manifest
-/// is written last as the commit point.  With `resume` set, a directory
-/// holding a checkpoint from an interrupted run is picked up where it
-/// left off: orphan *.tmp files are swept, already-sealed shards are
-/// kept (their stats come from the seal record), and the remaining
-/// shards are regenerated -- the finished dataset is byte-identical to
-/// an uninterrupted run.  A damaged checkpoint throws IngestError with
-/// an E_CKPT_* code; a checkpoint that disagrees with `config`'s seed,
-/// profile or shard plan throws E_CKPT_MISMATCH.
+/// Crash consistency: the writers' one protocol (serialize_detail.hpp).
+/// The begin step saves the intent checkpoint and clears the directory
+/// of the previous manifest, crash leftovers and any dataset artifact
+/// this roster will not write; the shards follow, and the manifest is
+/// written last as the commit point.  An interrupted run is finished by
+/// rerunning it: every shard is regenerated from the seed anyway (phase
+/// D must replay every card before the final snapshot), so the rerun's
+/// bytes are the uninterrupted run's.
 ShardedWriteStats generate_sharded_dataset(const core::FacilityConfig& config,
                                            std::size_t shard_count,
-                                           const std::filesystem::path& dir,
-                                           bool resume = false);
+                                           const std::filesystem::path& dir);
 
 /// Split an in-memory context's event stream into `shard_count`
 /// contiguous chunks and write them as a sharded binary dataset.  Since

@@ -437,7 +437,7 @@ StudyContext load_text(const fs::path& dir, const ingest::ManifestIngest& manife
 ///     artifacts and the commit point.  Fatal under BOTH policies: the
 ///     artifacts present may be an arbitrary prefix of the dataset, and
 ///     "salvaging" them would silently study a partial campaign.  The
-///     remedy is resuming the generator, not loading harder.
+///     remedy is rerunning the writer, not loading harder.
 void gate_crash_state(const fs::path& dir, IngestPolicy policy, IngestReport& report) {
   const auto evidence = scan_crash_state(dir);
   for (const auto& name : evidence.leftovers) {
@@ -451,8 +451,8 @@ void gate_crash_state(const fs::path& dir, IngestPolicy policy, IngestReport& re
   if (evidence.checkpoint && !evidence.manifest) {
     throw ingest::IngestError{
         std::string{ckpt::kStudyCheckpointFileName}, 0, TriageCode::kCkptIncomplete,
-        "generation checkpoint present but no committed manifest: the dataset write "
-        "was interrupted; resume the generator (--resume) instead of loading"};
+        "write checkpoint present but no committed manifest: the dataset write was "
+        "interrupted; rerun the writer instead of loading"};
   }
 }
 
@@ -584,11 +584,30 @@ std::vector<logsim::JobLogRecord> quantized_jobs(const StudyContext& context) {
                            [&](std::size_t j) { return logsim::quantized(jobs[j]); });
 }
 
-std::vector<std::string> manifest_header(const stats::StudyPeriod& period,
-                                         stats::TimeSec accounting_from,
-                                         const profile::FleetProfile& profile,
-                                         std::size_t shard_count) {
-  std::vector<std::string> lines = {
+std::vector<std::string> begin_write(const fs::path& dir, const stats::StudyPeriod& period,
+                                     stats::TimeSec accounting_from,
+                                     const profile::FleetProfile& profile,
+                                     std::size_t shard_count,
+                                     std::span<const std::string> artifacts) {
+  fs::create_directories(dir);
+  ckpt::StudyCheckpoint intent;
+  intent.profile_name = std::string{profile.name};
+  intent.profile_hash = profile.content_hash();
+  intent.shard_count = shard_count;
+  ckpt::save_study_checkpoint(intent, dir);
+  // The manifest goes before any artifact: a directory with a checkpoint
+  // and no manifest is a named interrupted write whatever else it holds.
+  fs::remove(dir / "manifest.txt");
+  const auto evidence = scan_crash_state(dir);
+  for (const auto& name : evidence.leftovers) fs::remove(dir / name);
+  for (const auto& name : evidence.artifacts) {
+    if (std::find(artifacts.begin(), artifacts.end(), name) == artifacts.end()) {
+      fs::remove(dir / name);
+    }
+  }
+  TITAN_PTP("study/begin/cleared");
+
+  std::vector<std::string> header = {
       std::string{ingest::kDatasetManifestHeader},
       "period_begin " + std::to_string(period.begin),
       "period_end " + std::to_string(period.end),
@@ -596,20 +615,8 @@ std::vector<std::string> manifest_header(const stats::StudyPeriod& period,
       "profile " + std::string{profile.name} + ' ' +
           ingest::checksum_hex(profile.content_hash()),
   };
-  if (shard_count > 0) lines.push_back("shards " + std::to_string(shard_count));
-  return lines;
-}
-
-std::vector<std::string> begin_write(const StudyContext& context, const fs::path& dir,
-                                     std::size_t shard_count) {
-  fs::create_directories(dir);
-  ckpt::StudyCheckpoint intent;
-  intent.profile_name = std::string{context.profile->name};
-  intent.profile_hash = context.profile->content_hash();
-  intent.card_fences = {0};
-  ckpt::save_study_checkpoint(intent, dir);
-  return manifest_header(context.period, context.accounting_from, *context.profile,
-                         shard_count);
+  if (shard_count > 0) header.push_back("shards " + std::to_string(shard_count));
+  return header;
 }
 
 std::string claim_line(std::string_view name, std::uint64_t checksum) {
@@ -667,7 +674,11 @@ void write_dataset(const StudyContext& context, const std::filesystem::path& dir
     detail::write_roster(context, dir, DatasetLayout{LayoutKind::kBinary, 1});
     return;
   }
-  auto manifest = detail::begin_write(context, dir, 0);
+  std::vector<std::string> names = {"console.log"};
+  if (has_job_log(context)) names.emplace_back("jobs.log");
+  if (context.has(kSnapshot)) names.emplace_back("smi_sweep.txt");
+  auto manifest = detail::begin_write(dir, context.period, context.accounting_from,
+                                      *context.profile, 0, names);
   // Each artifact is rendered once; its claim hashes the bytes written.
   const auto artifact = [&](std::string_view name, const std::string& bytes) {
     atomic_write_text(dir / name, bytes);

@@ -156,8 +156,12 @@ enum class DatasetFormat : std::uint8_t {
 /// Every file is written atomically (tmp + fsync + rename) and claimed
 /// with the checksum of the bytes written (never a read-back), with the
 /// manifest last, so a crash mid-write can never leave a directory that
-/// passes checksum verification with partial content.  kBinary goes
-/// through the same container writer as write_sharded_dataset.
+/// passes checksum verification with partial content.  The write owns
+/// `dir`: before its first artifact it removes the previous manifest and
+/// every dataset artifact it will not write, so a rerun over an earlier
+/// dataset of any layout (or over an interrupted write) leaves exactly a
+/// fresh write's files.  kBinary goes through the same container writer
+/// as write_sharded_dataset.
 void write_dataset(const StudyContext& context, const std::filesystem::path& dir,
                    DatasetFormat format = DatasetFormat::kText);
 

@@ -1,11 +1,9 @@
-// ckpt::StudyCheckpoint: the durable resume record of an interrupted
-// dataset write.  Round-trip byte-identity, the save/load disk cycle,
-// and the damage taxonomy -- a torn, truncated, bit-flipped or
-// field-mangled checkpoint must decode to a *named* E_CKPT_* failure
-// (strict throws, salvage records + refuses) and never to a
-// shorter-but-plausible resume state.  The resume-config cross-check
-// (E_CKPT_MISMATCH) is exercised end to end through the sharded
-// generator.
+// ckpt::StudyCheckpoint: the intent record of an in-flight dataset
+// write.  Round-trip byte-identity, the save/load disk cycle, and the
+// damage taxonomy -- a torn, truncated, bit-flipped or field-mangled
+// checkpoint must decode to a *named* E_CKPT_* failure (strict throws,
+// salvage records + refuses) and never to a shorter-but-plausible
+// record.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -14,15 +12,12 @@
 #include <string>
 
 #include "ckpt/study_ckpt.hpp"
-#include "core/facility.hpp"
 #include "ingest/triage.hpp"
-#include "study/sharded.hpp"
 
 namespace titan {
 namespace {
 
 namespace fs = std::filesystem;
-using ckpt::ShardSeal;
 using ckpt::StudyCheckpoint;
 using ingest::IngestError;
 using ingest::IngestPolicy;
@@ -51,15 +46,9 @@ const struct ScratchCleaner {
 
 StudyCheckpoint sample_checkpoint() {
   StudyCheckpoint out;
-  out.seed = 29;
   out.profile_name = "k20x-titan";
   out.profile_hash = 0x0123456789abcdefULL;
   out.shard_count = 3;
-  out.card_fences = {0, 100, 200, 300};
-  out.sealed.push_back(ShardSeal{0, "dataset.shard-0.tdf", 0xdeadbeefdeadbeefULL, 42, 512,
-                                 0, 0});
-  out.sealed.push_back(ShardSeal{1, "dataset.shard-1.tdf", 0xfeedfacefeedfaceULL, 17, 256,
-                                 0, 0});
   return out;
 }
 
@@ -96,18 +85,6 @@ TEST(CkptStudy, EncodeDecodeRoundTripIsByteIdentical) {
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, original);
   EXPECT_EQ(decoded->encode(), text) << "re-encode must be byte-identical";
-  EXPECT_FALSE(decoded->complete()) << "2 of 3 shards sealed";
-}
-
-TEST(CkptStudy, CompleteMeansEveryShardSealed) {
-  auto state = sample_checkpoint();
-  EXPECT_FALSE(state.complete());
-  state.sealed.push_back(ShardSeal{2, "dataset.shard-2.tdf", 1, 1, 1, 3, 2});
-  EXPECT_TRUE(state.complete());
-  // shard_count == 0 is the monolithic intent marker: never "complete".
-  StudyCheckpoint intent;
-  intent.card_fences = {0};
-  EXPECT_FALSE(intent.complete());
 }
 
 TEST(CkptStudy, SaveLoadDiskCycle) {
@@ -173,34 +150,16 @@ TEST(CkptStudy, FieldDamageIsNamed) {
     body += "checksum " + ingest::checksum_hex(ingest::content_checksum(body)) + '\n';
     return body;
   };
-  expect_named_rejection(damaged("seed 29", "seed ??"), TriageCode::kCkptField,
-                         "non-numeric seed");
+  expect_named_rejection(damaged("profile k20x-titan 0123", "profile k20x-titan zz23"),
+                         TriageCode::kCkptField, "non-hex profile hash");
+  expect_named_rejection(damaged("profile k20x-titan", "profile"), TriageCode::kCkptField,
+                         "profile line without a name");
   expect_named_rejection(damaged("shards 3", "shards x"), TriageCode::kCkptField,
                          "non-numeric shard count");
-  expect_named_rejection(damaged("fences 0 100 200 300", "fences 0 100"),
-                         TriageCode::kCkptField, "fence count != shards+1");
-  expect_named_rejection(damaged("shard 1 ", "shard 2 "), TriageCode::kCkptField,
-                         "seal out of ascending order");
-}
-
-TEST(CkptStudy, ResumeConfigMismatchIsNamed) {
-  // End to end: generate a sharded dataset, strip its manifest, plant the
-  // interrupted-state checkpoint of a DIFFERENT campaign, and ask the
-  // generator to resume.  The checkpoint cross-check must name the
-  // disagreement instead of splicing two campaigns together.
-  const auto dir = scratch_root() / "mismatch";
-  study::generate_sharded_dataset(core::quick_config(29), 2, dir);
-  fs::remove(dir / "manifest.txt");
-
-  StudyCheckpoint stale = sample_checkpoint();  // wrong profile and shard plan
-  ckpt::save_study_checkpoint(stale, dir);
-  try {
-    (void)study::generate_sharded_dataset(core::quick_config(29), 2, dir,
-                                          /*resume=*/true);
-    FAIL() << "resume against a foreign checkpoint must throw";
-  } catch (const IngestError& error) {
-    EXPECT_EQ(error.code(), TriageCode::kCkptMismatch) << error.what();
-  }
+  expect_named_rejection(damaged("shards 3\n", "shards 3\nseed 29\n"),
+                         TriageCode::kCkptField, "unexpected extra line");
+  expect_named_rejection(damaged("shards 3\n", ""), TriageCode::kCkptField,
+                         "shards line missing");
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // The crash-consistency headline proof, test-sized: every kill point of
 // each dataset writer is visited with a RunLength kill and the outcome
 // must be clean salvage (the directory still loads byte-identically) or
-// a *named* triage failure -- never silent corruption -- and resuming
-// (or rerunning) the writer must converge to the uninterrupted bytes.
-// The bench variant (bench_faulttest_crash) runs the bigger sharded
-// campaign; here the sweeps stay quick_config-sized.
+// a *named* triage failure -- never silent corruption -- and rerunning
+// the writer (every writer's resume) must converge to the uninterrupted
+// bytes.  The writers' begin step is also killed over a committed
+// dataset of another layout: the directory holds the old dataset or a
+// named failure, never a mix.  The bench variant (bench_faulttest_crash)
+// runs the bigger sharded campaign; here the sweeps stay
+// quick_config-sized.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -17,8 +20,11 @@
 #include "core/facility.hpp"
 #include "faulttest/faulttest.hpp"
 #include "ingest/triage.hpp"
+#include "logsim/smi_text.hpp"
 #include "par/pool.hpp"
 #include "study/crashtest.hpp"
+#include "study/io.hpp"
+#include "study/serialize_detail.hpp"
 #include "study/sharded.hpp"
 #include "study/source.hpp"
 
@@ -96,24 +102,23 @@ Census containers(std::uint64_t count) {
           {"study/shard/sealed", count}};
 }
 
-/// generate_sharded_dataset at `shards` shards: the checkpoint is saved
-/// once up front and once per sealed shard.
+/// Every writer's begin step: the intent checkpoint save, then the
+/// clearing of the directory.
+Census begin_step() { return {{"ckpt/pre-save", 1}, {"study/begin/cleared", 1}}; }
+
+/// generate_sharded_dataset at `shards` shards: begin step (one atomic
+/// write), `shards` containers, manifest.
 Census generator_census(std::uint64_t shards) {
-  auto census = merged(containers(shards), atomic_writes(2 * shards + 2));
-  census.insert({{"ckpt/pre-save", shards + 1},
-                 {"study/shard/checkpoint", shards},
-                 {"study/shard/pre-manifest", 1},
-                 {"study/shard/committed", 1}});
+  auto census = merged(merged(containers(shards), atomic_writes(shards + 2)), begin_step());
+  census.insert({{"study/shard/pre-manifest", 1}, {"study/shard/committed", 1}});
   return census;
 }
 
 /// The context writers' binary roster (dataset.tdf alone is a roster of
-/// one): intent, `count` containers, manifest.
+/// one): begin step, `count` containers, manifest.
 Census roster_census(std::uint64_t count) {
-  auto census = merged(containers(count), atomic_writes(count + 2));
-  census.insert({{"ckpt/pre-save", 1},
-                 {"study/write/pre-manifest", 1},
-                 {"study/write/committed", 1}});
+  auto census = merged(merged(containers(count), atomic_writes(count + 2)), begin_step());
+  census.insert({{"study/write/pre-manifest", 1}, {"study/write/committed", 1}});
   return census;
 }
 
@@ -137,20 +142,17 @@ TEST(FaultTestCrash, ShardedSweepIsSalvageOrNamedNeverSilent) {
   const auto config = core::quick_config(kSeed);
   const auto sweep = study::run_runlength_sweep(
       [&](const fs::path& dir) { study::generate_sharded_dataset(config, 2, dir); },
-      [&](const fs::path& dir) {
-        study::generate_sharded_dataset(config, 2, dir, /*resume=*/true);
-      },
       scratch_root() / "sharded_sweep");
   EXPECT_TRUE(sweep.clean()) << sweep.summary_text();
   // Every durable-state transition layer.
-  expect_census(sweep, generator_census(2), 39, 12);
+  expect_census(sweep, generator_census(2), 28, 12);
 
-  // The census scales with the shard count as the table says: 53 hits at
+  // The census scales with the shard count as the table says: 36 hits at
   // 3 shards (a plain reference run; the sweep itself stays at 2).
   FaultTestInit(FaultConfig{});
   study::generate_sharded_dataset(config, 3, scratch_root() / "sharded_census_3");
   const auto three = faulttest::fault_test_report();
-  EXPECT_EQ(three.total_hits, 53U);
+  EXPECT_EQ(three.total_hits, 36U);
   EXPECT_EQ(census_of(three.sites), generator_census(3)) << three.summary_text();
   EXPECT_EQ(three.sites.size(), 12U);
 
@@ -165,18 +167,14 @@ TEST(FaultTestCrash, MonolithicTextSweepRerunConverges) {
   const auto write = [&](const fs::path& dir) {
     study::write_dataset(context, dir, study::DatasetFormat::kText);
   };
-  // The monolithic writer "resumes" by rerunning: every artifact is
-  // rewritten idempotently over the crash state.
-  const auto sweep =
-      study::run_runlength_sweep(write, write, scratch_root() / "text_sweep");
+  const auto sweep = study::run_runlength_sweep(write, scratch_root() / "text_sweep");
   EXPECT_TRUE(sweep.clean()) << sweep.summary_text();
-  // Intent, console.log, jobs.log, smi_sweep.txt, manifest.
-  auto expected = atomic_writes(5);
-  expected.insert({{"ckpt/pre-save", 1},
-                   {"study/write/artifact", 3},
+  // Begin step, console.log, jobs.log, smi_sweep.txt, manifest.
+  auto expected = merged(atomic_writes(5), begin_step());
+  expected.insert({{"study/write/artifact", 3},
                    {"study/write/pre-manifest", 1},
                    {"study/write/committed", 1}});
-  expect_census(sweep, expected, 26, 8);
+  expect_census(sweep, expected, 27, 9);
 }
 
 TEST(FaultTestCrash, MonolithicBinarySweepRerunConverges) {
@@ -185,12 +183,12 @@ TEST(FaultTestCrash, MonolithicBinarySweepRerunConverges) {
     study::write_dataset(context, dir, study::DatasetFormat::kBinary);
   };
   const auto sweep =
-      study::run_runlength_sweep(write, write, scratch_root() / "binary_sweep");
+      study::run_runlength_sweep(write, scratch_root() / "binary_sweep");
   EXPECT_TRUE(sweep.clean()) << sweep.summary_text();
   // dataset.tdf goes through the container writer: the TDF encode
   // pipeline's own sites (tdf/segments-encoded, ...) and the container
   // writer's (study/shard/encoded, ...) are on the walked path.
-  expect_census(sweep, roster_census(1), 19, 11);
+  expect_census(sweep, roster_census(1), 20, 12);
 }
 
 TEST(FaultTestCrash, ReshardSweepRerunConverges) {
@@ -201,9 +199,9 @@ TEST(FaultTestCrash, ReshardSweepRerunConverges) {
     (void)study::write_sharded_dataset(context, dir, 2);
   };
   const auto sweep =
-      study::run_runlength_sweep(write, write, scratch_root() / "reshard_sweep");
+      study::run_runlength_sweep(write, scratch_root() / "reshard_sweep");
   EXPECT_TRUE(sweep.clean()) << sweep.summary_text();
-  expect_census(sweep, roster_census(2), 27, 11);
+  expect_census(sweep, roster_census(2), 28, 12);
   EXPECT_GT(sweep.code_counts.count("E_CKPT_INCOMPLETE"), 0U) << sweep.summary_text();
 }
 
@@ -228,7 +226,7 @@ TEST(FaultTestCrash, InterruptedResumeIsByteIdenticalAcrossShardsAndWidths) {
                                          std::to_string(threads));
       fs::remove_all(dir);
       // Kill mid-run (after some shards sealed, before the manifest),
-      // then resume at this width: the finished directory must be
+      // then rerun at this width: the finished directory must be
       // byte-identical to the width-1 uninterrupted reference.
       FaultConfig kill;
       kill.mode = FaultMode::kRunLength;
@@ -237,7 +235,7 @@ TEST(FaultTestCrash, InterruptedResumeIsByteIdenticalAcrossShardsAndWidths) {
       EXPECT_THROW(study::generate_sharded_dataset(config, shards, dir),
                    faulttest::KillPointError);
       FaultTestInit(FaultConfig{});
-      study::generate_sharded_dataset(config, shards, dir, /*resume=*/true);
+      study::generate_sharded_dataset(config, shards, dir);
       const auto diff = study::first_dir_difference(dir, reference);
       EXPECT_FALSE(diff.has_value())
           << shards << " shards, " << threads << " threads: " << *diff;
@@ -246,15 +244,127 @@ TEST(FaultTestCrash, InterruptedResumeIsByteIdenticalAcrossShardsAndWidths) {
   FaultTestInit(FaultConfig{});
 }
 
-TEST(FaultTestCrash, ResumeOfACommittedDirectoryIsANoOp) {
-  const auto config = core::quick_config(kSeed);
-  const auto dir = scratch_root() / "committed_noop";
+/// What a study sees of `dir` under `policy`: the console, job and smi
+/// text rendered from a load.
+std::string loaded_text(const fs::path& dir, ingest::IngestPolicy policy) {
+  const auto context = study::DatasetSource{dir, policy}.load();
+  return study::join_lines(study::detail::console_lines_of(context)) +
+         study::join_lines(study::detail::job_lines_of(context)) +
+         logsim::smi_sweep_text(context.snapshot);
+}
+
+TEST(FaultTestCrash, BeginStepKillOverAnotherLayoutIsOldOrNamed) {
+  // Each writer's begin step, killed at each of its kill points over a
+  // committed dataset of another layout and another study: the directory
+  // loads as the old dataset byte for byte, or fails with a named code
+  // (E_CKPT_INCOMPLETE under both policies once the old manifest is
+  // gone) -- it never loads a mix.  A rerun then equals a fresh write.
+  const auto old_study = study::SimulatedSource{core::quick_config(kSeed + 2)}.load();
+  const auto new_study = study::SimulatedSource{core::quick_config(kSeed)}.load();
+  const auto text = [](const study::StudyContext& c) -> study::WriteFn {
+    return [&c](const fs::path& dir) { study::write_dataset(c, dir); };
+  };
+  const auto binary = [](const study::StudyContext& c) -> study::WriteFn {
+    return [&c](const fs::path& dir) {
+      study::write_dataset(c, dir, study::DatasetFormat::kBinary);
+    };
+  };
+  const auto reshard = [](const study::StudyContext& c, std::size_t shards) -> study::WriteFn {
+    return [&c, shards](const fs::path& dir) {
+      (void)study::write_sharded_dataset(c, dir, shards);
+    };
+  };
+  const auto generate = [](std::uint64_t seed, std::size_t shards) -> study::WriteFn {
+    return [seed, shards](const fs::path& dir) {
+      (void)study::generate_sharded_dataset(core::quick_config(seed), shards, dir);
+    };
+  };
+  struct Case {
+    const char* name;
+    study::WriteFn old_write;
+    study::WriteFn new_write;
+  };
+  const Case cases[] = {
+      {"shards2_over_text", text(old_study), generate(kSeed, 2)},
+      {"text_over_shards3", generate(kSeed + 2, 3), text(new_study)},
+      {"binary_over_resharded3", reshard(old_study, 3), binary(new_study)},
+      {"resharded2_over_binary", binary(old_study), reshard(new_study, 2)},
+  };
+  // The begin step's hits come first in every writer: the checkpoint
+  // save's own site and atomic-write stages, then the clearing.
+  const std::vector<std::string> begin_sites = {
+      "ckpt/pre-save",        "io/atomic/pre-tmp",     "io/atomic/post-tmp",
+      "io/atomic/pre-rename", "io/atomic/post-rename", "study/begin/cleared"};
+  const auto root = scratch_root() / "begin_kill";
+  for (const auto& c : cases) {
+    const auto old_dir = root / (std::string{c.name} + "_old");
+    const auto fresh = root / (std::string{c.name} + "_fresh");
+    c.old_write(old_dir);
+    c.new_write(fresh);
+    const auto old_text = loaded_text(old_dir, ingest::IngestPolicy::kStrict);
+
+    for (std::size_t k = 1; k <= begin_sites.size(); ++k) {
+      const auto where = std::string{c.name} + " kill " + std::to_string(k);
+      const auto dir = root / (std::string{c.name} + "_kill");
+      fs::remove_all(dir);
+      fs::copy(old_dir, dir);
+      FaultConfig kill;
+      kill.mode = FaultMode::kRunLength;
+      kill.run_length = k;
+      FaultTestInit(kill);
+      std::string site;
+      try {
+        c.new_write(dir);
+      } catch (const faulttest::KillPointError& error) {
+        site = error.site();
+      }
+      FaultTestInit(FaultConfig{});
+      EXPECT_EQ(site, begin_sites[k - 1]) << where;
+
+      const bool committed = fs::exists(dir / "manifest.txt");
+      for (const auto policy : {ingest::IngestPolicy::kStrict, ingest::IngestPolicy::kSalvage}) {
+        // Probe a copy: a salvage load quarantines leftovers.
+        const auto probe = root / "probe";
+        fs::remove_all(probe);
+        fs::copy(dir, probe);
+        try {
+          EXPECT_EQ(loaded_text(probe, policy), old_text) << where << ": loads a mix";
+          EXPECT_TRUE(committed) << where << ": loads without a manifest";
+        } catch (const ingest::IngestError& error) {
+          // Named by construction; without the old manifest, the name is
+          // the interrupted write's.
+          if (!committed) {
+            EXPECT_EQ(error.code(), ingest::TriageCode::kCkptIncomplete) << where;
+          }
+        }
+      }
+
+      c.new_write(dir);
+      const auto diff = study::first_dir_difference(dir, fresh);
+      EXPECT_FALSE(diff.has_value()) << where << ": " << *diff;
+    }
+  }
+}
+
+TEST(FaultTestCrash, RerunOverACommittedDirectoryEqualsAFreshWrite) {
+  // A committed seed-29 roster of 3 shards, overwritten by a rerun with
+  // another seed and another shard count: the directory must hold
+  // exactly what a fresh write of the new arguments holds -- the old
+  // roster's third shard included, which the new manifest never claims.
+  const auto config = core::quick_config(kSeed + 2);
+  const auto dir = scratch_root() / "rerun_over_committed";
+  study::generate_sharded_dataset(core::quick_config(kSeed), 3, dir);
   const auto stats = study::generate_sharded_dataset(config, 2, dir);
-  const auto again = study::generate_sharded_dataset(config, 2, dir, /*resume=*/true);
-  EXPECT_EQ(again.shards, stats.shards);
-  const auto reference = scratch_root() / "committed_noop_ref";
-  study::generate_sharded_dataset(config, 2, reference);
-  EXPECT_TRUE(study::dirs_identical(dir, reference));
+  EXPECT_EQ(stats.shards, 2U);
+  const auto fresh = scratch_root() / "rerun_over_committed_fresh";
+  const auto fresh_stats = study::generate_sharded_dataset(config, 2, fresh);
+  EXPECT_EQ(stats.events, fresh_stats.events);
+  const auto diff = study::first_dir_difference(dir, fresh);
+  EXPECT_FALSE(diff.has_value()) << *diff;
+
+  // The same rerun with the same arguments again is a no-op on the bytes.
+  (void)study::generate_sharded_dataset(config, 2, dir);
+  EXPECT_TRUE(study::dirs_identical(dir, fresh));
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 namespace titan::logsim {
 namespace {
 
+const profile::FleetProfile& k20x() { return profile::k20x_titan(); }
+
 xid::Event make_event() {
   xid::Event e;
   e.time = stats::to_time(stats::CivilDateTime{stats::CivilDate{2014, 1, 12}, 13, 45, 1});
@@ -15,7 +17,7 @@ xid::Event make_event() {
 }
 
 TEST(Console, LineFormat) {
-  EXPECT_EQ(console_line(make_event()),
+  EXPECT_EQ(console_line(make_event(), k20x()),
             "[2014-01-12 13:45:01] c12-3c1s4n2 GPU DBE: "
             "Double Bit Error (detected by SECDED ECC, not corrected) (DRAM)");
 }
@@ -24,7 +26,7 @@ TEST(Console, NoStructureSuffixWhenNone) {
   auto e = make_event();
   e.kind = xid::ErrorKind::kOffTheBus;
   e.structure = xid::MemoryStructure::kNone;
-  const auto line = console_line(e);
+  const auto line = console_line(e, k20x());
   EXPECT_NE(line.find("GPU OTB: Off the Bus"), std::string::npos);
   EXPECT_EQ(line.find("(NONE)"), std::string::npos);
 }
@@ -33,13 +35,13 @@ TEST(Console, XidTokensInLines) {
   auto e = make_event();
   e.kind = xid::ErrorKind::kGraphicsEngineException;
   e.structure = xid::MemoryStructure::kNone;
-  EXPECT_NE(console_line(e).find("GPU XID13:"), std::string::npos);
+  EXPECT_NE(console_line(e, k20x()).find("GPU XID13:"), std::string::npos);
 }
 
 TEST(Console, EmitSkipsSbes) {
   std::vector<xid::Event> events(3, make_event());
   events[1].kind = xid::ErrorKind::kSingleBitError;
-  const auto lines = emit_console_log(events);
+  const auto lines = emit_console_log(events, k20x());
   EXPECT_EQ(lines.size(), 2U);
 }
 
@@ -47,7 +49,7 @@ TEST(Console, EmitPreservesOrder) {
   std::vector<xid::Event> events(2, make_event());
   events[1].time += 100;
   events[1].kind = xid::ErrorKind::kPreemptiveCleanup;
-  const auto lines = emit_console_log(events);
+  const auto lines = emit_console_log(events, k20x());
   ASSERT_EQ(lines.size(), 2U);
   EXPECT_LT(lines[0].substr(0, 21), lines[1].substr(0, 21));
 }
@@ -61,8 +63,8 @@ TEST(Console, LineIntoMatchesLine) {
     auto e = make_event();
     e.kind = kind;
     if (kind != xid::ErrorKind::kDoubleBitError) e.structure = xid::MemoryStructure::kNone;
-    console_line_into(e, buffer);
-    EXPECT_EQ(buffer, console_line(e));
+    console_line_into(e, k20x(), buffer);
+    EXPECT_EQ(buffer, console_line(e, k20x()));
   }
 }
 
@@ -92,9 +94,9 @@ TEST(Console, EmitByteIdenticalToPerLineSerialization) {
   std::vector<std::string> expected;
   for (const auto& e : events) {
     if (e.kind == xid::ErrorKind::kSingleBitError) continue;
-    expected.push_back(console_line(e));
+    expected.push_back(console_line(e, k20x()));
   }
-  EXPECT_EQ(emit_console_log(events), expected);
+  EXPECT_EQ(emit_console_log(events, k20x()), expected);
 }
 
 }  // namespace

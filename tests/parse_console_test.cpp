@@ -16,6 +16,11 @@ xid::Event make_event(xid::ErrorKind kind, xid::MemoryStructure structure) {
   return e;
 }
 
+/// The console line of `event` under the Titan profile.
+std::string line_of(const xid::Event& event) {
+  return logsim::console_line(event, profile::k20x_titan());
+}
+
 TEST(ParseConsole, RoundTripsEveryKind) {
   for (const auto& info : xid::all_errors()) {
     if (info.kind == xid::ErrorKind::kSingleBitError) continue;
@@ -23,7 +28,7 @@ TEST(ParseConsole, RoundTripsEveryKind) {
                                ? xid::MemoryStructure::kRegisterFile
                                : xid::MemoryStructure::kNone;
     const auto event = make_event(info.kind, structure);
-    const auto parsed = parse_console_line(logsim::console_line(event));
+    const auto parsed = parse_console_line(line_of(event));
     ASSERT_TRUE(parsed.has_value()) << xid::token(info.kind);
     EXPECT_EQ(parsed->time, event.time);
     EXPECT_EQ(parsed->node, event.node);
@@ -35,7 +40,7 @@ TEST(ParseConsole, RoundTripsEveryKind) {
 TEST(ParseConsole, StructureDecode) {
   const auto event = make_event(xid::ErrorKind::kDoubleBitError,
                                 xid::MemoryStructure::kDeviceMemory);
-  const auto parsed = parse_console_line(logsim::console_line(event));
+  const auto parsed = parse_console_line(line_of(event));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->structure, xid::MemoryStructure::kDeviceMemory);
 }
@@ -57,7 +62,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParseConsole, LogLevelCounting) {
   std::vector<std::string> lines = {
-      logsim::console_line(make_event(xid::ErrorKind::kOffTheBus, xid::MemoryStructure::kNone)),
+      line_of(make_event(xid::ErrorKind::kOffTheBus, xid::MemoryStructure::kNone)),
       "some unrelated SMW chatter",
       "[2014-06-02 04:05:06] c7-1c2s3n0 GPU BROKEN: garbage",
   };
@@ -68,7 +73,7 @@ TEST(ParseConsole, LogLevelCounting) {
 }
 
 TEST(ParseConsole, HardenedAgainstFieldLogPathologies) {
-  const std::string good = logsim::console_line(
+  const std::string good = line_of(
       make_event(xid::ErrorKind::kDoubleBitError, xid::MemoryStructure::kDeviceMemory));
 
   // CRLF file: a trailing '\r' is tolerated, the event still parses.
@@ -92,7 +97,7 @@ TEST(ParseConsole, HardenedAgainstFieldLogPathologies) {
 
 TEST(ParseConsole, CrlfLogCountsLikeLfLog) {
   std::vector<std::string> lines = {
-      logsim::console_line(make_event(xid::ErrorKind::kOffTheBus, xid::MemoryStructure::kNone)) +
+      line_of(make_event(xid::ErrorKind::kOffTheBus, xid::MemoryStructure::kNone)) +
           "\r",
       "some unrelated SMW chatter\r",
   };
@@ -114,7 +119,7 @@ TEST(ParseConsole, WholeStudyLogRoundTrips) {
     e.node = static_cast<topology::NodeId>(i * 96 + 5);
     events.push_back(e);
   }
-  const auto lines = logsim::emit_console_log(events);
+  const auto lines = logsim::emit_console_log(events, profile::k20x_titan());
   const auto result = parse_console_log(lines);
   ASSERT_EQ(result.events.size(), events.size());
   EXPECT_EQ(result.malformed_lines, 0U);

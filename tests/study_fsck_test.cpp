@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "ckpt/study_ckpt.hpp"
 #include "core/facility.hpp"
 #include "ingest/triage.hpp"
+#include "study/crashtest.hpp"
 #include "study/fsck.hpp"
 #include "study/io.hpp"
 #include "study/registry.hpp"
@@ -125,11 +127,40 @@ TEST(StudyFsck, MissingShardIsNamedPartialSet) {
 }
 
 TEST(StudyFsck, ShardBeyondTheDeclaredCountIsNamed) {
+  // A shard beyond the roster is an artifact the manifest does not
+  // claim: the loader never reads it, fsck names it.
   const auto dir = damaged_copy("extra");
   fs::copy_file(dir / tdf::shard_file_name(0), dir / tdf::shard_file_name(3));
   const auto result = study::fsck_dataset(dir);
   EXPECT_FALSE(result.clean());
-  EXPECT_TRUE(has_finding(result, TriageCode::kPartialShardSet)) << result.report_text();
+  ASSERT_EQ(result.findings.size(), 1U) << result.report_text();
+  EXPECT_EQ(result.findings[0].file, tdf::shard_file_name(3));
+  EXPECT_EQ(result.findings[0].code, TriageCode::kUnclaimedArtifact) << result.report_text();
+}
+
+TEST(StudyFsck, HandCopiedSideArtifactIsNamedUnclaimed) {
+  // A jobs.log copied beside a committed sharded dataset: fsck names it,
+  // and both loads ignore it exactly as before.
+  const auto dir = damaged_copy("unclaimed_jobs");
+  const auto text = scratch_root() / "unclaimed_jobs_source";
+  study::write_dataset(study::SimulatedSource{core::quick_config(kSeed + 2)}.load(), text);
+  const auto before = study::DatasetSource{dir}.load();
+  fs::copy_file(text / "jobs.log", dir / "jobs.log");
+
+  const auto result = study::fsck_dataset(dir);
+  EXPECT_EQ(result.report_text(),
+            "titanrel fsck\nlayout: sharded\nfindings: 1\n  jobs.log E_UNCLAIMED_ARTIFACT: "
+            "dataset artifact the manifest does not claim (loads ignore it; rerunning the "
+            "writer removes it)\nverdict: crash-state\n");
+  EXPECT_FALSE(ingest::fatal_in_strict(TriageCode::kUnclaimedArtifact));
+  for (const auto policy : {IngestPolicy::kStrict, IngestPolicy::kSalvage}) {
+    const auto after = study::DatasetSource{dir, policy}.load();
+    EXPECT_EQ(after.job_log.size(), before.job_log.size());
+    EXPECT_EQ(after.frame.size(), before.frame.size());
+    if (after.ingest_report) {
+      EXPECT_TRUE(after.ingest_report->clean());
+    }
+  }
 }
 
 TEST(StudyFsck, CheckpointWithoutManifestIsNamedIncomplete) {
@@ -137,7 +168,6 @@ TEST(StudyFsck, CheckpointWithoutManifestIsNamedIncomplete) {
   fs::remove(dir / "manifest.txt");
   ckpt::StudyCheckpoint intent;
   intent.profile_name = "k20x-titan";
-  intent.card_fences = {0};
   ckpt::save_study_checkpoint(intent, dir);
   const auto result = study::fsck_dataset(dir);
   EXPECT_FALSE(result.clean());
@@ -184,7 +214,6 @@ TEST(StudyCrashGate, CheckpointWithoutManifestIsFatalUnderBothPolicies) {
   fs::remove(dir / "manifest.txt");
   ckpt::StudyCheckpoint intent;
   intent.profile_name = "k20x-titan";
-  intent.card_fences = {0};
   ckpt::save_study_checkpoint(intent, dir);
 
   for (const auto policy : {IngestPolicy::kStrict, IngestPolicy::kSalvage}) {
@@ -193,7 +222,7 @@ TEST(StudyCrashGate, CheckpointWithoutManifestIsFatalUnderBothPolicies) {
       FAIL() << "an interrupted write must not load as a dataset";
     } catch (const IngestError& error) {
       EXPECT_EQ(error.code(), TriageCode::kCkptIncomplete) << error.what();
-      EXPECT_NE(std::string{error.what()}.find("--resume"), std::string::npos)
+      EXPECT_NE(std::string{error.what()}.find("rerun the writer"), std::string::npos)
           << "the message must point at the remedy";
     }
   }
@@ -203,7 +232,6 @@ TEST(StudyCrashGate, LingeringCheckpointBesideManifestIsIgnored) {
   const auto dir = damaged_copy("gate_lingering");
   ckpt::StudyCheckpoint intent;
   intent.profile_name = "k20x-titan";
-  intent.card_fences = {0};
   ckpt::save_study_checkpoint(intent, dir);
 
   // With the manifest committed the checkpoint is garbage, not damage:
@@ -267,6 +295,80 @@ TEST(StudyLayout, ManifestPicksTheLayoutOverStaleContainers) {
   }
 }
 
+TEST(StudyLayout, EveryLayoutOverEveryLayoutLeavesOnlyItsOwnFiles) {
+  // Every ordered pair of writer layouts, the second written (from
+  // another study) over the committed first in one directory: the
+  // directory must hold exactly a fresh write's files, byte for byte,
+  // and fsck must call it clean.
+  const auto old_study = study::SimulatedSource{core::quick_config(kSeed + 2)}.load();
+  const auto new_study = study::SimulatedSource{core::quick_config(kSeed)}.load();
+  const auto study_of = [&](std::uint64_t seed) -> const study::StudyContext& {
+    return seed == kSeed ? new_study : old_study;
+  };
+  using Write = std::function<void(std::uint64_t, const fs::path&)>;
+  const std::pair<const char*, Write> layouts[] = {
+      {"text",
+       [&](std::uint64_t seed, const fs::path& dir) {
+         study::write_dataset(study_of(seed), dir, study::DatasetFormat::kText);
+       }},
+      {"binary",
+       [&](std::uint64_t seed, const fs::path& dir) {
+         study::write_dataset(study_of(seed), dir, study::DatasetFormat::kBinary);
+       }},
+      {"shards3",
+       [](std::uint64_t seed, const fs::path& dir) {
+         (void)study::generate_sharded_dataset(core::quick_config(seed), 3, dir);
+       }},
+      {"shards2",
+       [](std::uint64_t seed, const fs::path& dir) {
+         (void)study::generate_sharded_dataset(core::quick_config(seed), 2, dir);
+       }},
+      {"resharded4",
+       [&](std::uint64_t seed, const fs::path& dir) {
+         (void)study::write_sharded_dataset(study_of(seed), dir, 4);
+       }},
+  };
+  const auto root = scratch_root() / "matrix";
+  for (const auto& [name, write] : layouts) {
+    write(kSeed + 2, root / (std::string{"old_"} + name));
+    write(kSeed, root / (std::string{"new_"} + name));
+  }
+  for (const auto& [old_name, old_write] : layouts) {
+    for (const auto& [new_name, new_write] : layouts) {
+      const auto pair = std::string{new_name} + "_over_" + old_name;
+      const auto dir = root / pair;
+      const auto old_dir = root / (std::string{"old_"} + old_name);
+      fs::copy(old_dir, dir);
+      ASSERT_TRUE(study::dirs_identical(dir, old_dir)) << pair;
+      new_write(kSeed, dir);
+      const auto diff = study::first_dir_difference(dir, root / (std::string{"new_"} + new_name));
+      EXPECT_FALSE(diff.has_value()) << pair << ": " << *diff;
+      const auto fsck = study::fsck_dataset(dir);
+      EXPECT_TRUE(fsck.clean()) << pair << '\n' << fsck.report_text();
+    }
+  }
+}
+
+TEST(StudyLayout, WritersNeverTouchFilesTheFormatDoesNotName) {
+  // The begin step clears dataset artifact names only: a user's notes, a
+  // backup copy and a shard name the writers never spell survive every
+  // writer, and fsck has nothing to say about them.
+  const auto context = study::SimulatedSource{core::quick_config(kSeed)}.load();
+  const auto dir = scratch_root() / "foreign_files";
+  const std::vector<std::string> foreign = {"notes.txt", "console.log.bak",
+                                            "dataset.shard-01.tdf", "dataset.shard-x.tdf"};
+  fs::create_directories(dir);
+  for (const auto& name : foreign) study::write_text(dir / name, name + '\n');
+  study::write_dataset(context, dir, study::DatasetFormat::kText);
+  study::write_dataset(context, dir, study::DatasetFormat::kBinary);
+  (void)study::write_sharded_dataset(context, dir, 2);
+  (void)study::generate_sharded_dataset(core::quick_config(kSeed), 3, dir);
+  for (const auto& name : foreign) {
+    EXPECT_EQ(study::read_all(dir / name), name + '\n') << name;
+  }
+  EXPECT_TRUE(study::fsck_dataset(dir).clean()) << study::fsck_dataset(dir).report_text();
+}
+
 TEST(StudyLayout, ManifestPicksTheSideArtifacts) {
   // A text dataset without some side artifact, written over another
   // study's complete text dataset: the stale jobs.log / smi_sweep.txt its
@@ -296,8 +398,9 @@ TEST(StudyLayout, ManifestPicksTheSideArtifacts) {
     study::write_dataset(fresh, alone);
     study::write_dataset(stale, mixed);
     study::write_dataset(fresh, mixed);
-    ASSERT_TRUE(fs::exists(mixed / "jobs.log")) << name;
-    ASSERT_TRUE(fs::exists(mixed / "smi_sweep.txt")) << name;
+    // The writer removed the stale artifacts its manifest does not claim.
+    const auto diff = study::first_dir_difference(mixed, alone);
+    EXPECT_FALSE(diff.has_value()) << name << ": " << *diff;
 
     const auto from_alone = study::DatasetSource{alone}.load();
     const auto from_mixed = study::DatasetSource{mixed}.load();

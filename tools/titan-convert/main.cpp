@@ -18,8 +18,9 @@
 // directory prints one segment table per shard; on a text dataset it
 // names the layout, points to --fsck and exits 1.  --fsck runs the
 // read-only crash-consistency check (orphan tmp files, checkpoint state,
-// full checksum verification, shard roster) and exits 1 when the
-// directory carries crash state.  --help prints the usage and exits 0; an
+// full checksum verification, shard roster, dataset artifacts the
+// manifest does not claim) and exits 1 when the directory carries crash
+// state.  --help prints the usage and exits 0; an
 // unknown flag prints it and exits 2.
 #include <cstdio>
 #include <cstdlib>
