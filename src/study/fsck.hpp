@@ -50,13 +50,14 @@ struct FsckResult {
 /// their own policy to it.
 struct CrashEvidence {
   /// Sorted names of the *.tmp files interrupted atomic writes left and
-  /// the *.quarantined copies salvage loads set aside.
+  /// the *.quarantined copies salvage loads set aside (every entry with
+  /// either extension; a writer's begin step removes the regular files).
   std::vector<std::string> leftovers;
   /// Sorted names of the regular files that carry a dataset artifact
   /// name: console.log, jobs.log, smi_sweep.txt, dataset.tdf and
   /// dataset.shard-K.tdf.  The one list of those names: fsck reports the
   /// ones a manifest does not claim, and a writer's begin step removes
-  /// the ones its write will not write.
+  /// them all before its write.
   std::vector<std::string> artifacts;
   bool checkpoint = false;  ///< study.ckpt present
   bool manifest = false;    ///< manifest.txt present

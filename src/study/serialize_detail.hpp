@@ -7,8 +7,8 @@
 // Not a public API.
 //
 // Every writer follows one protocol: the begin step (intent checkpoint,
-// the previous manifest removed, then every crash leftover and dataset
-// artifact this write will not write), then each artifact written
+// the previous manifest removed, then every crash leftover and every
+// dataset artifact present), then each artifact written
 // atomically with a checksum claim hashed from the very bytes handed to
 // the write (never a read-back), then the manifest last as the commit
 // point, then the checkpoint removed.  Rerunning a writer is its resume.
@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,9 +54,11 @@ namespace titan::study::detail {
 ///   2. remove the previous manifest.txt -- from here on a crash leaves a
 ///      checkpoint without a manifest, E_CKPT_INCOMPLETE under both
 ///      policies, so no removal below can expose a mix of two datasets;
-///   3. remove the crash leftovers and every dataset artifact name not in
-///      `artifacts` (scan_crash_state lists both; files the dataset format
-///      does not name are never touched);
+///   3. remove the crash leftovers (every regular *.tmp / *.quarantined
+///      file; one that cannot be removed is left for fsck to name) and
+///      every dataset artifact scan_crash_state lists -- the write renames
+///      its own artifacts in afresh, and files the dataset format does not
+///      name are never touched;
 ///   4. hit the kill point "study/begin/cleared".
 /// Returns the manifest's header lines: period, accounting cutoff, fleet
 /// profile, and `shards N` for sharded datasets (shard_count > 0 only).
@@ -65,8 +66,7 @@ namespace titan::study::detail {
                                                    const stats::StudyPeriod& period,
                                                    stats::TimeSec accounting_from,
                                                    const profile::FleetProfile& profile,
-                                                   std::size_t shard_count,
-                                                   std::span<const std::string> artifacts);
+                                                   std::size_t shard_count);
 
 /// The manifest line claiming `name`'s content checksum.
 [[nodiscard]] std::string claim_line(std::string_view name, std::uint64_t checksum);

@@ -40,14 +40,6 @@ std::string write_shard(const fs::path& dir, const std::string& file,
   return detail::claim_line(file, checksum);
 }
 
-/// The container file names of `layout`'s roster, in roster order.
-std::vector<std::string> roster_names(const DatasetLayout& layout) {
-  std::vector<std::string> names;
-  names.reserve(layout.containers);
-  for (std::size_t s = 0; s < layout.containers; ++s) names.push_back(layout.container(s));
-  return names;
-}
-
 }  // namespace
 
 ShardedWriteStats generate_sharded_dataset(const core::FacilityConfig& config,
@@ -55,9 +47,9 @@ ShardedWriteStats generate_sharded_dataset(const core::FacilityConfig& config,
                                            const std::filesystem::path& dir) {
   core::ShardedStudy sharded{config, shard_count};  // throws on shard_count == 0
   const stats::TimeSec accounting_from = config.campaign.timeline.new_driver;
-  const auto names = roster_names(DatasetLayout{LayoutKind::kSharded, shard_count});
-  auto manifest = detail::begin_write(dir, config.period, accounting_from, *config.profile,
-                                      shard_count, names);
+  const DatasetLayout layout{LayoutKind::kSharded, shard_count};
+  auto manifest =
+      detail::begin_write(dir, config.period, accounting_from, *config.profile, shard_count);
 
   ShardedWriteStats out;
   out.shards = shard_count;
@@ -82,7 +74,7 @@ ShardedWriteStats generate_sharded_dataset(const core::FacilityConfig& config,
       data.has_smi = true;
       data.snapshot = logsim::quantized(sharded.final_snapshot());
     }
-    manifest.push_back(write_shard(dir, names[s], data, out));
+    manifest.push_back(write_shard(dir, layout.container(s), data, out));
   }
   detail::commit_manifest(dir, manifest, "study/shard/pre-manifest", "study/shard/committed");
   return out;
@@ -101,10 +93,8 @@ ShardedWriteStats detail::write_roster(const StudyContext& context,
                                        const std::filesystem::path& dir,
                                        const DatasetLayout& layout) {
   const std::size_t count = layout.containers;
-  const auto names = roster_names(layout);
-  auto manifest =
-      begin_write(dir, context.period, context.accounting_from, *context.profile,
-                  layout.kind == LayoutKind::kSharded ? count : 0, names);
+  auto manifest = begin_write(dir, context.period, context.accounting_from, *context.profile,
+                              layout.kind == LayoutKind::kSharded ? count : 0);
   ShardedWriteStats out;
   out.shards = count;
   const std::size_t total = context.frame.size();
@@ -113,7 +103,7 @@ ShardedWriteStats detail::write_roster(const StudyContext& context,
     // (time, shard) merge reduces to concatenation and any bounds work.
     // Side artifacts ride in the last container.
     manifest.push_back(write_shard(
-        dir, names[s],
+        dir, layout.container(s),
         container_of(context, total * s / count, total * (s + 1) / count, s + 1 == count),
         out));
   }

@@ -50,8 +50,8 @@ struct ShardedWriteStats {
 ///
 /// Crash consistency: the writers' one protocol (serialize_detail.hpp).
 /// The begin step saves the intent checkpoint and clears the directory
-/// of the previous manifest, crash leftovers and any dataset artifact
-/// this roster will not write; the shards follow, and the manifest is
+/// of the previous manifest, crash leftovers and every dataset
+/// artifact; the shards follow, and the manifest is
 /// written last as the commit point.  An interrupted run is finished by
 /// rerunning it: every shard is regenerated from the seed anyway (phase
 /// D must replay every card before the final snapshot), so the rerun's

@@ -587,8 +587,7 @@ std::vector<logsim::JobLogRecord> quantized_jobs(const StudyContext& context) {
 std::vector<std::string> begin_write(const fs::path& dir, const stats::StudyPeriod& period,
                                      stats::TimeSec accounting_from,
                                      const profile::FleetProfile& profile,
-                                     std::size_t shard_count,
-                                     std::span<const std::string> artifacts) {
+                                     std::size_t shard_count) {
   fs::create_directories(dir);
   ckpt::StudyCheckpoint intent;
   intent.profile_name = std::string{profile.name};
@@ -599,12 +598,11 @@ std::vector<std::string> begin_write(const fs::path& dir, const stats::StudyPeri
   // and no manifest is a named interrupted write whatever else it holds.
   fs::remove(dir / "manifest.txt");
   const auto evidence = scan_crash_state(dir);
-  for (const auto& name : evidence.leftovers) fs::remove(dir / name);
-  for (const auto& name : evidence.artifacts) {
-    if (std::find(artifacts.begin(), artifacts.end(), name) == artifacts.end()) {
-      fs::remove(dir / name);
-    }
+  for (const auto& name : evidence.leftovers) {
+    std::error_code ec;
+    if (fs::is_regular_file(fs::symlink_status(dir / name, ec))) fs::remove(dir / name, ec);
   }
+  for (const auto& name : evidence.artifacts) fs::remove(dir / name);
   TITAN_PTP("study/begin/cleared");
 
   std::vector<std::string> header = {
@@ -674,11 +672,8 @@ void write_dataset(const StudyContext& context, const std::filesystem::path& dir
     detail::write_roster(context, dir, DatasetLayout{LayoutKind::kBinary, 1});
     return;
   }
-  std::vector<std::string> names = {"console.log"};
-  if (has_job_log(context)) names.emplace_back("jobs.log");
-  if (context.has(kSnapshot)) names.emplace_back("smi_sweep.txt");
-  auto manifest = detail::begin_write(dir, context.period, context.accounting_from,
-                                      *context.profile, 0, names);
+  auto manifest =
+      detail::begin_write(dir, context.period, context.accounting_from, *context.profile, 0);
   // Each artifact is rendered once; its claim hashes the bytes written.
   const auto artifact = [&](std::string_view name, const std::string& bytes) {
     atomic_write_text(dir / name, bytes);

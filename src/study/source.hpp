@@ -158,7 +158,7 @@ enum class DatasetFormat : std::uint8_t {
 /// manifest last, so a crash mid-write can never leave a directory that
 /// passes checksum verification with partial content.  The write owns
 /// `dir`: before its first artifact it removes the previous manifest and
-/// every dataset artifact it will not write, so a rerun over an earlier
+/// every dataset artifact present, so a rerun over an earlier
 /// dataset of any layout (or over an interrupted write) leaves exactly a
 /// fresh write's files.  kBinary goes through the same container writer
 /// as write_sharded_dataset.

@@ -247,6 +247,28 @@ TEST(StudyCrashGate, LingeringCheckpointBesideManifestIsIgnored) {
 // The layout decision (study::dataset_layout, via the loader and fsck).
 // ---------------------------------------------------------------------------
 
+/// Copy into `dir` every dataset artifact of `from` that `dir` lacks, as a
+/// hand copy would (no writer runs); returns the names copied.
+std::vector<std::string> plant_stale_artifacts(const fs::path& from, const fs::path& dir) {
+  std::vector<std::string> planted;
+  for (const auto& name : study::scan_crash_state(from).artifacts) {
+    if (fs::exists(dir / name)) continue;
+    fs::copy_file(from / name, dir / name);
+    planted.push_back(name);
+  }
+  return planted;
+}
+
+/// Whether fsck's only findings are E_UNCLAIMED_ARTIFACT, one per `names`.
+bool only_unclaimed(const study::FsckResult& result, const std::vector<std::string>& names) {
+  if (result.findings.size() != names.size()) return false;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (result.findings[i].file != names[i]) return false;
+    if (result.findings[i].code != TriageCode::kUnclaimedArtifact) return false;
+  }
+  return true;
+}
+
 /// Report bytes of a strict load of `dir` over every analysis it supports.
 std::string report_bytes(const fs::path& dir) {
   const auto context = study::DatasetSource{dir}.load();
@@ -256,9 +278,10 @@ std::string report_bytes(const fs::path& dir) {
 }
 
 TEST(StudyLayout, ManifestPicksTheLayoutOverStaleContainers) {
-  // A fresh dataset written over the remains of another study's dataset
-  // in a different layout: the manifest names the fresh artifacts, so the
-  // stale containers must be neither loaded nor reported as the layout.
+  // A fresh dataset written over another study's dataset in a different
+  // layout clears the stale containers; copied back in by hand, they must
+  // be neither loaded nor taken for the layout while the manifest
+  // decides, and fsck names each one.
   const auto fresh = study::SimulatedSource{core::quick_config(kSeed)}.load();
   const auto stale = study::SimulatedSource{core::quick_config(kSeed + 2)}.load();
   const auto write_text = [](const study::StudyContext& c, const fs::path& dir) {
@@ -285,12 +308,20 @@ TEST(StudyLayout, ManifestPicksTheLayoutOverStaleContainers) {
   for (const auto& c : cases) {
     const auto alone = scratch_root() / (std::string{c.name} + "_alone");
     const auto mixed = scratch_root() / (std::string{c.name} + "_mixed");
+    const auto old = scratch_root() / (std::string{c.name} + "_stale");
     c.fresh_write(fresh, alone);
+    c.stale_write(stale, old);
     c.stale_write(stale, mixed);
     c.fresh_write(fresh, mixed);
+    const auto diff = study::first_dir_difference(mixed, alone);
+    EXPECT_FALSE(diff.has_value()) << c.name << ": " << *diff;
+    const auto planted = plant_stale_artifacts(old, mixed);
+    ASSERT_FALSE(planted.empty()) << c.name;
 
     EXPECT_EQ(report_bytes(mixed), report_bytes(alone)) << c.name;
-    EXPECT_EQ(study::fsck_dataset(mixed).layout, c.layout) << c.name;
+    const auto fsck = study::fsck_dataset(mixed);
+    EXPECT_EQ(fsck.layout, c.layout) << c.name;
+    EXPECT_TRUE(only_unclaimed(fsck, planted)) << c.name << '\n' << fsck.report_text();
     EXPECT_EQ(study::fsck_dataset(alone).layout, c.layout) << c.name;
   }
 }
@@ -369,12 +400,31 @@ TEST(StudyLayout, WritersNeverTouchFilesTheFormatDoesNotName) {
   EXPECT_TRUE(study::fsck_dataset(dir).clean()) << study::fsck_dataset(dir).report_text();
 }
 
+TEST(StudyLayout, BeginStepLeavesALeftoverItCannotRemoveToFsck) {
+  // A directory named like a leftover is no file the begin step may
+  // delete: the write still commits, and fsck names the entry.
+  const auto context = study::SimulatedSource{core::quick_config(kSeed)}.load();
+  const auto dir = scratch_root() / "tmp_directory";
+  study::write_dataset(context, dir, study::DatasetFormat::kText);
+  fs::create_directories(dir / "console.log.tmp");
+  study::write_text(dir / "console.log.tmp" / "inside", "x\n");
+  EXPECT_NO_THROW(study::write_dataset(context, dir, study::DatasetFormat::kBinary));
+  EXPECT_TRUE(fs::exists(dir / "console.log.tmp" / "inside"));
+  EXPECT_FALSE(fs::exists(dir / "console.log"));
+  const auto fsck = study::fsck_dataset(dir);
+  EXPECT_EQ(fsck.layout, "binary");
+  EXPECT_TRUE(has_finding(fsck, TriageCode::kOrphanTmp)) << fsck.report_text();
+}
+
 TEST(StudyLayout, ManifestPicksTheSideArtifacts) {
   // A text dataset without some side artifact, written over another
-  // study's complete text dataset: the stale jobs.log / smi_sweep.txt its
-  // manifest does not claim must not load, so the mixed directory reports
-  // exactly what the fresh dataset reports alone.
+  // study's complete text dataset, clears the stale jobs.log /
+  // smi_sweep.txt.  Copied back in by hand, they are unclaimed by the
+  // manifest and must not load, so the mixed directory reports exactly
+  // what the fresh dataset reports alone, and fsck names each one.
   const auto stale = study::SimulatedSource{core::quick_config(kSeed + 2)}.load();
+  const auto old = scratch_root() / "side_stale";
+  study::write_dataset(stale, old);
   const auto full = scratch_root() / "side_full";
   study::write_dataset(study::SimulatedSource{core::quick_config(kSeed)}.load(), full);
   using Names = std::vector<std::string>;
@@ -401,6 +451,8 @@ TEST(StudyLayout, ManifestPicksTheSideArtifacts) {
     // The writer removed the stale artifacts its manifest does not claim.
     const auto diff = study::first_dir_difference(mixed, alone);
     EXPECT_FALSE(diff.has_value()) << name << ": " << *diff;
+    const auto planted = plant_stale_artifacts(old, mixed);
+    ASSERT_EQ(planted, dropped) << name;
 
     const auto from_alone = study::DatasetSource{alone}.load();
     const auto from_mixed = study::DatasetSource{mixed}.load();
@@ -408,7 +460,8 @@ TEST(StudyLayout, ManifestPicksTheSideArtifacts) {
     EXPECT_EQ(from_mixed.job_log.size(), from_alone.job_log.size()) << name;
     EXPECT_EQ(from_mixed.snapshot.records.size(), from_alone.snapshot.records.size()) << name;
     EXPECT_EQ(report_bytes(mixed), report_bytes(alone)) << name;
-    EXPECT_TRUE(study::fsck_dataset(mixed).clean()) << name;
+    const auto fsck = study::fsck_dataset(mixed);
+    EXPECT_TRUE(only_unclaimed(fsck, planted)) << name << '\n' << fsck.report_text();
   }
 }
 
