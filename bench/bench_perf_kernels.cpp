@@ -375,11 +375,28 @@ BENCHMARK(BM_EventFrameBuild)->Unit(benchmark::kMillisecond);
   return static_cast<double>(ingest::load_chunks(text).size());
 }
 
+void BM_ClaimChecksum(benchmark::State& state) {
+  // The v2 text claim of the fixture's console at pool width
+  // state.range(0): 1 MiB chunks digested in 8 FNV-1a byte lanes, one pool
+  // task per chunk, folded in chunk order.
+  const auto text = study::read_all(text_fixture() / "console.log");
+  par::set_threads(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ingest::text_claim(text));
+  }
+  par::set_threads(par::default_thread_count());
+  state.counters["chunks"] = static_cast<double>(ingest::claim_chunk_count(text.size()));
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ClaimChecksum)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 void BM_TextDatasetLoad(benchmark::State& state) {
   // The strict text load dataset_analyze times: each artifact mapped once,
-  // every claim hashed on its own pool task beside the chunked console and
-  // job parses.  The serial FNV-1a over the console is the floor of the
-  // critical path; compare with BM_IngestConsoleChunks (the parse alone).
+  // and one pool run of the smi parse, a hash task per claimed file and
+  // 1 MiB claim chunk, and the chunked console and job parses.  Chunked
+  // claims leave the run bound by its total CPU, not by one file's hash;
+  // compare with BM_ClaimChecksum (the console claim alone) and
+  // BM_IngestConsoleChunks (the parse alone).
   const auto& dir = text_fixture();
   ingest::IngestReport scratch{ingest::IngestPolicy::kSalvage};
   double hashed = 0.0;

@@ -282,28 +282,44 @@ std::size_t op_tdf_checksum_tamper(std::string& bytes, stats::Rng& rng) {
   return 1;
 }
 
-/// Re-point the manifest's checksum claim for `name` at `bytes`.  The TDF
-/// operators call this after mutating the container so the damage is
-/// diagnosed by the TDF layer's own validation (named E_TDF_* codes), not
-/// masked by the earlier manifest checksum gate.
+/// The manifest version a load reads `manifest` as.
+std::uint32_t manifest_version(std::string_view manifest) {
+  IngestReport scratch{IngestPolicy::kSalvage};
+  return ingest_manifest_text(manifest, kManifest, IngestPolicy::kSalvage, scratch).version;
+}
+
+/// Re-point the manifest's checksum claim for `name` at `bytes`, as the
+/// manifest's own version computes it.  The TDF operators call this after
+/// mutating the container so the damage is diagnosed by the TDF layer's
+/// own validation (named E_TDF_* codes), not masked by the earlier
+/// manifest checksum gate.
 void repatch_manifest_checksum(const fs::path& dst, std::string_view name,
                                std::string_view bytes) {
   const auto manifest_path = dst / kManifest;
   if (!fs::exists(manifest_path)) return;
-  auto doc = split(read_file(manifest_path));
+  const auto text = read_file(manifest_path);
+  const auto claim = checksum_hex(artifact_claim(manifest_version(text), name, bytes));
+  auto doc = split(text);
   const std::string prefix = "checksum " + std::string{name} + ' ';
   for (auto& line : doc.lines) {
-    if (line.starts_with(prefix)) line = prefix + checksum_hex(content_checksum(bytes));
+    if (line.starts_with(prefix)) line = prefix + claim;
   }
   write_file(manifest_path, doc.join());
 }
 
-std::size_t op_checksum_mismatch(Lines& doc) {
+std::size_t op_checksum_mismatch(Lines& doc, const fs::path& dst) {
   for (auto& line : doc.lines) {
     if (!line.starts_with("checksum ")) continue;
-    // Flip the final hex digit so the recorded checksum can no longer
-    // match the (untouched) file content.
-    line.back() = line.back() == '0' ? 'f' : '0';
+    const auto name = line.substr(9, line.find(' ', 9) - 9);
+    if (!fs::exists(dst / name)) {
+      // Flip the final hex digit so the claim no longer holds.
+      line.back() = line.back() == '0' ? 'f' : '0';
+      return 1;
+    }
+    // The claim the manifest's version computes for the file as it is
+    // now, one bit off: it cannot hold whatever earlier operators did.
+    const auto claim = artifact_claim(manifest_version(doc.join()), name, read_file(dst / name));
+    line = "checksum " + name + ' ' + checksum_hex(claim ^ 1U);
     return 1;
   }
   // Pre-checksum manifest: claim a checksum that cannot match.
@@ -385,7 +401,7 @@ CorruptionSummary corrupt_dataset(const fs::path& src, const fs::path& dst,
         auto doc = split(read_file(dst / kManifest));
         result.mutations = op == CorruptionOp::kMangleManifest
                                ? op_mangle_manifest(doc, rng)
-                               : op_checksum_mismatch(doc);
+                               : op_checksum_mismatch(doc, dst);
         write_file(dst / kManifest, doc.join());
       }
       summary.applied.push_back(std::move(result));

@@ -5,6 +5,7 @@
 
 #include "par/parallel.hpp"
 #include "stats/rng.hpp"
+#include "tdf/format.hpp"
 
 namespace titan::ingest {
 
@@ -265,6 +266,45 @@ std::string IngestReport::summary_text() const {
 
 std::uint64_t content_checksum(std::string_view bytes) noexcept {
   return stats::hash_label(bytes);
+}
+
+std::uint64_t claim_chunk_digest(std::string_view text, std::size_t chunk) noexcept {
+  const auto bytes = text.substr(chunk * kClaimChunkBytes, kClaimChunkBytes);
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::array<std::uint64_t, kClaimLanes> lanes;
+  lanes.fill(stats::kFnv1aBasis);
+  const std::size_t whole = bytes.size() - bytes.size() % kClaimLanes;
+  for (std::size_t i = 0; i < whole; i += kClaimLanes) {
+    for (std::size_t k = 0; k < kClaimLanes; ++k) {
+      lanes[k] = (lanes[k] ^ p[i + k]) * stats::kFnv1aPrime;
+    }
+  }
+  for (std::size_t k = 0; whole + k < bytes.size(); ++k) {
+    lanes[k] = (lanes[k] ^ p[whole + k]) * stats::kFnv1aPrime;
+  }
+  std::uint64_t h = stats::kFnv1aBasis;
+  for (const auto lane : lanes) h = stats::hash_extend_u64(h, lane);
+  return h;
+}
+
+std::uint64_t fold_text_claim(std::size_t bytes,
+                              std::span<const std::uint64_t> digests) noexcept {
+  std::uint64_t h = stats::hash_extend_u64(stats::kFnv1aBasis, bytes);
+  for (const auto digest : digests) h = stats::hash_extend_u64(h, digest);
+  return h;
+}
+
+std::uint64_t text_claim(std::string_view text) {
+  const auto digests = par::parallel_map(0, claim_chunk_count(text.size()), 1, [&](std::size_t c) {
+    return claim_chunk_digest(text, c);
+  });
+  return fold_text_claim(text.size(), digests);
+}
+
+std::uint64_t artifact_claim(std::uint32_t version, std::string_view name,
+                             std::string_view bytes) {
+  if (version == 1) return content_checksum(bytes);
+  return name.ends_with(".tdf") ? tdf::container_claim(bytes) : text_claim(bytes);
 }
 
 std::string checksum_hex(std::uint64_t value) {
@@ -574,7 +614,9 @@ ManifestIngest ingest_manifest_text(std::string_view text, std::string_view file
     last_line = line_no;
     const std::string_view line = strip_crlf(raw, file, line_no, report);
     if (line_no == 1) {
-      if (line != kDatasetManifestHeader) {
+      if (line == kDatasetManifestHeaderV1) {
+        out.version = 1;
+      } else if (line != kDatasetManifestHeader) {
         triage(policy, report, file, line_no, TriageCode::kManifestHeader,
                SalvageAction::kIgnored,
                "expected '" + std::string{kDatasetManifestHeader} + "', got '" +

@@ -201,11 +201,51 @@ class IngestReport {
 // fatal_in_strict() finding throws IngestError instead.
 // ---------------------------------------------------------------------------
 
-/// First line of every manifest written by study::write_dataset.
-inline constexpr std::string_view kDatasetManifestHeader = "titanrel-dataset v1";
+/// First line of every manifest the dataset writers write: manifest v2,
+/// whose claims split across cores (text_claim, tdf::container_claim).
+inline constexpr std::string_view kDatasetManifestHeader = "titanrel-dataset v2";
 
-/// FNV-1a 64 over raw file bytes -- the manifest content checksum.
+/// First line of a v1 manifest, which readers still speak: a v1 text
+/// claim is the whole-file content_checksum, and a v1 container claim is
+/// checked for presence by loads and hashed whole by fsck.
+inline constexpr std::string_view kDatasetManifestHeaderV1 = "titanrel-dataset v1";
+
+/// FNV-1a 64 over raw file bytes: a v1 manifest claim.
 [[nodiscard]] std::uint64_t content_checksum(std::string_view bytes) noexcept;
+
+/// Bytes per chunk of a v2 text claim, cut at byte offsets.  A constant of
+/// the format: never derived from the thread count.
+inline constexpr std::size_t kClaimChunkBytes = std::size_t{1} << 20;
+
+/// Byte lanes of a v2 chunk digest (a constant of the format).
+inline constexpr std::size_t kClaimLanes = 8;
+
+/// Chunks of a v2 text claim over `bytes` bytes (none for an empty file).
+[[nodiscard]] constexpr std::size_t claim_chunk_count(std::size_t bytes) noexcept {
+  return (bytes + kClaimChunkBytes - 1) / kClaimChunkBytes;
+}
+
+/// Digest of chunk `chunk` of `text` (chunk < claim_chunk_count): lane k
+/// runs FNV-1a 64 over the chunk's bytes at offsets = k (mod kClaimLanes),
+/// and the digest is FNV-1a 64 over the lane values, each written as 8
+/// little-endian bytes.  The lanes are independent multiply chains, so
+/// one core hashes several bytes per multiply latency.
+[[nodiscard]] std::uint64_t claim_chunk_digest(std::string_view text, std::size_t chunk) noexcept;
+
+/// A v2 text claim from its chunk digests: FNV-1a 64 over the file length,
+/// then each digest in chunk order, all as 8 little-endian bytes.
+[[nodiscard]] std::uint64_t fold_text_claim(std::size_t bytes,
+                                            std::span<const std::uint64_t> digests) noexcept;
+
+/// The v2 text claim of `text`, its chunk digests computed on the pool
+/// (the same value at any width).
+[[nodiscard]] std::uint64_t text_claim(std::string_view text);
+
+/// The claim a manifest of `version` records for artifact `name` holding
+/// `bytes`: under v1 content_checksum; under v2 tdf::container_claim for
+/// a `.tdf` container and text_claim for any other artifact.
+[[nodiscard]] std::uint64_t artifact_claim(std::uint32_t version, std::string_view name,
+                                           std::string_view bytes);
 
 /// Fixed-width (16 digit) lowercase-hex rendering of a checksum.
 [[nodiscard]] std::string checksum_hex(std::uint64_t value);
@@ -247,6 +287,9 @@ struct JobIngest {
 /// Manifest ingestion product: the study window, accounting cutoff and
 /// the content checksums the producer recorded.
 struct ManifestIngest {
+  /// Manifest format version: 1 under a v1 header, else 2 (a damaged
+  /// header that salvage reads past is checked as v2).
+  std::uint32_t version = 2;
   bool have_begin = false;
   bool have_end = false;
   bool have_accounting = false;

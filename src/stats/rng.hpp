@@ -27,6 +27,9 @@ namespace titan::stats {
 /// FNV-1a 64 offset basis: the hash of no bytes.
 inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
 
+/// FNV-1a 64 prime: the multiplier each byte step applies.
+inline constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ULL;
+
 /// FNV-1a 64 carried on from state `h` over `bytes`, so a body hashed in
 /// pieces hashes as a whole: hash_extend(hash_label(a), b) ==
 /// hash_label(a + b).
@@ -34,7 +37,18 @@ inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
                                                   std::string_view bytes) noexcept {
   for (char c : bytes) {
     h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
+    h *= kFnv1aPrime;
+  }
+  return h;
+}
+
+/// FNV-1a 64 carried on from state `h` over the 8 little-endian bytes of
+/// `value` (independent of host byte order).
+[[nodiscard]] constexpr std::uint64_t hash_extend_u64(std::uint64_t h,
+                                                      std::uint64_t value) noexcept {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (value >> (8 * i)) & 0xffU;
+    h *= kFnv1aPrime;
   }
   return h;
 }

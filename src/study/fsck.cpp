@@ -66,17 +66,64 @@ void check_checkpoint(const fs::path& dir, const CrashEvidence& evidence, FsckRe
   }
 }
 
-/// Manifest claims: parse damage, then every checksum against on-disk
-/// bytes -- including the TDF containers the load fast path skips.
+/// The first nonzero byte of `bytes` in [from, to), else nullopt.
+std::optional<std::uint64_t> nonzero_byte(std::string_view bytes, std::uint64_t from,
+                                          std::uint64_t to) {
+  for (auto pos = from; pos < to; ++pos) {
+    if (bytes[static_cast<std::size_t>(pos)] != '\0') return pos;
+  }
+  return std::nullopt;
+}
+
+/// The bytes of a v2 container its claim covers only through checksums:
+/// inspect_tdf checks the table against the header and every segment body
+/// against the table, and the padding between segments -- the one region
+/// neither the claim nor a segment checksum covers -- must be zero.  Any
+/// damage there breaks the claim, so it is named a checksum mismatch.
+std::optional<FsckFinding> verify_container(const fs::path& dir, const std::string& name) {
+  const auto path = dir / name;
+  try {
+    auto segments = tdf::inspect_tdf(path).segments;
+    const tdf::MappedFile file{path, tdf::kTdfMaxFallbackBytes};
+    const auto bytes = file.bytes();
+    std::sort(segments.begin(), segments.end(),
+              [](const auto& a, const auto& b) { return a.offset < b.offset; });
+    // inspect_tdf has checked the table ends the file and every body lies
+    // between the header and the table.
+    const std::uint64_t table = bytes.size() - segments.size() * tdf::kTdfEntrySize;
+    std::uint64_t pos = tdf::kTdfHeaderSize;
+    std::optional<std::uint64_t> dirty;
+    for (const auto& segment : segments) {
+      if (!dirty) dirty = nonzero_byte(bytes, pos, segment.offset);
+      pos = std::max(pos, segment.offset + segment.length);
+    }
+    if (!dirty) dirty = nonzero_byte(bytes, pos, table);
+    if (dirty) {
+      return FsckFinding{name, TriageCode::kChecksumMismatch,
+                         "nonzero padding byte at offset " + std::to_string(*dirty) +
+                             " between segments"};
+    }
+  } catch (const ingest::IngestError& error) {
+    return FsckFinding{name, TriageCode::kChecksumMismatch,
+                       "header and table match the claim, but the container fails " +
+                           std::string{ingest::code_name(error.code())}};
+  }
+  return std::nullopt;
+}
+
+/// Manifest claims: parse damage, then every claim against on-disk bytes
+/// -- and every byte of a v2 container behind a claim that holds.
 void check_manifest(const fs::path& dir, const ingest::ManifestIngest& manifest,
                     const ingest::IngestReport& parse_report, FsckResult& out) {
   for (const auto& diag : parse_report.diagnostics()) {
     add_finding(out, diag.file, diag.code, diag.detail);
   }
   for (const auto& [name, expected] : manifest.checksums) {
-    if (auto finding = claim_verdict(name, expected, claim_checksum(dir, name))) {
-      out.findings.push_back(std::move(*finding));
+    auto finding = claim_verdict(name, expected, claim_checksum(dir, name, manifest.version));
+    if (!finding && manifest.version != 1 && name.ends_with(".tdf")) {
+      finding = verify_container(dir, name);
     }
+    if (finding) out.findings.push_back(std::move(*finding));
   }
   // Shard roster vs the `shards N` claim: every shard in [0, N) must be
   // claimed AND present (shards beyond N are unclaimed artifacts).
@@ -144,12 +191,15 @@ CrashEvidence scan_crash_state(const fs::path& dir) {
   return evidence;
 }
 
-std::optional<std::uint64_t> claim_checksum(const fs::path& dir, const std::string& name) {
+std::optional<std::uint64_t> claim_checksum(const fs::path& dir, const std::string& name,
+                                            std::uint32_t version) {
   const auto path = dir / name;
   if (!fs::exists(path)) return std::nullopt;
-  (void)checked_file_size(path);
-  const tdf::MappedFile file{path};
-  return ingest::content_checksum(file.bytes());
+  // A v2 container claim reads the header and table only: no size cap.
+  const bool container = version != 1 && name.ends_with(".tdf");
+  if (!container) (void)checked_file_size(path);
+  const tdf::MappedFile file{path, container ? tdf::kTdfMaxFallbackBytes : 0};
+  return ingest::artifact_claim(version, name, file.bytes());
 }
 
 std::optional<FsckFinding> claim_verdict(const std::string& name, std::uint64_t expected,

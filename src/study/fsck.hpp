@@ -67,11 +67,15 @@ struct CrashEvidence {
 /// directory yields no evidence.
 [[nodiscard]] CrashEvidence scan_crash_state(const std::filesystem::path& dir);
 
-/// The hash step of a manifest claim: the content checksum of
-/// `dir / name`, read through one mapping of the file, or nullopt when it
-/// is missing.  A file beyond kMaxIngestFileBytes throws E_FILE_TOO_LARGE.
+/// The hash step of a manifest claim: the claim a manifest of `version`
+/// records for `dir / name` (ingest::artifact_claim), read through one
+/// mapping of the file, or nullopt when it is missing.  A v2 container
+/// claim reads only the header and segment table, so a container of any
+/// size is fine; any other file beyond kMaxIngestFileBytes throws
+/// E_FILE_TOO_LARGE.
 [[nodiscard]] std::optional<std::uint64_t> claim_checksum(const std::filesystem::path& dir,
-                                                          const std::string& name);
+                                                          const std::string& name,
+                                                          std::uint32_t version);
 
 /// The verdict step, shared by fsck and the loaders' claim-order walk:
 /// nullopt when the claim holds, else the finding -- a missing file

@@ -8,7 +8,6 @@
 
 #include "core/sharded.hpp"
 #include "faulttest/faulttest.hpp"
-#include "ingest/triage.hpp"
 #include "logsim/joblog.hpp"
 #include "study/io.hpp"
 #include "study/serialize_detail.hpp"
@@ -21,14 +20,14 @@ namespace {
 namespace fs = std::filesystem;
 
 /// Encode and write one container atomically, fold it into `out`, and
-/// return its manifest claim.  The claim hashes the encoded bytes
-/// directly -- never a read-back -- so writing containers larger than
-/// the whole-file read cap stays possible.
+/// return its manifest claim.  The claim hashes the encoded header and
+/// segment table (tdf::container_claim) -- never a read-back -- whose
+/// checksums already cover every segment body.
 std::string write_shard(const fs::path& dir, const std::string& file,
                         const tdf::TdfDataset& data, ShardedWriteStats& out) {
   const auto encoded = tdf::encode_tdf(data);
   TITAN_PTP("study/shard/encoded");
-  const auto checksum = ingest::content_checksum(encoded);
+  const auto checksum = tdf::container_claim(encoded);
   atomic_write_text(dir / file, encoded);
   TITAN_PTP("study/shard/sealed");
   const std::size_t events = data.event_count();

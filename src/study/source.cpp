@@ -88,19 +88,19 @@ void resolve_profile(StudyContext& context, std::string_view source_file, bool r
 
 /// Walk the manifest's checksum claims in claim order and triage each
 /// verdict: a claimed-but-missing file and a content mismatch are
-/// integrity findings (fatal under kStrict).  A present `.tdf` container
-/// claim is presence-checked only: a TDF container self-validates every
-/// byte it decodes (table + per-segment FNV-1a), and hashing it here
-/// would read each container twice -- and force a whole-file read of
-/// containers the streaming decode never materializes.  `checksum(i)`
-/// yields claim i's content checksum (nullopt = missing); the binary
-/// path hashes on demand, the text load hands over what its pool hashed.
+/// integrity findings (fatal under kStrict).  A v2 container claim costs
+/// one header and table read, so it is verified; a present `.tdf` claim
+/// of a v1 manifest is presence-checked only, since its whole-file hash
+/// would read each container twice (the decode validates every byte it
+/// reads against the table).  `checksum(i)` yields claim i's claim value
+/// (nullopt = missing); the binary path hashes on demand, the text load
+/// hands over what its pool hashed.
 template <typename Checksum>
 void walk_claims(const fs::path& dir, const ingest::ManifestIngest& manifest,
                  IngestPolicy policy, IngestReport& report, Checksum&& checksum) {
   for (std::size_t i = 0; i < manifest.checksums.size(); ++i) {
     const auto& [name, expected] = manifest.checksums[i];
-    if (name.ends_with(".tdf") && fs::exists(dir / name)) continue;
+    if (manifest.version == 1 && name.ends_with(".tdf") && fs::exists(dir / name)) continue;
     if (const auto finding = claim_verdict(name, expected, checksum(i))) {
       triage_file(policy, report, name, finding->code, SalvageAction::kIgnored,
                   finding->detail);
@@ -289,7 +289,9 @@ struct TextArtifact {
   std::optional<tdf::MappedFile> map;
   std::exception_ptr error;
   bool claimed = false;
-  std::uint64_t checksum = 0;  ///< content_checksum, when claimed and mapped
+  /// Claim digests, when claimed and mapped: one per chunk under v2 (see
+  /// ingest::claim_chunk_digest), the whole-file checksum under v1.
+  std::vector<std::uint64_t> digests;
 
   void open(const fs::path& path) {
     if (!fs::exists(path)) return;
@@ -308,13 +310,13 @@ struct TextArtifact {
   [[nodiscard]] std::string_view text() const { return map ? map->bytes() : std::string_view{}; }
 };
 
-/// The text load: one mapping per artifact and one pool run that hashes
-/// every claimed file (the lowest task indices, largest first, so the
-/// long serial console hash starts first) beside the smi parse and the
-/// chunked console and job parses.  Then, in the order a file-by-file load
-/// meets them: the manifest verdicts in claim order, the console, the
-/// job log, the smi sweep -- so under strict a checksum mismatch still
-/// wins over any parse error, and under salvage it is reported first.
+/// The text load: one mapping per artifact and one pool run of the smi
+/// parse (the one long serial task, so it starts first), one hash task
+/// per claimed file and claim chunk, and the chunked console and job
+/// parses.  Then, in the order a file-by-file load meets them: the
+/// manifest verdicts in claim order, the console, the job log, the smi
+/// sweep -- so under strict a checksum mismatch still wins over any parse
+/// error, and under salvage it is reported first.
 StudyContext load_text(const fs::path& dir, const ingest::ManifestIngest& manifest,
                        IngestPolicy policy, IngestReport& report,
                        const profile::FleetProfile* expected) {
@@ -336,13 +338,18 @@ StudyContext load_text(const fs::path& dir, const ingest::ManifestIngest& manife
   const TextArtifact* jobs = side_artifact("jobs.log") ? &open("jobs.log") : nullptr;
   const TextArtifact* smi = side_artifact("smi_sweep.txt") ? &open("smi_sweep.txt") : nullptr;
 
-  std::vector<TextArtifact*> hashed;
+  // A v2 claim splits into fixed chunks; a v1 claim is one whole-file hash.
+  const bool v1 = manifest.version == 1;
+  struct ClaimTask {
+    TextArtifact* file;
+    std::size_t chunk;
+  };
+  std::vector<ClaimTask> claim_tasks;
   for (auto& [name, file] : files) {
-    if (file.claimed && file.map) hashed.push_back(&file);
+    if (!file.claimed || !file.map) continue;
+    file.digests.resize(v1 ? 1 : ingest::claim_chunk_count(file.text().size()));
+    for (std::size_t c = 0; c < file.digests.size(); ++c) claim_tasks.push_back({&file, c});
   }
-  std::stable_sort(hashed.begin(), hashed.end(), [](const auto* a, const auto* b) {
-    return a->map->bytes().size() > b->map->bytes().size();
-  });
   const auto console_text = console.text();
   const auto jobs_text = jobs ? jobs->text() : std::string_view{};
   const auto smi_text = smi ? smi->text() : std::string_view{};
@@ -355,17 +362,20 @@ StudyContext load_text(const fs::path& dir, const ingest::ManifestIngest& manife
   IngestReport smi_report{policy};
   logsim::SmiSweepParse sweep;
   par::ThreadPool::instance().run(
-      hashed.size() + smi_tasks + console_spans.size() + job_spans.size(), [&](std::size_t t) {
-        if (t < hashed.size()) {
-          hashed[t]->checksum = ingest::content_checksum(hashed[t]->map->bytes());
-          return;
-        }
-        t -= hashed.size();
+      smi_tasks + claim_tasks.size() + console_spans.size() + job_spans.size(),
+      [&](std::size_t t) {
         if (t < smi_tasks) {
           sweep = ingest::ingest_smi_text(smi_text, "smi_sweep.txt", policy, smi_report);
           return;
         }
         t -= smi_tasks;
+        if (t < claim_tasks.size()) {
+          const auto [file, chunk] = claim_tasks[t];
+          file->digests[chunk] = v1 ? ingest::content_checksum(file->text())
+                                    : ingest::claim_chunk_digest(file->text(), chunk);
+          return;
+        }
+        t -= claim_tasks.size();
         if (t < console_spans.size()) {
           console_parts[t] =
               ingest::ingest_console_chunk(console_text, console_spans[t], "console.log", policy);
@@ -376,9 +386,12 @@ StudyContext load_text(const fs::path& dir, const ingest::ManifestIngest& manife
       });
 
   walk_claims(dir, manifest, policy, report, [&](std::size_t i) -> std::optional<std::uint64_t> {
-    const auto it = files.find(manifest.checksums[i].first);
+    const auto& name = manifest.checksums[i].first;
+    if (name.ends_with(".tdf")) return claim_checksum(dir, name, manifest.version);
+    const auto it = files.find(name);
     if (it == files.end() || !it->second.present()) return std::nullopt;
-    return it->second.checksum;
+    const auto& file = it->second;
+    return v1 ? file.digests.front() : ingest::fold_text_claim(file.text().size(), file.digests);
   });
 
   if (!console.present()) {
@@ -496,7 +509,7 @@ StudyContext DatasetSource::load() const {
   const auto layout = dataset_layout(dir_, manifest);
   if (layout.containers != 0) {
     walk_claims(dir_, manifest, policy_, report, [&](std::size_t i) {
-      return claim_checksum(dir_, manifest.checksums[i].first);
+      return claim_checksum(dir_, manifest.checksums[i].first, manifest.version);
     });
   }
   StudyContext context =
@@ -677,7 +690,7 @@ void write_dataset(const StudyContext& context, const std::filesystem::path& dir
   // Each artifact is rendered once; its claim hashes the bytes written.
   const auto artifact = [&](std::string_view name, const std::string& bytes) {
     atomic_write_text(dir / name, bytes);
-    manifest.push_back(detail::claim_line(name, ingest::content_checksum(bytes)));
+    manifest.push_back(detail::claim_line(name, ingest::text_claim(bytes)));
     TITAN_PTP("study/write/artifact");
   };
   artifact("console.log", join_lines(detail::console_lines_of(context)));

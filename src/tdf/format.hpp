@@ -36,8 +36,9 @@
 //   * jobs/smi -- delta+varint integers, doubles as raw IEEE-754 bits.
 //
 // This header is deliberately dependency-free (stats/rng.hpp only, for
-// the FNV-1a primitive shared with the PR 5 manifest checksums) so the
-// ingest corruptor can reason about the layout without linking titan_tdf.
+// the FNV-1a primitive shared with the manifest claims) so the ingest
+// corruptor can reason about the layout, and compute a container's
+// manifest claim, without linking titan_tdf.
 #pragma once
 
 #include <cstddef>
@@ -257,10 +258,33 @@ inline void append_varint(std::string& out, std::uint64_t v) {
 }
 
 /// FNV-1a 64 over raw bytes: the segment/table checksum.  Identical to
-/// ingest::content_checksum, so TDF extends the PR 5 manifest scheme with
-/// one hash function end to end.
+/// ingest::content_checksum, so TDF extends the manifest scheme with one
+/// hash function end to end.
 [[nodiscard]] inline std::uint64_t tdf_checksum(std::string_view bytes) noexcept {
   return stats::hash_label(bytes);
+}
+
+/// The manifest v2 claim of a container: FNV-1a 64 over the file length
+/// (8 bytes little-endian), the 40-byte header and the segment table.  The
+/// header's table checksum covers the table and the table's per-segment
+/// checksums cover every segment body, so the claim costs one table read
+/// and leaves uncovered only the zero padding between segments (fsck
+/// checks that).  Total over any bytes: a short header is hashed as far
+/// as it goes, and a table the header places outside the file is left
+/// out (the length already tells such a file apart).
+[[nodiscard]] inline std::uint64_t container_claim(std::string_view bytes) noexcept {
+  std::uint64_t h = stats::hash_extend_u64(stats::kFnv1aBasis, bytes.size());
+  h = stats::hash_extend(h, bytes.substr(0, kTdfHeaderSize));
+  if (bytes.size() < kTdfHeaderSize) return h;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  const std::uint64_t offset = load_u64(p + kTdfTableOffsetOffset);
+  const std::uint64_t count = load_u64(p + kTdfSegmentCountOffset);
+  if (count > kTdfMaxSegments || offset > bytes.size() ||
+      count * kTdfEntrySize > bytes.size() - offset) {
+    return h;
+  }
+  return stats::hash_extend(h, bytes.substr(static_cast<std::size_t>(offset),
+                                            static_cast<std::size_t>(count * kTdfEntrySize)));
 }
 
 }  // namespace titan::tdf

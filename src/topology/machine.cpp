@@ -1,6 +1,7 @@
 #include "topology/machine.hpp"
 
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
 
 namespace titan::topology {
 
@@ -36,10 +37,20 @@ int compute_node_count() noexcept {
 }
 
 void append_cname(std::string& out, const NodeLocation& loc) {
-  char buf[kMaxCnameChars + 1];
-  std::snprintf(buf, sizeof(buf), "c%d-%dc%ds%dn%d", loc.cab_x, loc.cab_y, loc.cage, loc.slot,
-                loc.node);
-  out += buf;
+  // Five fields of a tag and an int of at most 11 characters ("-2147483648").
+  constexpr std::size_t kField = 12;
+  char buf[5 * kField];
+  char* pos = buf;
+  const auto put = [&](char tag, int value) {
+    *pos = tag;
+    pos = std::to_chars(pos + 1, pos + kField, value).ptr;
+  };
+  put('c', loc.cab_x);
+  put('-', loc.cab_y);
+  put('c', loc.cage);
+  put('s', loc.slot);
+  put('n', loc.node);
+  out.append(buf, std::min(static_cast<std::size_t>(pos - buf), kMaxCnameChars));
 }
 
 std::string cname(const NodeLocation& loc) {

@@ -112,8 +112,9 @@ struct NodeLocation {
 /// kComputeNodes by construction, verified in tests).
 [[nodiscard]] int compute_node_count() noexcept;
 
-/// Longest cname append_cname writes (it formats into a buffer of
-/// kMaxCnameChars + 1 bytes); a valid location's cname is far shorter.
+/// Longest cname append_cname writes (a longer one, possible only for
+/// out-of-range coordinates, is cut to this length); a valid location's
+/// cname is far shorter.
 inline constexpr std::size_t kMaxCnameChars = 31;
 
 /// Format a Cray cname, e.g. "c12-3c1s4n2".

@@ -10,7 +10,7 @@
 // to NUL/overlong/CRLF/malformed lines, at an unterminated tail, and
 // inside a run of non-event lines longer than a chunk).  Plus the load's
 // error precedence: a manifest verdict always surfaces before any parse
-// finding.
+// finding; and the v2 text claim against a naive strided reference.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -25,6 +25,7 @@
 #include "ingest/corrupt.hpp"
 #include "ingest/triage.hpp"
 #include "par/pool.hpp"
+#include "stats/rng.hpp"
 #include "study/io.hpp"
 #include "study/source.hpp"
 
@@ -631,7 +632,7 @@ void reclaim(const fs::path& dir, const std::string& name) {
   for (auto& line : manifest) {
     if (line.starts_with("checksum " + name + ' ')) {
       line = "checksum " + name + ' ' +
-             ingest::checksum_hex(ingest::content_checksum(study::read_all(dir / name)));
+             ingest::checksum_hex(ingest::text_claim(study::read_all(dir / name)));
     }
   }
   study::write_text(dir / "manifest.txt", study::join_lines(manifest));
@@ -738,6 +739,84 @@ TEST(IngestChunkedLoad, SalvageSummaryIsWidthInvariantOnEveryOperator) {
     const ThreadsGuard guard{4};
     const auto context = study::DatasetSource{dir, IngestPolicy::kSalvage}.load();
     EXPECT_EQ(context.ingest_report->summary_text(), summary1) << "case " << c;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The v2 text claim: fixed 1 MiB chunks, each digested in 8 FNV-1a byte
+// lanes, folded in chunk order -- against a naive strided reference, at
+// every pool width.
+// ---------------------------------------------------------------------------
+
+/// `value` as 8 little-endian bytes.
+std::string le_bytes(std::uint64_t value) {
+  std::string out;
+  for (int i = 0; i < 8; ++i) out += static_cast<char>((value >> (8 * i)) & 0xffU);
+  return out;
+}
+
+/// The naive reference: each 1 MiB chunk split into its 8 strided strings,
+/// each hashed with stats::hash_label, and the lane values hashed as 8
+/// little-endian bytes each; then the length and the chunk digests hashed
+/// the same way.
+std::uint64_t reference_claim(std::string_view text) {
+  constexpr std::size_t kChunk = std::size_t{1} << 20;
+  std::string folded = le_bytes(text.size());
+  for (std::size_t begin = 0; begin < text.size(); begin += kChunk) {
+    const auto chunk = text.substr(begin, kChunk);
+    std::string lanes;
+    for (std::size_t lane = 0; lane < 8; ++lane) {
+      std::string strided;
+      for (std::size_t i = lane; i < chunk.size(); i += 8) strided += chunk[i];
+      lanes += le_bytes(stats::hash_label(strided));
+    }
+    folded += le_bytes(stats::hash_label(lanes));
+  }
+  return stats::hash_label(folded);
+}
+
+TEST(IngestClaim, ChunkedClaimMatchesTheStridedReference) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  EXPECT_EQ(ingest::kClaimChunkBytes, kMiB);
+  EXPECT_EQ(ingest::kClaimLanes, 8U);
+  std::string bytes(3 * kMiB + 5, '\0');
+  stats::Rng rng{kSeed};
+  for (auto& byte : bytes) byte = static_cast<char>(rng.below(256));
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+        kMiB - 1, kMiB, kMiB + 1, 3 * kMiB + 5}) {
+    const std::string_view text{bytes.data(), size};
+    const auto expected = reference_claim(text);
+    std::vector<std::uint64_t> digests;
+    for (std::size_t c = 0; c < ingest::claim_chunk_count(size); ++c) {
+      digests.push_back(ingest::claim_chunk_digest(text, c));
+    }
+    EXPECT_EQ(ingest::fold_text_claim(size, digests), expected) << size;
+    for (const std::size_t threads : {1UL, 4UL}) {
+      const ThreadsGuard guard{threads};
+      EXPECT_EQ(ingest::text_claim(text), expected) << size << " at width " << threads;
+    }
+  }
+}
+
+TEST(IngestClaim, FlipInTheLastPartialChunkFailsTheClaim) {
+  const auto dir = scratch_root() / "last_chunk_flip";
+  fs::copy(clean_dataset(), dir);
+  auto text = study::read_all(dir / "console.log");
+  const std::size_t partial = text.size() % ingest::kClaimChunkBytes;
+  ASSERT_NE(partial, 0U);
+  const std::size_t pos = text.size() - partial / 2;
+  text[pos] = static_cast<char>(text[pos] ^ 0x01);
+  study::write_text(dir / "console.log", text);
+  for (const std::size_t threads : {1UL, 4UL}) {
+    const ThreadsGuard guard{threads};
+    try {
+      (void)study::DatasetSource{dir}.load();
+      FAIL() << "a flipped byte must fail its claim";
+    } catch (const IngestError& error) {
+      EXPECT_EQ(error.code(), TriageCode::kChecksumMismatch) << threads;
+      EXPECT_EQ(error.file(), "console.log") << threads;
+    }
   }
 }
 

@@ -21,6 +21,7 @@
 #include "study/io.hpp"
 #include "study/registry.hpp"
 #include "study/source.hpp"
+#include "tdf/format.hpp"
 
 namespace titan {
 namespace {
@@ -152,8 +153,9 @@ TEST(IngestClean, ManifestCarriesVerifiableChecksums) {
   const auto parsed =
       ingest::ingest_manifest_text(manifest, "manifest.txt", IngestPolicy::kStrict, report);
   ASSERT_EQ(parsed.checksums.size(), 3U);
+  EXPECT_EQ(parsed.version, 2U);
   for (const auto& [name, expected] : parsed.checksums) {
-    EXPECT_EQ(ingest::content_checksum(slurp(clean_dataset() / name)), expected) << name;
+    EXPECT_EQ(ingest::text_claim(slurp(clean_dataset() / name)), expected) << name;
   }
 }
 
@@ -339,6 +341,43 @@ TEST(TdfCorruption, TextOperatorsAreNoOpsOnBinaryDatasets) {
   const auto context = study::DatasetSource{dir}.load();
   EXPECT_TRUE(context.load_stats.binary);
   EXPECT_FALSE(context.frame.empty());
+}
+
+TEST(TdfCorruption, ClaimsFollowTheManifestVersion) {
+  // The corruptor computes a claim as the manifest's own version does: a
+  // repatched claim holds for the mutated container, and a falsified one
+  // fails, under a v1 manifest (whole-file FNV-1a) and a v2 one alike.
+  const std::string tdf_name{tdf::kTdfFileName};
+  for (const std::uint32_t version : {1U, 2U}) {
+    const auto src = scratch_root() / ("claims_src_v" + std::to_string(version));
+    fs::copy(clean_binary_dataset(), src, fs::copy_options::recursive);
+    if (version == 1) {
+      auto manifest = study::read_lines(src / "manifest.txt");
+      manifest.front() = std::string{ingest::kDatasetManifestHeaderV1};
+      manifest.back() = "checksum " + tdf_name + ' ' +
+                        ingest::checksum_hex(ingest::content_checksum(slurp(src / tdf_name)));
+      study::write_text(src / "manifest.txt", study::join_lines(manifest));
+    }
+    const auto claim_of = [&](const fs::path& dir) {
+      IngestReport report{IngestPolicy::kStrict};
+      const auto manifest = ingest::ingest_manifest_text(slurp(dir / "manifest.txt"),
+                                                         "manifest.txt", IngestPolicy::kStrict,
+                                                         report);
+      EXPECT_EQ(manifest.version, version);
+      EXPECT_EQ(manifest.checksums.size(), 1U);
+      return manifest.checksums.front().second;
+    };
+    const auto tag = "_v" + std::to_string(version);
+    const auto tampered =
+        corrupted_from(src, {CorruptionOp::kTdfChecksumTamper}, kSeed, "claims_tamper" + tag);
+    EXPECT_NE(slurp(tampered / tdf_name), slurp(src / tdf_name));
+    EXPECT_EQ(claim_of(tampered),
+              ingest::artifact_claim(version, tdf_name, slurp(tampered / tdf_name)));
+    const auto falsified =
+        corrupted_from(src, {CorruptionOp::kChecksumMismatch}, kSeed, "claims_false" + tag);
+    EXPECT_NE(claim_of(falsified),
+              ingest::artifact_claim(version, tdf_name, slurp(falsified / tdf_name)));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -181,6 +183,96 @@ TEST(StudyFsck, CorruptShardBytesAreNamedChecksumMismatch) {
   study::write_text(dir / tdf::shard_file_name(0), bytes);
   const auto result = study::fsck_dataset(dir);
   EXPECT_FALSE(result.clean());
+  EXPECT_TRUE(has_finding(result, TriageCode::kChecksumMismatch)) << result.report_text();
+}
+
+/// Flip one byte of the file at `path`.
+void flip_byte(const fs::path& path, std::uint64_t offset) {
+  auto bytes = study::read_all(path);
+  bytes[static_cast<std::size_t>(offset)] =
+      static_cast<char>(bytes[static_cast<std::size_t>(offset)] ^ 0x5a);
+  study::write_text(path, bytes);
+}
+
+/// The findings of `result` with code `code`, rendered one per line.
+std::string findings_of(const study::FsckResult& result, TriageCode code) {
+  std::string out;
+  for (const auto& finding : result.findings) {
+    if (finding.code == code) out += finding.file + ": " + finding.detail + '\n';
+  }
+  return out;
+}
+
+TEST(StudyFsck, FlippedSegmentBodyIsNamedChecksumMismatch) {
+  // A v2 container claim hashes the header and table; fsck checks every
+  // body against the table behind it.
+  const auto dir = damaged_copy("body_flip");
+  const auto victim = dir / tdf::shard_file_name(0);
+  const auto segments = tdf::inspect_tdf(victim).segments;
+  const auto largest = std::max_element(
+      segments.begin(), segments.end(),
+      [](const auto& a, const auto& b) { return a.length < b.length; });
+  ASSERT_NE(largest, segments.end());
+  flip_byte(victim, largest->offset + largest->length / 2);
+  EXPECT_EQ(findings_of(study::fsck_dataset(dir), TriageCode::kChecksumMismatch),
+            tdf::shard_file_name(0) +
+                ": header and table match the claim, but the container fails "
+                "E_TDF_SEGMENT_CHECKSUM\n");
+}
+
+TEST(StudyFsck, FlippedPaddingByteIsNamedChecksumMismatch) {
+  // The zero padding between segments is the one region neither the claim
+  // nor a segment checksum covers: fsck checks it, a load never reads it.
+  const auto dir = damaged_copy("padding_flip");
+  std::optional<std::pair<std::string, std::uint64_t>> padding;
+  for (std::size_t s = 0; s < 3 && !padding; ++s) {
+    auto segments = tdf::inspect_tdf(dir / tdf::shard_file_name(s)).segments;
+    std::sort(segments.begin(), segments.end(),
+              [](const auto& a, const auto& b) { return a.offset < b.offset; });
+    for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
+      const auto end = segments[i].offset + segments[i].length;
+      if (end < segments[i + 1].offset) {
+        padding.emplace(tdf::shard_file_name(s), end);
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(padding.has_value()) << "no shard pads between its segments";
+  const auto before = study::DatasetSource{dir}.load();
+  flip_byte(dir / padding->first, padding->second);
+  EXPECT_EQ(findings_of(study::fsck_dataset(dir), TriageCode::kChecksumMismatch),
+            padding->first + ": nonzero padding byte at offset " +
+                std::to_string(padding->second) + " between segments\n");
+  // The trade-off of a claim over the table: the load never reads the
+  // padding, so it loads the same study.
+  EXPECT_EQ(study::DatasetSource{dir}.load().frame, before.frame);
+}
+
+TEST(StudyFsck, ForeignShardContainerFailsTheLoadAndFsck) {
+  // Seed 12's shard 1 copied over seed 11's: a whole, self-consistent
+  // container that is not the one the manifest claims.
+  const auto dir = scratch_root() / "foreign_11";
+  const auto other = scratch_root() / "foreign_12";
+  study::generate_sharded_dataset(core::quick_config(11), 4, dir);
+  study::generate_sharded_dataset(core::quick_config(12), 4, other);
+  const auto victim = tdf::shard_file_name(1);
+  fs::copy_file(other / victim, dir / victim, fs::copy_options::overwrite_existing);
+
+  try {
+    (void)study::DatasetSource{dir}.load();
+    FAIL() << "a foreign container must fail a strict load";
+  } catch (const IngestError& error) {
+    EXPECT_EQ(error.code(), TriageCode::kChecksumMismatch) << error.what();
+    EXPECT_EQ(error.file(), victim);
+  }
+  const auto salvaged = study::DatasetSource{dir, IngestPolicy::kSalvage}.load();
+  ASSERT_TRUE(salvaged.ingest_report.has_value());
+  const auto& diags = salvaged.ingest_report->diagnostics();
+  ASSERT_FALSE(diags.empty());
+  EXPECT_EQ(diags.front().code, TriageCode::kChecksumMismatch);
+  EXPECT_EQ(diags.front().file, victim);
+  const auto result = study::fsck_dataset(dir);
+  EXPECT_EQ(result.findings.size(), 1U) << result.report_text();
   EXPECT_TRUE(has_finding(result, TriageCode::kChecksumMismatch)) << result.report_text();
 }
 

@@ -21,6 +21,7 @@
 #include "ingest/triage.hpp"
 #include "par/pool.hpp"
 #include "profile/fleet_profile.hpp"
+#include "study/fsck.hpp"
 #include "study/io.hpp"
 #include "study/registry.hpp"
 #include "study/sharded.hpp"
@@ -213,7 +214,7 @@ TEST(TdfRoundTrip, WritesLeaveNoTmpFiles) {
 TEST(TdfFile, WriteReadRoundTripLeavesNoTmpFiles) {
   // The one container writer, for dataset.tdf and a shard roster alike:
   // every container lands whole (no tmp left behind), its manifest claim
-  // is the checksum of the bytes on disk, and the mapped containers
+  // is the container claim of the bytes on disk, and the mapped containers
   // decode back to the frame, in roster order.
   const auto sharded = scratch_root() / "file_sharded";
   study::write_sharded_dataset(simulated(), sharded, 3);
@@ -232,8 +233,7 @@ TEST(TdfFile, WriteReadRoundTripLeavesNoTmpFiles) {
       const auto name = layout.container(s);
       EXPECT_EQ(manifest.checksums[s].first, name);
       const tdf::MappedFile mapped{dir / name};
-      EXPECT_EQ(manifest.checksums[s].second, ingest::content_checksum(mapped.bytes()))
-          << name;
+      EXPECT_EQ(manifest.checksums[s].second, tdf::container_claim(mapped.bytes())) << name;
       const auto data =
           tdf::decode_tdf(mapped.bytes(), name, ingest::IngestPolicy::kStrict, report);
       times.insert(times.end(), data.times.begin(), data.times.end());
@@ -248,18 +248,30 @@ TEST(TdfFile, WriteReadRoundTripLeavesNoTmpFiles) {
   }
 }
 
-// The manifest.txt of quick_config(7) under two fleet profiles, written
-// four ways.  The manifest claims every artifact's checksum, so this pins
-// the bytes of every artifact each writer produces.
-TEST(DatasetBytes, ManifestsPinned) {
-  struct Pinned {
-    const char* profile;
-    const char* writer;
-    const char* manifest;
-  };
-  const Pinned pinned[] = {
-      {"k20x-titan", "text",
-       R"(titanrel-dataset v1
+// The datasets quick_config(7) makes under two fleet profiles, written
+// four ways, each pinned by its manifest twice: as the writer writes it
+// (v2) and as a v1 manifest records it, with whole-file FNV-1a claims.
+// The v1 claims cover every byte, so they pin the bytes of every artifact
+// each writer produces; they now test the v1 reader too.
+struct PinnedDataset {
+  const char* profile;
+  const char* writer;
+  const char* manifest;     ///< the v2 manifest the writer commits
+  const char* v1_manifest;  ///< the same dataset under v1 claims
+};
+
+const PinnedDataset kPinned[] = {
+    {"k20x-titan", "text",
+     R"(titanrel-dataset v2
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile k20x-titan f234fe754224d7fe
+checksum console.log d53ea5335f0578aa
+checksum jobs.log 4de9e24160e84d20
+checksum smi_sweep.txt 6cfaef021aff0efd
+)",
+     R"(titanrel-dataset v1
 period_begin 1383264000
 period_end 1391212800
 accounting_from 1388534400
@@ -268,16 +280,33 @@ checksum console.log c526b9d4bfd3558c
 checksum jobs.log 5de157b5914d3472
 checksum smi_sweep.txt 0be62ce14b532dd6
 )"},
-      {"k20x-titan", "binary",
-       R"(titanrel-dataset v1
+    {"k20x-titan", "binary",
+     R"(titanrel-dataset v2
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile k20x-titan f234fe754224d7fe
+checksum dataset.tdf 4131acf70ecb1293
+)",
+     R"(titanrel-dataset v1
 period_begin 1383264000
 period_end 1391212800
 accounting_from 1388534400
 profile k20x-titan f234fe754224d7fe
 checksum dataset.tdf 92a860afd6f876cb
 )"},
-      {"k20x-titan", "resharded",
-       R"(titanrel-dataset v1
+    {"k20x-titan", "resharded",
+     R"(titanrel-dataset v2
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile k20x-titan f234fe754224d7fe
+shards 3
+checksum dataset.shard-0.tdf c4792abbc2ae7108
+checksum dataset.shard-1.tdf d814c4f88cc91f89
+checksum dataset.shard-2.tdf 0703a188b02bee42
+)",
+     R"(titanrel-dataset v1
 period_begin 1383264000
 period_end 1391212800
 accounting_from 1388534400
@@ -287,8 +316,18 @@ checksum dataset.shard-0.tdf 19568ac47dc82a5c
 checksum dataset.shard-1.tdf 647225d2746576bf
 checksum dataset.shard-2.tdf d171676a087761ac
 )"},
-      {"k20x-titan", "generated",
-       R"(titanrel-dataset v1
+    {"k20x-titan", "generated",
+     R"(titanrel-dataset v2
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile k20x-titan f234fe754224d7fe
+shards 3
+checksum dataset.shard-0.tdf 4a508daa213ee59a
+checksum dataset.shard-1.tdf b7240c7049dbf9c8
+checksum dataset.shard-2.tdf 6bee41d521f3b670
+)",
+     R"(titanrel-dataset v1
 period_begin 1383264000
 period_end 1391212800
 accounting_from 1388534400
@@ -298,8 +337,17 @@ checksum dataset.shard-0.tdf 740e845a5ca87f29
 checksum dataset.shard-1.tdf 591e17932a41c443
 checksum dataset.shard-2.tdf ffd28f1205011eb0
 )"},
-      {"a100", "text",
-       R"(titanrel-dataset v1
+    {"a100", "text",
+     R"(titanrel-dataset v2
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile a100 8bf3a717d57a1594
+checksum console.log 37a0bfa44ac9a2dc
+checksum jobs.log 4de9e24160e84d20
+checksum smi_sweep.txt 4a531791c45220bb
+)",
+     R"(titanrel-dataset v1
 period_begin 1383264000
 period_end 1391212800
 accounting_from 1388534400
@@ -308,16 +356,33 @@ checksum console.log cd16de60bf35693c
 checksum jobs.log 5de157b5914d3472
 checksum smi_sweep.txt f2993163dfc1ef1d
 )"},
-      {"a100", "binary",
-       R"(titanrel-dataset v1
+    {"a100", "binary",
+     R"(titanrel-dataset v2
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile a100 8bf3a717d57a1594
+checksum dataset.tdf 4d04d0f83eaf8ba2
+)",
+     R"(titanrel-dataset v1
 period_begin 1383264000
 period_end 1391212800
 accounting_from 1388534400
 profile a100 8bf3a717d57a1594
 checksum dataset.tdf cf196ce456ed2a18
 )"},
-      {"a100", "resharded",
-       R"(titanrel-dataset v1
+    {"a100", "resharded",
+     R"(titanrel-dataset v2
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile a100 8bf3a717d57a1594
+shards 3
+checksum dataset.shard-0.tdf 7e75c475087b1e88
+checksum dataset.shard-1.tdf ecbd109a10cf9d54
+checksum dataset.shard-2.tdf f574377f73191dd0
+)",
+     R"(titanrel-dataset v1
 period_begin 1383264000
 period_end 1391212800
 accounting_from 1388534400
@@ -327,8 +392,18 @@ checksum dataset.shard-0.tdf 5cc6b2b788fb9e84
 checksum dataset.shard-1.tdf 772acd33955eb95c
 checksum dataset.shard-2.tdf 59587216c25f496e
 )"},
-      {"a100", "generated",
-       R"(titanrel-dataset v1
+    {"a100", "generated",
+     R"(titanrel-dataset v2
+period_begin 1383264000
+period_end 1391212800
+accounting_from 1388534400
+profile a100 8bf3a717d57a1594
+shards 3
+checksum dataset.shard-0.tdf 5565ef652497d42d
+checksum dataset.shard-1.tdf a3b02433cc304d99
+checksum dataset.shard-2.tdf f56467e98ecc8c86
+)",
+     R"(titanrel-dataset v1
 period_begin 1383264000
 period_end 1391212800
 accounting_from 1388534400
@@ -338,21 +413,54 @@ checksum dataset.shard-0.tdf 0781fdddd45ceae3
 checksum dataset.shard-1.tdf b4ce829084ec9df4
 checksum dataset.shard-2.tdf 2098c6200e256564
 )"},
-  };
-  for (const auto& [profile_name, writer, manifest] : pinned) {
-    auto config = core::quick_config(7);
-    core::apply_profile(config, *profile::find_profile(profile_name));
-    const auto dir = scratch_root() / "pinned" / profile_name / writer;
-    const std::string_view way = writer;
-    if (way == "generated") {
-      study::generate_sharded_dataset(config, 3, dir);
-    } else {
-      const auto context = study::SimulatedSource{config}.load();
-      if (way == "text") study::write_dataset(context, dir, study::DatasetFormat::kText);
-      if (way == "binary") study::write_dataset(context, dir, study::DatasetFormat::kBinary);
-      if (way == "resharded") study::write_sharded_dataset(context, dir, 3);
+};
+
+/// Write pinned dataset `pinned` into `dir` with its writer.
+void write_pinned(const PinnedDataset& pinned, const fs::path& dir) {
+  auto config = core::quick_config(7);
+  core::apply_profile(config, *profile::find_profile(pinned.profile));
+  const std::string_view way = pinned.writer;
+  if (way == "generated") {
+    study::generate_sharded_dataset(config, 3, dir);
+    return;
+  }
+  const auto context = study::SimulatedSource{config}.load();
+  if (way == "text") study::write_dataset(context, dir, study::DatasetFormat::kText);
+  if (way == "binary") study::write_dataset(context, dir, study::DatasetFormat::kBinary);
+  if (way == "resharded") study::write_sharded_dataset(context, dir, 3);
+}
+
+TEST(DatasetBytes, ManifestsPinned) {
+  // The same manifest bytes at any pool width: claims are cut by the
+  // format, never by the thread count.
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    const ThreadsGuard guard{width};
+    for (const auto& pinned : kPinned) {
+      const auto dir = scratch_root() / "pinned" / std::to_string(width) / pinned.profile /
+                       pinned.writer;
+      write_pinned(pinned, dir);
+      EXPECT_EQ(study::read_all(dir / "manifest.txt"), pinned.manifest)
+          << pinned.profile << ' ' << pinned.writer << " width " << width;
     }
-    EXPECT_EQ(study::read_all(dir / "manifest.txt"), manifest) << profile_name << ' ' << writer;
+  }
+}
+
+TEST(DatasetBytes, V1ManifestsLoadToTheSameReportAndFsckClean) {
+  // Each pinned dataset with its manifest rewritten by hand as v1: the v1
+  // reader loads it strictly to the same report bytes, and fsck hashes
+  // every artifact whole and finds it clean.
+  for (const auto& pinned : kPinned) {
+    const auto dir = scratch_root() / "pinned_v1" / pinned.profile / pinned.writer;
+    write_pinned(pinned, dir);
+    const auto expected = registry().run_all(study::DatasetSource{dir}.load()).text();
+    study::write_text(dir / "manifest.txt", pinned.v1_manifest);
+    EXPECT_EQ(study::fsck_dataset(dir).report_text(),
+              "titanrel fsck\nlayout: " +
+                  std::string{study::dataset_layout(dir).name()} +
+                  "\nfindings: 0\nverdict: clean\n")
+        << pinned.profile << ' ' << pinned.writer;
+    EXPECT_EQ(registry().run_all(study::DatasetSource{dir}.load()).text(), expected)
+        << pinned.profile << ' ' << pinned.writer;
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
 #include <set>
+#include <string>
 
 namespace titan::topology {
 namespace {
@@ -71,6 +74,35 @@ TEST(Machine, CnameRoundTripAllNodes) {
     const auto parsed = parse_cname(cname(id));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(node_id(*parsed), id);
+  }
+}
+
+/// The printf format append_cname replaced, cut to kMaxCnameChars as its
+/// buffer cut it.
+std::string snprintf_cname(const NodeLocation& loc) {
+  char buf[kMaxCnameChars + 1];
+  std::snprintf(buf, sizeof(buf), "c%d-%dc%ds%dn%d", loc.cab_x, loc.cab_y, loc.cage, loc.slot,
+                loc.node);
+  return buf;
+}
+
+TEST(Machine, CnameMatchesSnprintfForEveryNode) {
+  for (NodeId id = 0; id < kNodeSlots; ++id) {
+    std::string appended = "prefix ";
+    append_cname(appended, locate(id));
+    ASSERT_EQ(appended, "prefix " + snprintf_cname(locate(id))) << id;
+    ASSERT_EQ(cname(id), snprintf_cname(locate(id))) << id;
+  }
+}
+
+TEST(Machine, OutOfRangeCnameIsCutLikeSnprintf) {
+  constexpr int kMin = std::numeric_limits<int>::min();
+  constexpr int kMax = std::numeric_limits<int>::max();
+  for (const auto& loc : {NodeLocation{kMin, kMin, kMin, kMin, kMin},
+                          NodeLocation{kMax, kMax, kMax, kMax, kMax},
+                          NodeLocation{-1, 1234, -56, 7, 890123}}) {
+    EXPECT_EQ(cname(loc), snprintf_cname(loc));
+    EXPECT_LE(cname(loc).size(), kMaxCnameChars);
   }
 }
 
