@@ -6,10 +6,7 @@
 // checks that the modern fleets actually exercise their new physics
 // (row remapping, NVLink, SDC) while k20x-titan stays the paper's fleet.
 //
-//   ./build/bench/bench_profile_matrix [--quick] [--json PATH]
-//
-// --json writes the machine-readable record (the BENCH_profile.json
-// trajectory; see scripts/check.sh --bench-json).
+//   ./build/bench/bench_profile_matrix [--quick]
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -18,7 +15,6 @@
 
 #include "bench/common.hpp"
 #include "study/comparative.hpp"
-#include "study/io.hpp"
 #include "study/registry.hpp"
 #include "study/source.hpp"
 
@@ -34,17 +30,10 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 int main(int argc, char** argv) {
   using namespace titan;
 
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_profile_matrix [--quick] [--json PATH]\n");
-      return 2;
-    }
+  const bool quick = argc == 2 && std::strcmp(argv[1], "--quick") == 0;
+  if (argc != 1 && !quick) {
+    std::fprintf(stderr, "usage: bench_profile_matrix [--quick]\n");
+    return 2;
   }
   const auto base = quick ? core::quick_config(7) : core::default_config();
 
@@ -52,9 +41,6 @@ int main(int argc, char** argv) {
 
   struct ProfileRun {
     const profile::FleetProfile* fleet;
-    double load_ms;
-    double sweep_ms;
-    std::size_t events;
     std::size_t analyses;
     study::StudyReport report;
   };
@@ -74,8 +60,7 @@ int main(int argc, char** argv) {
     std::printf("  %-10s  load %8.1f ms   sweep %8.1f ms   %zu events, %zu analyses\n",
                 std::string{fleet->name}.c_str(), load_ms, sweep_ms,
                 context.frame.size(), report.results.size());
-    runs.push_back({fleet, load_ms, sweep_ms, context.frame.size(),
-                    report.results.size(), std::move(report)});
+    runs.push_back({fleet, report.results.size(), std::move(report)});
   }
 
   study::ComparativeReport comparison;
@@ -111,28 +96,6 @@ int main(int argc, char** argv) {
                      comparison.text().find("k20x-titan") != std::string::npos &&
                          comparison.text().find("a100") != std::string::npos &&
                          comparison.text().find("h100") != std::string::npos);
-
-  if (!json_path.empty()) {
-    auto profiles = study::JsonValue::array();
-    for (const auto& run : runs) {
-      profiles.push(study::JsonValue::object()
-                        .set("name", run.fleet->name)
-                        .set("content_hash", run.fleet->content_hash())
-                        .set("events", run.events)
-                        .set("analyses", run.analyses)
-                        .set("load_ms", run.load_ms)
-                        .set("sweep_ms", run.sweep_ms));
-    }
-    auto doc = study::JsonValue::object();
-    doc.set("bench", "profile_matrix");
-    doc.set("fixture", study::JsonValue::object()
-                           .set("config", quick ? "quick" : "default")
-                           .set("seed", base.seed));
-    doc.set("profiles", std::move(profiles));
-    doc.set("checks", study::JsonValue::object().set("all_green", ok));
-    study::write_text(json_path, doc.dump() + "\n");
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
 
   return ok ? 0 : 1;
 }

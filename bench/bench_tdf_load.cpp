@@ -6,20 +6,17 @@
 // ROADMAP's binary-format item: binary load >= 5x faster than text, with
 // byte-identical StudyReports from both paths.
 //
-//   ./build/bench/bench_tdf_load [--quick] [--reps N] [--json PATH] [--dir PATH]
+//   ./build/bench/bench_tdf_load [--dir PATH]
 //
-// --json writes the machine-readable record (the BENCH_dataset.json
-// trajectory; see scripts/check.sh --bench-json).
+// The datasets go to PATH/text and PATH/binary (default: a directory under
+// the system temp dir); only those two are removed at the end.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 
 #include "bench/common.hpp"
 #include "study/io.hpp"
-#include "study/json.hpp"
 #include "study/registry.hpp"
 #include "study/source.hpp"
 #include "tdf/tdf.hpp"
@@ -28,6 +25,9 @@ namespace {
 
 namespace fs = std::filesystem;
 using namespace titan;
+
+/// Full loads per path; the verdict uses the best of them.
+constexpr int kReps = 5;
 
 /// Milliseconds of one call, measured with a steady clock.
 template <typename Fn>
@@ -61,33 +61,20 @@ std::uintmax_t dir_bytes(const fs::path& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  int reps = 5;
-  std::string json_path;
   fs::path root = fs::temp_directory_path() / "titanrel_bench_tdf";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--reps" && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--dir" && i + 1 < argc) {
-      root = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_tdf_load [--quick] [--reps N] [--json PATH] [--dir PATH]\n");
-      return 2;
-    }
+  if (argc == 3 && std::string_view{argv[1]} == "--dir") {
+    root = argv[2];
+  } else if (argc != 1) {
+    std::fprintf(stderr, "usage: bench_tdf_load [--dir PATH]\n");
+    return 2;
   }
-  if (reps < 1) reps = 1;
+  const bool made_root = !fs::exists(root);
 
   bench::print_header("Dataset load path: text artifacts vs TDF binary container");
 
-  const auto config = quick ? core::quick_config(29) : core::default_config();
-  std::fprintf(stderr, "[titanrel] simulating fixture campaign (seed %llu%s)...\n",
-               static_cast<unsigned long long>(config.seed), quick ? ", quick" : "");
+  const auto config = core::default_config();
+  std::fprintf(stderr, "[titanrel] simulating fixture campaign (seed %llu)...\n",
+               static_cast<unsigned long long>(config.seed));
   const study::SimulatedSource simulated{config};
   const auto context = simulated.load();
 
@@ -110,10 +97,10 @@ int main(int argc, char** argv) {
   const study::DatasetSource binary_source{binary_dir};
 
   // Load timings (best of N full loads each).
-  const double text_load_ms = best_of(reps, [&] { (void)text_source.load(); });
-  const double binary_load_ms = best_of(reps, [&] { (void)binary_source.load(); });
+  const double text_load_ms = best_of(kReps, [&] { (void)text_source.load(); });
+  const double binary_load_ms = best_of(kReps, [&] { (void)binary_source.load(); });
   const double speedup = binary_load_ms > 0.0 ? text_load_ms / binary_load_ms : 0.0;
-  std::printf("\nload (best of %d)\n", reps);
+  std::printf("\nload (best of %d)\n", kReps);
   std::printf("  text        : %10.2f ms\n", text_load_ms);
   std::printf("  binary      : %10.2f ms\n", binary_load_ms);
   std::printf("  speedup     : %10.2fx\n", speedup);
@@ -139,34 +126,9 @@ int main(int argc, char** argv) {
   ok &= bench::check("text and binary reports byte-identical (json)",
                      text_report.json() == binary_report.json());
 
-  if (!json_path.empty()) {
-    auto doc = study::JsonValue::object();
-    doc.set("bench", "tdf_load");
-    doc.set("fixture", study::JsonValue::object()
-                           .set("config", quick ? "quick" : "default")
-                           .set("seed", config.seed)
-                           .set("events", context.frame.size())
-                           .set("jobs", context.load_stats.job_lines)
-                           .set("smi_blocks", context.load_stats.smi_blocks)
-                           .set("text_bytes", static_cast<std::uint64_t>(text_bytes))
-                           .set("binary_bytes", static_cast<std::uint64_t>(binary_bytes)));
-    doc.set("reps", reps);
-    doc.set("load_ms", study::JsonValue::object()
-                           .set("text", text_load_ms)
-                           .set("binary", binary_load_ms)
-                           .set("speedup", speedup));
-    doc.set("sweep_ms", study::JsonValue::object()
-                            .set("text", text_sweep_ms)
-                            .set("binary", binary_sweep_ms));
-    doc.set("checks", study::JsonValue::object()
-                          .set("speedup_5x", speedup >= 5.0)
-                          .set("reports_identical",
-                               text_report.text() == binary_report.text() &&
-                                   text_report.json() == binary_report.json()));
-    study::write_text(json_path, doc.dump() + "\n");
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
-
-  fs::remove_all(root);
+  fs::remove_all(text_dir);
+  fs::remove_all(binary_dir);
+  std::error_code ignored;
+  if (made_root) fs::remove(root, ignored);  // removes root only if it is empty
   return ok ? 0 : 1;
 }

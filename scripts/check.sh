@@ -52,10 +52,15 @@
 #                binaries, the profile-matrix bench (full registry under
 #                every built-in FleetProfile), and an explicit titanlint
 #                det-* pass over the profile layer
-#   --bench-json refresh every committed BENCH_*.json perf-trajectory
-#                record: bench_tdf_load -> BENCH_dataset.json,
-#                bench_campaign_scale -> BENCH_campaign.json and
-#                bench_profile_matrix -> BENCH_profile.json
+#   --bench-gates run the load-path and campaign-scale benches, which
+#                assert and write nothing into the repo: bench_tdf_load
+#                (binary load >= 5x faster than text, text and binary
+#                reports byte-identical) and bench_campaign_scale (16x
+#                Titan covers 299,008 cards, every sharded 16x worker under
+#                the 210 MiB RSS budget, the unsharded 16x path over it,
+#                sharded and unsharded 1x reports byte-identical); both run
+#                even if the first fails, then every red gate is named.
+#                (studybench, not this stage, measures performance)
 #   --jobs N     parallelism (default: nproc)
 #
 # Exits non-zero on the first failing stage.
@@ -70,7 +75,7 @@ RELEASE=0
 CORRUPT=0
 CRASH=0
 PROFILES=0
-BENCH_JSON=0
+BENCH_GATES=0
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --ubsan) UBSAN=1 ;;
@@ -80,9 +85,9 @@ while [[ $# -gt 0 ]]; do
     --corrupt) CORRUPT=1 ;;
     --crash) CRASH=1 ;;
     --profiles) PROFILES=1 ;;
-    --bench-json) BENCH_JSON=1 ;;
+    --bench-gates) BENCH_GATES=1 ;;
     --jobs) JOBS="$2"; shift ;;
-    *) echo "usage: scripts/check.sh [--ubsan] [--tsan] [--asan] [--release] [--corrupt] [--crash] [--profiles] [--bench-json] [--jobs N]" >&2; exit 2 ;;
+    *) echo "usage: scripts/check.sh [--ubsan] [--tsan] [--asan] [--release] [--corrupt] [--crash] [--profiles] [--bench-gates] [--jobs N]" >&2; exit 2 ;;
   esac
   shift
 done
@@ -212,13 +217,21 @@ if [[ "$PROFILES" == 1 ]]; then
     src/study/comparative.cpp src/core/facility.cpp src/study/registry.cpp
 fi
 
-if [[ "$BENCH_JSON" == 1 ]]; then
-  echo "== bench_tdf_load -> BENCH_dataset.json =="
-  ./build/bench/bench_tdf_load --json BENCH_dataset.json
-  echo "== bench_campaign_scale -> BENCH_campaign.json =="
-  ./build/bench/bench_campaign_scale --json BENCH_campaign.json
-  echo "== bench_profile_matrix -> BENCH_profile.json =="
-  ./build/bench/bench_profile_matrix --json BENCH_profile.json
+if [[ "$BENCH_GATES" == 1 ]]; then
+  RED_GATES=""
+  for bench in bench_tdf_load bench_campaign_scale; do
+    echo "== $bench gates =="
+    status=0
+    out="$(./build/bench/"$bench")" || status=$?
+    echo "$out"
+    if [[ "$status" != 0 ]]; then
+      RED_GATES+="  $bench (exit $status):"$'\n'"$(grep -F '[FAIL]' <<<"$out" || true)"$'\n'
+    fi
+  done
+  if [[ -n "$RED_GATES" ]]; then
+    printf 'bench gates failed:\n%s' "$RED_GATES" >&2
+    exit 1
+  fi
 fi
 
 if [[ "$TSAN" == 1 ]]; then
