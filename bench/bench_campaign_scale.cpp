@@ -55,17 +55,15 @@ using namespace titan;
 
 /// Peak-RSS budget every sharded 16x replica worker must stay under
 /// (and the unsharded path demonstrably cannot meet across the same 16
-/// seeds).  It sits between the two measured 16x worker maxima -- 172.4
-/// MiB sharded vs 250.6 MiB unsharded on the default seeds (4 cores,
-/// RelWithDebInfo) -- a margin of about 18% below the budget and 19%
+/// seeds).  It sits between the two measured 16x worker maxima -- 167.0
+/// MiB sharded vs 252.6 MiB unsharded on the default seeds (4 cores,
+/// RelWithDebInfo) -- a margin of about 20% below the budget and 20%
 /// above it.  Job allocations are runs of the allocator's search order,
 /// so the workload floor both paths carry (job records plus the JobTrace
 /// index) is tens of MiB; the gap is the unsharded path's resident event
-/// stream and frame.  The known risk to the sharded margin is the pool
-/// workers' per-thread malloc arenas (11-33 MB each, depending on which
-/// thread allocated what): studybench's sharded_roundtrip peak splits
-/// between ~161-164 and ~180-190 MiB from run to run, and a jump that
-/// size would take more than half the margin.
+/// stream and frame.  The peak no longer jumps between modes from run to
+/// run: the pool fixes glibc's malloc thresholds (DESIGN.md section 6), and
+/// studybench's sharded_roundtrip peak stays within 159-164 MiB.
 constexpr double kRssBudgetMiB = 210.0;
 
 /// Shards per replica in the sharded phases.

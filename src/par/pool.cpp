@@ -4,6 +4,10 @@
 #include <cstdlib>
 #include <limits>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace titan::par {
 
 namespace {
@@ -14,6 +18,23 @@ thread_local bool tl_in_parallel = false;
 
 constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
 constexpr std::size_t kMaxThreads = 4096;
+
+/// Fix glibc's malloc thresholds, which it otherwise adjusts at run time.
+/// Freeing an mmapped block raises the mmap threshold to that block's size
+/// (up to 32 MiB) and the trim threshold to twice that, so how much freed
+/// heap top stays resident depends on which thread freed which block
+/// first.  With the pool's workers racing the caller, a study's peak RSS
+/// then split between two modes ~25 MiB apart from run to run.  Pinned,
+/// blocks up to 32 MiB (the value the dynamic threshold climbs to) always
+/// come from the heap, and a freed top larger than 16 MiB is always given
+/// back.  The values were picked against studybench: lower trim
+/// thresholds cost dataset_analyze time, higher ones let the modes back.
+void pin_malloc_thresholds() {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 16 << 20);
+#endif
+}
 
 }  // namespace
 
@@ -40,7 +61,10 @@ ThreadPool& ThreadPool::instance() {
   return pool;
 }
 
-ThreadPool::ThreadPool(std::size_t threads) { start(threads); }
+ThreadPool::ThreadPool(std::size_t threads) {
+  pin_malloc_thresholds();
+  start(threads);
+}
 
 ThreadPool::~ThreadPool() { stop(); }
 
